@@ -9,8 +9,9 @@ Catalog (text encodings in parentheses):
 * ``BoundaryPhi`` (``boundary:b=1.0``): phi(w) = max(0, c_pn - b beta_star /
   log(max(w, w_floor))), a function sitting exactly on the b-scaled critical
   tail.  The default w_floor is the zero crossing exp(b beta_star / c_pn)
-  capped at e^2, so phi(0) = 0 holds; only the tail shape matters to the
-  classification theory, the near-origin shape is free.
+  capped at e^2, and phi is exactly 0 at and below it, so phi(0) = 0 holds;
+  only the tail shape matters to the classification theory, the near-origin
+  shape is free.
 * ``GBUnknown`` (``gb:a=-2,b=1.0``): the generalized Bayes multiplier under the
   scale-mixture prior with mixing density lambda^a (log 1/lambda)^b on (0,1),
 
@@ -44,7 +45,11 @@ generalized Bayes member is tabulated once on a dense log-spaced grid and
 interpolated with a cubic spline in log w (linear below the grid, constant
 above), which keeps Monte Carlo evaluation cheap; the spline and its exact
 derivative are used consistently so SURE identities hold for the compiled
-function itself.
+function itself.  The tanh-sinh node set does not depend on w, so N(w) and
+D(w) for all 508 grid nodes are integrated in one batched pass
+(quadrature.tanh_sinh_batch) that is bit-identical to the exact route
+phi_gb_unknown at every node.  When D(w) underflows to 0 (large p + n near the
+top of the grid) both routes raise EvaluationError.
 """
 
 from __future__ import annotations
@@ -56,13 +61,13 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import EvaluationError, ProblemDims, ShrinkageFunction, constants
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     log_recip,
+    tanh_sinh_batch,
     tanh_sinh_unit,
 )
 
@@ -307,7 +312,17 @@ def phi_gb_unknown(
     q = dims.p / 2 + a
     num = _gb_integral(q + 1.0, b, w, m, cfg)
     den = _gb_integral(q, b, w, m, cfg)
+    if den == 0.0:
+        raise _d_underflow(a, b, w, dims)
     return w * num / den
+
+
+def _d_underflow(a: float, b: float, w: float, dims: ProblemDims) -> EvaluationError:
+    return EvaluationError(
+        f"gb: D(w) underflowed to 0 at w={w!r} for (p, n, a, b) = "
+        f"({dims.p}, {dims.n}, {a!r}, {b!r})",
+        w,
+    )
 
 
 def phi_gb_unknown_deriv(
@@ -325,6 +340,8 @@ def phi_gb_unknown_deriv(
     q = dims.p / 2 + a
     num = _gb_integral(q + 1.0, b, w, m, cfg)
     den = _gb_integral(q, b, w, m, cfg)
+    if den == 0.0:
+        raise _d_underflow(a, b, w, dims)
     dnum = -m * _gb_integral(q + 2.0, b, w, m + 1.0, cfg)
     dden = -m * _gb_integral(q + 1.0, b, w, m + 1.0, cfg)
     return num / den + w * (dnum * den - num * dden) / den**2
@@ -349,6 +366,8 @@ def phi_gb_identity_saigo4(
     m0 = (dims.p + dims.n) / 2
     q = dims.p / 2 - 2.0
     den = _gb_integral(q, b, w, m0 + 1.0, cfg)
+    if den == 0.0:
+        raise _d_underflow(-2.0, b, w, dims)
     out = k.c_pn
     if b > 0.0:
         num = _gb_integral(q, b - 1.0, w, m0, cfg)
@@ -400,12 +419,45 @@ _GB_LOG_HI = math.log(1e13)
 _GB_STEP = 0.1
 
 
-@lru_cache(maxsize=None)
-def _gb_table(a: float, b: float, p: int, n: int, rel_tol: float):
-    dims = ProblemDims(p, n)
-    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-16)
+def _gb_grid_values(
+    a: float, b: float, dims: ProblemDims, cfg: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The log-w grid and phi_{a,b} on it, equal to the exact route bit for bit.
+
+    All w-nodes share one tanh-sinh node set, so N(w) and D(w) for the whole
+    grid come from one tanh_sinh_batch pass whose elementwise operations are
+    those of _gb_integral: the values are
+    [phi_gb_unknown(a, b, exp(x), dims, cfg) for x in grid] exactly.
+    """
     x = np.arange(_GB_LOG_LO, _GB_LOG_HI + _GB_STEP / 2, _GB_STEP)
-    vals = np.array([phi_gb_unknown(a, b, math.exp(xi), dims, cfg) for xi in x])
+    w = np.array([math.exp(xi) for xi in x])
+    m = (dims.p + dims.n) / 2 + 1
+    q = dims.p / 2 + a
+
+    def level_integrand(lam, lam_c):
+        lam_q, lam_q1 = lam**q, lam ** (q + 1.0)
+        log_b = log_recip(lam, lam_c) ** b if b != 0.0 else None
+
+        def rows(idx):
+            shared = np.power(1.0 + w[idx, None] * lam, -m)
+            num, den = lam_q1 * shared, lam_q * shared
+            if log_b is not None:
+                num, den = num * log_b, den * log_b
+            return num, den
+
+        return rows
+
+    num, den = tanh_sinh_batch(level_integrand, len(w), 2, cfg)
+    if not np.all(den):
+        raise _d_underflow(a, b, float(w[np.argmin(den != 0.0)]), dims)
+    return x, w * num / den
+
+
+@lru_cache(maxsize=None)
+def _gb_table(a: float, b: float, p: int, n: int, cfg: QuadratureConfig):
+    from scipy.interpolate import CubicSpline  # slow import, needed only here
+
+    x, vals = _gb_grid_values(a, b, ProblemDims(p, n), cfg)
     spline = CubicSpline(x, vals)
     return spline, spline.derivative(), float(x[0]), float(x[-1]), float(vals[0]), float(vals[-1])
 
@@ -413,7 +465,7 @@ def _gb_table(a: float, b: float, p: int, n: int, rel_tol: float):
 def _make_gb(spec: GBUnknown, dims: ProblemDims, cfg: QuadratureConfig) -> ShrinkageFunction:
     spec.validate_for(dims)
     spline, dspline, x_lo, x_hi, v_lo, v_hi = _gb_table(
-        float(spec.a), float(spec.b), dims.p, dims.n, cfg.rel_tol
+        float(spec.a), float(spec.b), dims.p, dims.n, cfg
     )
     w_lo = math.exp(x_lo)
     slope0 = v_lo / w_lo  # phi is asymptotically linear at the origin
@@ -496,10 +548,14 @@ def make_shrinkage(
     if isinstance(spec, BoundaryPhi):
         floor = resolve_w_floor(spec, dims)
         coeff = spec.b * k.beta_star
+        # the default floor is the zero crossing, where phi vanishes; the
+        # exp/log round trip alone would leave it at ~1e-17 below the floor
+        zero_to = floor if spec.w_floor is None else -math.inf
 
         def ev(w):
-            arr = np.maximum(np.asarray(w, dtype=float), floor)
-            return _scalar_or_array(w, np.maximum(0.0, k.c_pn - coeff / np.log(arr)))
+            arr = np.asarray(w, dtype=float)
+            out = np.maximum(0.0, k.c_pn - coeff / np.log(np.maximum(arr, floor)))
+            return _scalar_or_array(w, np.where(arr <= zero_to, 0.0, out))
 
         def dv(w):
             arr = np.asarray(w, dtype=float)

@@ -57,6 +57,18 @@ class TestDominateAndVerify:
         )
         assert report["certificate"]["verdict"] is True
 
+    def test_default_floor_boundary_member_dominates(self, capsys):
+        code, out = run_cli(
+            ["dominate", "--p", "6", "--n", "17", "--phi", "boundary:b=2.0",
+             "--b", "1.5"],
+            capsys,
+        )
+        assert code == 0
+        jsonschema.validate(
+            json.loads(out)["certificate"],
+            load_schema("domination_certificate.schema.json"),
+        )
+
     def test_verify_explicit_spec(self, capsys):
         code, out = run_cli(
             [
@@ -139,6 +151,13 @@ class TestExitCodes:
             ["classify", "--p", "5", "--n", "6", "--phi", "gb:a=-9,b=1"], capsys
         )
         assert code == 1
+
+    def test_gb_d_underflow_is_typed_error(self, capsys):
+        code = main(["classify", "--p", "60", "--n", "60", "--phi", "gb:a=-2,b=2.0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "D(w) underflowed" in err and "(60, 60, -2.0, 2.0)" in err
+        assert "division by zero" not in err
 
     def test_crosscheck_within_tol_is_0(self, capsys):
         code, out = run_cli(

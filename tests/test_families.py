@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sure_boundary.core import ProblemDims, constants
+from sure_boundary import families
+from sure_boundary.core import EvaluationError, ProblemDims, constants
 from sure_boundary.families import (
     BoundaryPhi,
     GBUnknown,
@@ -106,6 +107,15 @@ class TestNonnegativity:
         for b in (0.25, 0.5, 1.0, 2.0, 5.0):
             phi = make_shrinkage(BoundaryPhi(b=b), DIMS)
             assert phi.eval(0.0) == 0.0
+        # exactly 0.0 up to the floor in every cell, not ~1e-17 from the
+        # exp/log round trip of the zero crossing
+        for p in range(3, 41):
+            for n in range(3, 41):
+                dims = ProblemDims(p, n)
+                for b in (0.5, 1.0, 1.5, 2.0):
+                    phi = make_shrinkage(BoundaryPhi(b=b), dims)
+                    floor = resolve_w_floor(BoundaryPhi(b=b), dims)
+                    assert phi.eval(0.0) == phi.eval(floor) == 0.0
         # the crossing cap: floor never exceeds e^2
         assert resolve_w_floor(BoundaryPhi(b=10.0), DIMS) == pytest.approx(math.e**2)
 
@@ -176,6 +186,61 @@ class TestGBUnknown:
             h = 1e-6 * w
             fd = (phi.eval(w + h) - phi.eval(w - h)) / (2.0 * h)
             assert abs(phi.deriv(w) - fd) <= 1e-4 * abs(fd)
+
+
+class TestGBTable:
+    @pytest.mark.parametrize(
+        "a,b,p,n",
+        [
+            (-2.0, 0.0, 3, 3),
+            (-2.0, 2.5, 5, 6),
+            (-1.0, 1.3, 12, 19),
+            (0.0, 0.0, 5, 6),
+            (-2.0, 1.0, 20, 20),
+        ],
+    )
+    def test_batched_table_equals_exact_route(self, a, b, p, n):
+        dims = ProblemDims(p, n)
+        x, vals = families._gb_grid_values(a, b, dims, QuadratureConfig())
+        exact = [phi_gb_unknown(a, b, math.exp(xi), dims) for xi in x]
+        assert len(x) == 508
+        assert np.array_equal(vals, exact)
+
+    def test_table_keyed_and_built_on_abs_tol(self, monkeypatch):
+        seen = []
+        build = families._gb_grid_values
+
+        def spy(a, b, dims, cfg):
+            seen.append(cfg)
+            return build(a, b, dims, cfg)
+
+        monkeypatch.setattr(families, "_gb_grid_values", spy)
+        spec, dims = GBUnknown(a=-2.0, b=0.8125), ProblemDims(4, 7)
+        loose = QuadratureConfig(abs_tol=1e-14)
+        tight = QuadratureConfig(abs_tol=1e-16)
+        make_shrinkage(spec, dims, loose)
+        make_shrinkage(spec, dims, tight)
+        make_shrinkage(spec, dims, loose)
+        assert seen == [loose, tight]
+
+    def test_d_underflow_is_typed(self):
+        dims = ProblemDims(52, 52)
+        with pytest.raises(EvaluationError, match=r"D\(w\) underflowed") as err:
+            make_shrinkage(GBUnknown(a=-2.0, b=2.0), dims)
+        assert "(52, 52, -2.0, 2.0)" in str(err.value)
+        with pytest.raises(EvaluationError, match=r"D\(w\) underflowed") as scalar:
+            phi_gb_unknown(-2.0, 2.0, err.value.w, dims)
+        assert scalar.value.w == err.value.w
+        for route in (
+            lambda: phi_gb_unknown_deriv(-2.0, 2.0, err.value.w, dims),
+            lambda: phi_gb_identity_saigo4(2.0, err.value.w, dims),
+        ):
+            with pytest.raises(EvaluationError, match=r"D\(w\) underflowed"):
+                route()
+
+    def test_largest_square_dims_still_build(self):
+        phi = make_shrinkage(GBUnknown(a=-2.0, b=2.0), ProblemDims(48, 48))
+        assert np.all(np.isfinite(phi.eval(np.geomspace(1e-9, 1e13, 50))))
 
 
 class TestSaigo4Identity:

@@ -16,6 +16,7 @@ from sure_boundary.quadrature import (
     QuadratureError,
     integrate_loglambda,
     log_recip,
+    tanh_sinh_batch,
     tanh_sinh_unit,
 )
 
@@ -123,3 +124,53 @@ def test_precondition_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_refinement_levels=0)
+
+
+def _batch_of(funcs):
+    """tanh_sinh_batch over one row per f(lam, lam_c) in funcs, one output."""
+
+    def level_integrand(lam, lam_c):
+        return lambda rows: [np.stack([funcs[i](lam, lam_c) for i in rows])]
+
+    return level_integrand
+
+
+class TestBatch:
+    PEAKS = [1e-3, 1.0, 37.0, 1e5, 1e8]
+
+    def test_bit_identical_to_scalar_rule(self):
+        funcs = [
+            lambda lam, lam_c, w=w: lam**0.5 * (1.0 + w * lam) ** -6.5
+            for w in self.PEAKS
+        ] + [lambda lam, lam_c: log_recip(lam, lam_c) ** -0.5 * lam]
+        for cfg in (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)):
+            batch = tanh_sinh_batch(_batch_of(funcs), len(funcs), 1, cfg)
+            scalar = np.array([tanh_sinh_unit(f, cfg) for f in funcs])
+            assert batch.shape == (1, len(funcs))
+            assert np.array_equal(batch[0], scalar)
+
+    def test_rows_freeze_at_their_own_level(self):
+        # an easy row next to a hard one keeps the value it converged to
+        easy = lambda lam, lam_c: lam  # noqa: E731
+        hard = lambda lam, lam_c: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
+        batch = tanh_sinh_batch(_batch_of([easy, hard, easy]), 3, 1)
+        assert batch[0, 0] == batch[0, 2] == tanh_sinh_unit(easy)
+        assert batch[0, 1] == tanh_sinh_unit(hard)
+
+    def test_budget_exhaustion_matches_scalar(self):
+        cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16, max_refinement_levels=2)
+        f = lambda lam, lam_c: np.cos(40.0 * lam) * lam**-0.5  # noqa: E731
+        with pytest.raises(QuadratureConvergenceError) as scalar:
+            tanh_sinh_unit(f, cfg)
+        with pytest.raises(QuadratureConvergenceError) as batch:
+            tanh_sinh_batch(_batch_of([f]), 1, 1, cfg)
+        assert batch.value.best_estimate == scalar.value.best_estimate
+        assert batch.value.error_estimate == scalar.value.error_estimate
+
+    def test_non_finite_integrand_rejected(self):
+        bad = lambda lam, lam_c: 1.0 / (lam - lam)  # noqa: E731
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureError):
+                tanh_sinh_unit(bad)
+            with pytest.raises(QuadratureError):
+                tanh_sinh_batch(_batch_of([lambda lam, lam_c: lam, bad]), 2, 1)
