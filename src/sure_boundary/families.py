@@ -47,7 +47,7 @@ above), which keeps Monte Carlo evaluation cheap; the spline and its exact
 derivative are used consistently so SURE identities hold for the compiled
 function itself.  The tanh-sinh node set does not depend on w, so N(w) and
 D(w) for all 508 grid nodes are integrated in one batched pass
-(quadrature.tanh_sinh_batch) that is bit-identical to the exact route
+(quadrature._tanh_sinh_batch) that is bit-identical to the exact route
 phi_gb_unknown at every node.  When D(w) underflows to 0 (large p + n near the
 top of the grid) both routes raise EvaluationError.
 """
@@ -66,8 +66,8 @@ from .core import EvaluationError, ProblemDims, ShrinkageFunction, constants
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _tanh_sinh_batch,
     log_recip,
-    tanh_sinh_batch,
     tanh_sinh_unit,
 )
 
@@ -425,7 +425,7 @@ def _gb_grid_values(
     """The log-w grid and phi_{a,b} on it, equal to the exact route bit for bit.
 
     All w-nodes share one tanh-sinh node set, so N(w) and D(w) for the whole
-    grid come from one tanh_sinh_batch pass whose elementwise operations are
+    grid come from one _tanh_sinh_batch pass whose elementwise operations are
     those of _gb_integral: the values are
     [phi_gb_unknown(a, b, exp(x), dims, cfg) for x in grid] exactly.
     """
@@ -447,7 +447,9 @@ def _gb_grid_values(
 
         return rows
 
-    num, den = tanh_sinh_batch(level_integrand, len(w), 2, cfg)
+    num, den = _tanh_sinh_batch(
+        level_integrand, len(w), 2, cfg, singular_exponent=q, log_power=max(b, 0.0)
+    )
     if not np.all(den):
         raise _d_underflow(a, b, float(w[np.argmin(den != 0.0)]), dims)
     return x, w * num / den

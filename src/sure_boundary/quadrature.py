@@ -33,7 +33,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureConvergenceError",
     "tanh_sinh_unit",
-    "tanh_sinh_batch",
     "integrate_loglambda",
 ]
 
@@ -45,7 +44,7 @@ _T_MAX = 6.0
 _H0 = 0.5
 # Weakest endpoint exponent the fixed horizon supports at full accuracy.
 _MIN_EXPONENT = -0.95
-# Values per integrand evaluated at once by tanh_sinh_batch: a level is cut
+# Values per integrand evaluated at once by _tanh_sinh_batch: a level is cut
 # into row slices of about this size, which bounds the batch's temporaries
 # (evaluating all 508 rows of a gb table at once adds ~17 MB of peak memory,
 # at no gain in speed).
@@ -144,6 +143,17 @@ def _stop_rule(err, value, scale, hit, cfg: QuadratureConfig):
     return hit, ok & ((hit >= 2) | (err == 0.0))
 
 
+def _check_endpoint(singular_exponent: float, log_power: float) -> None:
+    """Reject lambda -> 0 behaviour the fixed truncation horizon cannot resolve."""
+    if singular_exponent <= _MIN_EXPONENT:
+        raise ValueError(
+            f"endpoint exponent {singular_exponent} too singular for the "
+            f"fixed tanh-sinh horizon (needs > {_MIN_EXPONENT})"
+        )
+    if log_power < 0.0:
+        raise ValueError("log_power must be >= 0")
+
+
 def _not_converged(cfg: QuadratureConfig, value: float, err: float):
     return QuadratureConvergenceError(
         f"tanh-sinh did not reach tolerance after {cfg.max_refinement_levels} "
@@ -170,13 +180,7 @@ def tanh_sinh_unit(
     f ~ lambda**s (log 1/lambda)**b; they are validated against the fixed
     truncation horizon, not used to transform the integrand.
     """
-    if singular_exponent <= _MIN_EXPONENT:
-        raise ValueError(
-            f"endpoint exponent {singular_exponent} too singular for the "
-            f"fixed tanh-sinh horizon (needs > {_MIN_EXPONENT})"
-        )
-    if log_power < 0.0:
-        raise ValueError("log_power must be >= 0")
+    _check_endpoint(singular_exponent, log_power)
 
     def level_sum(level: int) -> tuple[float, float]:
         lam, lam_c, weight = _nodes(level)
@@ -208,13 +212,16 @@ def tanh_sinh_unit(
     raise _not_converged(cfg, value, err)
 
 
-def tanh_sinh_batch(
+def _tanh_sinh_batch(
     level_integrand: Callable[
         [np.ndarray, np.ndarray], Callable[[np.ndarray], Sequence[np.ndarray]]
     ],
     n_rows: int,
     n_out: int,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
+    *,
+    singular_exponent: float = 0.0,
+    log_power: float = 0.0,
 ) -> np.ndarray:
     """Integrate an (n_out, n_rows) family of integrands over (0, 1) at once.
 
@@ -230,8 +237,11 @@ def tanh_sinh_batch(
     values per integrand, and each row is summed along the contiguous last
     axis.  So an integrand evaluated with the same elementwise operations as
     its scalar counterpart integrates bit for bit as tanh_sinh_unit would.
-    Raises the errors tanh_sinh_unit raises.
+    singular_exponent and log_power declare the most singular lambda -> 0
+    behaviour among the integrands and are checked as tanh_sinh_unit checks
+    them, before any level runs.  Raises the errors tanh_sinh_unit raises.
     """
+    _check_endpoint(singular_exponent, log_power)
     h = _H0
     active = np.ones((n_out, n_rows), dtype=bool)
     s, l1 = _batch_level_sums(level_integrand, 0, np.arange(n_rows), active)

@@ -223,6 +223,15 @@ class TestGBTable:
         make_shrinkage(spec, dims, loose)
         assert seen == [loose, tight]
 
+    def test_too_singular_endpoint_rejected_like_exact_route(self):
+        # q = p/2 + a = -0.999 passes validate_for but not the fixed horizon
+        spec, dims = GBUnknown(a=-2.499, b=0.0), ProblemDims(3, 6)
+        spec.validate_for(dims)
+        with pytest.raises(ValueError, match="too singular"):
+            phi_gb_unknown(spec.a, spec.b, 1.0, dims)
+        with pytest.raises(ValueError, match="too singular"):
+            make_shrinkage(spec, dims)
+
     def test_d_underflow_is_typed(self):
         dims = ProblemDims(52, 52)
         with pytest.raises(EvaluationError, match=r"D\(w\) underflowed") as err:

@@ -14,9 +14,9 @@ from sure_boundary.quadrature import (
     QuadratureConfig,
     QuadratureConvergenceError,
     QuadratureError,
+    _tanh_sinh_batch,
     integrate_loglambda,
     log_recip,
-    tanh_sinh_batch,
     tanh_sinh_unit,
 )
 
@@ -127,7 +127,7 @@ def test_precondition_validation():
 
 
 def _batch_of(funcs):
-    """tanh_sinh_batch over one row per f(lam, lam_c) in funcs, one output."""
+    """_tanh_sinh_batch over one row per f(lam, lam_c) in funcs, one output."""
 
     def level_integrand(lam, lam_c):
         return lambda rows: [np.stack([funcs[i](lam, lam_c) for i in rows])]
@@ -144,7 +144,7 @@ class TestBatch:
             for w in self.PEAKS
         ] + [lambda lam, lam_c: log_recip(lam, lam_c) ** -0.5 * lam]
         for cfg in (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)):
-            batch = tanh_sinh_batch(_batch_of(funcs), len(funcs), 1, cfg)
+            batch = _tanh_sinh_batch(_batch_of(funcs), len(funcs), 1, cfg)
             scalar = np.array([tanh_sinh_unit(f, cfg) for f in funcs])
             assert batch.shape == (1, len(funcs))
             assert np.array_equal(batch[0], scalar)
@@ -153,7 +153,7 @@ class TestBatch:
         # an easy row next to a hard one keeps the value it converged to
         easy = lambda lam, lam_c: lam  # noqa: E731
         hard = lambda lam, lam_c: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
-        batch = tanh_sinh_batch(_batch_of([easy, hard, easy]), 3, 1)
+        batch = _tanh_sinh_batch(_batch_of([easy, hard, easy]), 3, 1)
         assert batch[0, 0] == batch[0, 2] == tanh_sinh_unit(easy)
         assert batch[0, 1] == tanh_sinh_unit(hard)
 
@@ -163,9 +163,19 @@ class TestBatch:
         with pytest.raises(QuadratureConvergenceError) as scalar:
             tanh_sinh_unit(f, cfg)
         with pytest.raises(QuadratureConvergenceError) as batch:
-            tanh_sinh_batch(_batch_of([f]), 1, 1, cfg)
+            _tanh_sinh_batch(_batch_of([f]), 1, 1, cfg)
         assert batch.value.best_estimate == scalar.value.best_estimate
         assert batch.value.error_estimate == scalar.value.error_estimate
+
+    def test_endpoint_checked_before_any_level(self):
+        def never_called(lam, lam_c):
+            raise AssertionError("a level ran")
+
+        for kwargs in ({"singular_exponent": -0.99}, {"log_power": -1.0}):
+            with pytest.raises(ValueError):
+                tanh_sinh_unit(lambda lam, lam_c: lam, **kwargs)
+            with pytest.raises(ValueError):
+                _tanh_sinh_batch(never_called, 1, 1, **kwargs)
 
     def test_non_finite_integrand_rejected(self):
         bad = lambda lam, lam_c: 1.0 / (lam - lam)  # noqa: E731
@@ -173,4 +183,4 @@ class TestBatch:
             with pytest.raises(QuadratureError):
                 tanh_sinh_unit(bad)
             with pytest.raises(QuadratureError):
-                tanh_sinh_batch(_batch_of([lambda lam, lam_c: lam, bad]), 2, 1)
+                _tanh_sinh_batch(_batch_of([lambda lam, lam_c: lam, bad]), 2, 1)
