@@ -14,7 +14,7 @@ import numpy as np
 
 from sure_boundary.boundary import construct_dominator, verify_domination
 from sure_boundary.core import ProblemDims
-from sure_boundary.families import make_shrinkage, parse_phi_spec, tail_profile
+from sure_boundary.families import make_shrinkage, parse_phi_spec
 from sure_boundary.montecarlo import SimConfig, StudentT, domination_mc
 from sure_boundary.reports import canonical_csv, canonical_json, write_text
 
@@ -35,9 +35,8 @@ def main() -> None:
 
     dims = ProblemDims(args.p, args.n)
     phi = make_shrinkage(parse_phi_spec(args.phi), dims)
-    profile = phi.tail or tail_profile(phi, dims, np.geomspace(1e3, 1e8, 48))
 
-    spec = construct_dominator(phi, dims, args.b, profile)
+    spec = construct_dominator(phi, dims, args.b)
     print(f"dominator: nu={spec.nu:.6f} w_sharp={spec.w_sharp:.4f} "
           f"ramp={spec.ramp_width:.4f} (witness b={spec.b})")
 

@@ -50,6 +50,6 @@ from .families import (
     psi_cross_inequality,
     tail_profile,
 )
-from .quadrature import QuadratureConfig, integrate_loglambda
+from .quadrature import QuadratureConfig
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -258,6 +258,15 @@ def check_assumptions(
 # classification
 # ---------------------------------------------------------------------------
 
+def _profile(
+    phi: ShrinkageFunction, dims: ProblemDims, profile: TailProfile | None
+) -> TailProfile:
+    """The given profile, else phi's own tail hint, else one fitted on [1e3, 1e8]."""
+    if profile is not None:
+        return profile
+    return phi.tail or tail_profile(phi, dims, np.geomspace(1e3, 1e8, 48))
+
+
 def _tail_threshold(grid: np.ndarray, ok: np.ndarray, min_span: float) -> float | None:
     """Smallest grid value from which ok holds through the end, spanning
     at least min_span multiplicatively; None if there is no such point."""
@@ -292,8 +301,7 @@ def classify(
     grid = np.geomspace(2.0, 1e8, 700) if w_grid is None else np.asarray(w_grid, float)
     if grid.min() <= 1.0:
         raise ValueError("classification grid must lie in (1, inf)")
-    if profile is None:
-        profile = phi.tail or tail_profile(phi, dims, np.geomspace(1e3, 1e8, 48))
+    profile = _profile(phi, dims, profile)
 
     min_span = 100.0  # the deciding tail must cover >= two decades
     vals = np.asarray(phi.eval(grid), dtype=float)
@@ -365,8 +373,7 @@ def construct_dominator(
     if not b > 1.0:
         raise ValueError("construction requires a witness b > 1")
     k = constants(dims)
-    if profile is None:
-        profile = phi.tail or tail_profile(phi, dims, np.geomspace(1e3, 1e8, 48))
+    profile = _profile(phi, dims, profile)
     if math.isinf(profile.phi_limit):
         raise ConstructionError("phi_star must be finite to construct a dominator")
     phi_star = profile.phi_limit

@@ -28,7 +28,7 @@ from .boundary import (
     construct_dominator,
     verify_domination,
 )
-from .core import ProblemDims
+from .core import ProblemDims, ShrinkageFunction
 from .families import (
     make_shrinkage,
     parse_phi_spec,
@@ -55,7 +55,7 @@ from .montecarlo import (
     sure_unbiasedness_test,
 )
 from .quadrature import QuadratureConfig
-from .reports import canonical_csv, canonical_json, format_real, write_text
+from .reports import canonical_csv, canonical_json, write_text
 
 USAGE_EXIT = 64
 
@@ -81,19 +81,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _canon(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def config_text(config: dict[str, str]) -> str:
-    """Canonical key=value rendering (sorted, LF separated)."""
-    return "".join(f"{k}={config[k]}\n" for k in sorted(config))
-
-
 def parse_config_file(path: str) -> list[str]:
     """Expand a key=value file into CLI tokens (key -> --key value)."""
     tokens: list[str] = []
@@ -111,16 +98,22 @@ def parse_config_file(path: str) -> list[str]:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    """Splice the first --config FILE (or --config=FILE) into argv."""
+    for i, token in enumerate(argv):
+        flag, eq, path = token.partition("=")
+        if flag == "--config":
+            break
+    else:
         return argv
-    i = argv.index("--config")
     if i == 0:
         raise ValueError("--config must follow a subcommand")
-    if i + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    tokens = parse_config_file(argv[i + 1])
+    if not eq:
+        if i + 1 >= len(argv):
+            raise ValueError("--config needs a file path")
+        path = argv[i + 1]
+    tokens = parse_config_file(path)
     # config tokens go right after the subcommand so explicit flags win
-    rest = argv[:i] + argv[i + 2 :]
+    rest = argv[:i] + argv[i + (1 if eq else 2) :]
     return [rest[0]] + tokens + rest[1:]
 
 
@@ -148,7 +141,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[], help="quasi-admissibility verdict")
+    p = sub.add_parser("classify", help="quasi-admissibility verdict")
     _add_common(p)
     p.add_argument("--phi", required=True, help="shrinkage spec, e.g. zero, gb:a=-2,b=1.0")
     p.add_argument("--margin", type=float, default=MARGIN_DEFAULT,
@@ -214,117 +207,57 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spec_dict(spec: DominatorSpec) -> dict[str, float]:
-    return {
-        "nu": spec.nu,
-        "w_sharp": spec.w_sharp,
-        "ramp_width": spec.ramp_width,
-        "b": spec.b,
-        "w_star": spec.w_star,
-    }
+def _problem(args: argparse.Namespace) -> tuple[ProblemDims, ShrinkageFunction]:
+    dims = ProblemDims(args.p, args.n)
+    return dims, make_shrinkage(parse_phi_spec(args.phi), dims, _quad_cfg(args))
 
 
-def _cert_dict(cert) -> dict[str, Any]:
-    return {
-        "spec": _spec_dict(cert.spec),
-        "grid": [[w, d] for w, d in cert.grid],
-        "min_delta_above_sharp": cert.min_delta_above_sharp,
-        "zero_below_sharp": cert.zero_below_sharp,
-        "verdict": cert.verdict,
-    }
-
-
-def _verdict_dict(verdict) -> dict[str, Any]:
-    return {
-        "variant": verdict.variant,
-        "b_witness": verdict.b_witness,
-        "w_star": verdict.w_star,
-        "reason": verdict.reason,
-    }
-
-
-def _profile_dict(profile) -> dict[str, Any]:
-    return {
-        "phi_limit": profile.phi_limit,
-        "b_hat": profile.b_hat,
-        "fit_quality": profile.fit_quality,
-    }
-
-
-def _gather_config(args: argparse.Namespace, keys: Sequence[str]) -> dict[str, str]:
-    cfg = {"command": args.command}
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            cfg[key] = _canon(value)
-    return cfg
-
-
-def _emit(report: Any, args: argparse.Namespace, text: str | None = None) -> None:
-    payload = text if text is not None else canonical_json(report)
+def _write(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        write_text(args.out, payload)
+        write_text(args.out, text)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
+
+
+def _emit(args: argparse.Namespace, body: dict[str, Any]) -> None:
+    """Write the JSON report: body plus the command and the config that
+    reproduces the run (every parsed option that is set)."""
+    config = {
+        key: str(value)  # str of a float is its round-trip repr
+        for key, value in vars(args).items()
+        if key != "out" and value is not None
+    }
+    _write(args, canonical_json({"command": args.command, "config": config, **body}))
 
 
 def _cmd_classify(args) -> int:
-    dims = ProblemDims(args.p, args.n)
-    phi = make_shrinkage(parse_phi_spec(args.phi), dims, _quad_cfg(args))
-    profile = phi.tail or tail_profile(phi, dims, np.geomspace(1e3, 1e8, 48))
-    verdict = classify(phi, dims, profile, margin=args.margin)
-    report = {
-        "command": "classify",
-        "config": _gather_config(args, ("p", "n", "phi", "margin", "format", "rel_tol")),
-        "verdict": _verdict_dict(verdict),
-        "tail_profile": _profile_dict(profile),
-    }
-    _emit(report, args)
+    dims, phi = _problem(args)
+    verdict = classify(phi, dims, phi.tail, margin=args.margin)
+    _emit(args, {"verdict": verdict, "tail_profile": phi.tail})
     return 2 if verdict.variant == "Indeterminate" else 0
 
 
 def _cmd_dominate(args) -> int:
-    dims = ProblemDims(args.p, args.n)
-    phi = make_shrinkage(parse_phi_spec(args.phi), dims, _quad_cfg(args))
-    profile = phi.tail or tail_profile(phi, dims, np.geomspace(1e3, 1e8, 48))
-    spec = construct_dominator(phi, dims, args.b, profile, w_sharp_cap=args.w_sharp_cap)
-    cert = verify_domination(phi, spec, dims)
-    report = {
-        "command": "dominate",
-        "config": _gather_config(
-            args, ("p", "n", "phi", "b", "w_sharp_cap", "format", "rel_tol")
-        ),
-        "certificate": _cert_dict(cert),
-    }
-    _emit(report, args)
+    dims, phi = _problem(args)
+    spec = construct_dominator(phi, dims, args.b, w_sharp_cap=args.w_sharp_cap)
+    _emit(args, {"certificate": verify_domination(phi, spec, dims)})
     return 0
 
 
 def _cmd_verify(args) -> int:
-    dims = ProblemDims(args.p, args.n)
-    phi = make_shrinkage(parse_phi_spec(args.phi), dims, _quad_cfg(args))
+    dims, phi = _problem(args)
     spec = DominatorSpec(
         nu=args.nu, w_sharp=args.w_sharp, ramp_width=args.ramp_width,
         b=args.b, w_star=args.w_star,
     )
     grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e8, args.grid_points)])
-    cert = verify_domination(phi, spec, dims, grid)
-    report = {
-        "command": "verify",
-        "config": _gather_config(
-            args,
-            ("p", "n", "phi", "b", "nu", "w_sharp", "ramp_width", "w_star",
-             "grid_points", "format", "rel_tol"),
-        ),
-        "certificate": _cert_dict(cert),
-    }
-    _emit(report, args)
+    _emit(args, {"certificate": verify_domination(phi, spec, dims, grid)})
     return 0
 
 
-def _sim_config(args) -> SimConfig:
+def _sim_config(args, dims: ProblemDims) -> SimConfig:
     return SimConfig(
-        dims=ProblemDims(args.p, args.n),
+        dims=dims,
         theta_norm=args.theta_norm,
         sigma=args.sigma,
         reps=args.reps,
@@ -334,72 +267,31 @@ def _sim_config(args) -> SimConfig:
 
 
 def _cmd_simulate(args) -> int:
-    config = _sim_config(args)
-    phi = make_shrinkage(parse_phi_spec(args.phi), config.dims, _quad_cfg(args))
+    dims, phi = _problem(args)
+    config = _sim_config(args, dims)
     risk = estimate_risk(phi, config)
-    keys = ("p", "n", "phi", "theta_norm", "sigma", "reps", "seed", "model",
-            "format", "rel_tol")
     if args.format == "csv":
         row = (
             config.theta_norm, config.sigma, encode_model(config.model),
             config.reps, config.seed, risk.mean_loss, risk.se_loss,
             risk.sure_mean, risk.se_sure,
         )
-        _emit(None, args, text=canonical_csv(SIMULATE_CSV_HEADER, [row]))
-        return 0
-    report = {
-        "command": "simulate",
-        "config": _gather_config(args, keys),
-        "risk": {
-            "mean_loss": risk.mean_loss,
-            "se_loss": risk.se_loss,
-            "sure_mean": risk.sure_mean,
-            "se_sure": risk.se_sure,
-            "reps": risk.reps,
-        },
-    }
-    _emit(report, args)
+        _write(args, canonical_csv(SIMULATE_CSV_HEADER, [row]))
+    else:
+        _emit(args, {"risk": risk})
     return 0
 
 
 def _cmd_sure_check(args) -> int:
-    args.model = "normal"
-    config = _sim_config(args)
-    phi = make_shrinkage(parse_phi_spec(args.phi), config.dims, _quad_cfg(args))
-    check = sure_unbiasedness_test(phi, config)
-    report = {
-        "command": "sure-check",
-        "config": _gather_config(
-            args, ("p", "n", "phi", "theta_norm", "sigma", "reps", "seed",
-                   "format", "rel_tol")
-        ),
-        "check": {
-            "z": check.z,
-            "mean_loss": check.mean_loss,
-            "se_loss": check.se_loss,
-            "sure_mean": check.sure_mean,
-            "se_sure": check.se_sure,
-            "reps": check.reps,
-            "flagged": check.flagged,
-        },
-    }
-    _emit(report, args)
+    dims, phi = _problem(args)
+    _emit(args, {"check": sure_unbiasedness_test(phi, _sim_config(args, dims))})
     return 0
 
 
 def _cmd_asymptotics(args) -> int:
-    dims = ProblemDims(args.p, args.n)
-    phi = make_shrinkage(parse_phi_spec(args.phi), dims, _quad_cfg(args))
+    dims, phi = _problem(args)
     grid = np.geomspace(args.w_lo, args.w_hi, args.points)
-    profile = tail_profile(phi, dims, grid)
-    report = {
-        "command": "asymptotics",
-        "config": _gather_config(
-            args, ("p", "n", "phi", "w_lo", "w_hi", "points", "format", "rel_tol")
-        ),
-        "tail_profile": _profile_dict(profile),
-    }
-    _emit(report, args)
+    _emit(args, {"tail_profile": tail_profile(phi, dims, grid)})
     return 0
 
 
@@ -412,57 +304,40 @@ def _cmd_known_variance(args) -> int:
     taub = tauberian_check(prior, args.p, z_grid, cfg)
     grad = gradient_bound_check(prior, args.p, z_grid, cfg)
     brown = brown_integral_numeric(prior, args.p, args.r_max, cfg)
-    report = {
-        "command": "known-variance",
-        "config": _gather_config(
-            args, ("p", "a", "L", "z_max", "r_max", "format", "rel_tol")
-        ),
+    _emit(args, {
         "prior": {"a": prior.a, "L": encode_l_family(prior.L)},
         "verdict": verdict.verdict,
         "boundary": verdict.boundary,
         "tauberian_ratio_final": taub.final_ratio,
         "gradient_limit_target": grad.target,
         "gradient_value_final": grad.final_value,
-        "brown_partial_integrals": [[r, v] for r, v in brown.checkpoints],
+        "brown_partial_integrals": brown.checkpoints,
         "brown_diverges": brown.diverges,
-    }
-    _emit(report, args)
+    })
     return 0
 
 
 def _cmd_crosscheck(args) -> int:
     dims = ProblemDims(args.p, args.n)
     cfg = _quad_cfg(args)
-    points = []
     if args.identity == "saigo4":
-        w_values = [args.w] if args.w is not None else [1.0, 10.0, 1e3, 1e6]
-        for w in w_values:
-            a_route = phi_gb_unknown(-2.0, args.b, w, dims, cfg)
-            b_route = phi_gb_identity_saigo4(args.b, w, dims, cfg)
-            points.append({"at": w, "route_defining": a_route,
-                           "route_identity": b_route,
-                           "rel_dev": abs(a_route - b_route) / (1.0 + abs(a_route))})
+        at = [args.w] if args.w is not None else [1.0, 10.0, 1e3, 1e6]
+        routes = (lambda w: phi_gb_unknown(-2.0, args.b, w, dims, cfg),
+                  lambda w: phi_gb_identity_saigo4(args.b, w, dims, cfg))
     else:
-        v_values = [args.v] if args.v is not None else [1.0, 10.0, 100.0]
-        for v in v_values:
-            a_route = psi_known(args.b, v, args.p, cfg)
-            b_route = psi_known_via_identity(args.b, v, args.p, cfg)
-            points.append({"at": v, "route_defining": a_route,
-                           "route_identity": b_route,
-                           "rel_dev": abs(a_route - b_route) / (1.0 + abs(a_route))})
+        at = [args.v] if args.v is not None else [1.0, 10.0, 100.0]
+        routes = (lambda v: psi_known(args.b, v, args.p, cfg),
+                  lambda v: psi_known_via_identity(args.b, v, args.p, cfg))
+    points = []
+    for x in at:
+        a_route, b_route = (route(x) for route in routes)
+        points.append({"at": x, "route_defining": a_route, "route_identity": b_route,
+                       "rel_dev": abs(a_route - b_route) / (1.0 + abs(a_route))})
     max_dev = max(pt["rel_dev"] for pt in points)
-    report = {
-        "command": "crosscheck",
-        "config": _gather_config(
-            args, ("p", "n", "identity", "b", "w", "v", "tol", "format", "rel_tol")
-        ),
-        "points": points,
-        "max_rel_dev": max_dev,
-        "tol": args.tol,
-        "within_tol": max_dev <= args.tol,
-    }
-    _emit(report, args)
-    return 0 if max_dev <= args.tol else 1
+    within = max_dev <= args.tol
+    _emit(args, {"points": points, "max_rel_dev": max_dev, "tol": args.tol,
+                 "within_tol": within})
+    return 0 if within else 1
 
 
 _COMMANDS = {
@@ -477,6 +352,18 @@ _COMMANDS = {
 }
 
 
+def _unused_option(args: argparse.Namespace) -> str | None:
+    """Usage error for an option the command accepts but would not use."""
+    if args.config is not None:  # a second or abbreviated --config is never read
+        return f"--config {args.config} would not be read: give one --config FILE in full"
+    if args.format == "csv" and args.command != "simulate":
+        return f"--format csv applies only to simulate, not {args.command}"
+    other = {"saigo4": "v", "psi": "w"}.get(getattr(args, "identity", None))
+    if other and getattr(args, other) is not None:
+        return f"--{other} does not apply to --identity {args.identity}"
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -486,6 +373,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"sure-boundary: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     args = parser.parse_args(argv)
+    unused = _unused_option(args)
+    if unused:
+        parser.error(unused)
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:

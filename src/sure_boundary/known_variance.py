@@ -56,6 +56,7 @@ from typing import Union
 import numpy as np
 from scipy.special import gammainc, gammaln
 
+from .core import EvaluationError
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -173,7 +174,10 @@ def marginal_m(
     prior.validate_for(p)
     if z_norm < 0:
         raise ValueError("z_norm must be >= 0")
-    return _exp_integral(p / 2 + prior.a, prior.log_power, z_norm**2 / 2.0, cfg)
+    m = _exp_integral(p / 2 + prior.a, prior.log_power, z_norm**2 / 2.0, cfg)
+    if m == 0.0:
+        raise _range_error("m(z) underflowed to 0", z_norm, prior, p)
+    return m
 
 
 def marginal_m_closed_one(z_norm: float, a: float, p: int) -> float:
@@ -185,9 +189,22 @@ def marginal_m_closed_one(z_norm: float, a: float, p: int) -> float:
     return math.exp(gammaln(s1)) * float(gammainc(s1, c)) / c**s1
 
 
+def _range_error(what: str, z: float, prior: PriorSpec, p: int) -> EvaluationError:
+    return EvaluationError(
+        f"known-variance: {what} at z={float(z)!r} for (p, a, L) = "
+        f"({p}, {prior.a!r}, {encode_l_family(prior.L)})",
+        z,
+    )
+
+
 def _asymptotic_m(z: float, prior: PriorSpec, p: int) -> float:
     s1 = p / 2 + prior.a + 1.0
-    out = math.exp(gammaln(s1)) * (2.0 / z**2) ** s1
+    try:
+        out = math.exp(gammaln(s1)) * (2.0 / z**2) ** s1
+    except OverflowError:
+        raise _range_error("the Tauberian form of m(z) overflowed", z, prior, p) from None
+    if out == 0.0:
+        raise _range_error("the Tauberian form of m(z) underflowed to 0", z, prior, p)
     if isinstance(prior.L, LogPow):
         out *= math.log(z**2) ** prior.L.b
     return out
@@ -259,6 +276,8 @@ def gradient_bound_check(
         c = zi**2 / 2.0
         num = _exp_integral(q + 1.0, b, c, cfg)
         den = _exp_integral(q, b, c, cfg)
+        if num == 0.0 or den == 0.0:
+            raise _range_error("a marginal integral underflowed to 0", zi, prior, p)
         vals.append(zi**2 * num / den)
     values = np.asarray(vals)
     return GradientBoundReport(

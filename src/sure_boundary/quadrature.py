@@ -33,7 +33,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureConvergenceError",
     "tanh_sinh_unit",
-    "integrate_loglambda",
 ]
 
 # Trapezoidal truncation horizon in t.  At t = 6 the node distance to the
@@ -287,27 +286,6 @@ def _batch_level_sums(level_integrand, level, rows, live):
             s[k, cut] = np.sum(vals, axis=1)
             l1[k, cut] = np.sum(np.abs(vals), axis=1)
     return s, l1
-
-
-def integrate_loglambda(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    singular_exponent: float,
-    log_power: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Integrate integrand(lambda) over (0, 1).
-
-    The integrand may behave like lambda**singular_exponent times
-    (log 1/lambda)**log_power near lambda = 0 (singular_exponent > -1);
-    the double-exponential transform absorbs that endpoint behaviour.
-    The callable must accept an ndarray of lambda values.
-    """
-    return tanh_sinh_unit(
-        lambda lam, lam_c: integrand(lam),
-        cfg,
-        singular_exponent=singular_exponent,
-        log_power=log_power,
-    )
 
 
 def log_recip(lam: np.ndarray, lam_c: np.ndarray) -> np.ndarray:

@@ -1,7 +1,6 @@
 """CLI surface: exit codes, schemas, reproducibility, config round trips."""
 
 import json
-import os
 import subprocess
 import sys
 from importlib import resources
@@ -12,11 +11,22 @@ import pytest
 from sure_boundary.cli import main
 from sure_boundary.montecarlo import THREADS_ENV_VAR
 
+D56 = ["--p", "5", "--n", "6"]
+
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def usage_error(args, capsys):
+    """stderr of a run that must stop with exit 64 before writing a report."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == 64 and captured.out == ""
+    return captured.err
 
 
 def load_schema(name):
@@ -113,20 +123,60 @@ class TestSimulateCommand:
         assert json.loads(path.read_text())["command"] == "simulate"
 
 
+# one non-default run per subcommand (both crosscheck identities)
+ROUND_TRIPS = {
+    "classify": ["classify", *D56, "--phi", "gb:a=-2,b=2.5", "--margin", "0.1",
+                 "--rel-tol", "1e-9"],
+    "dominate": ["dominate", *D56, "--phi", "zero", "--b", "1.5", "--w-sharp-cap", "1e9"],
+    "verify": ["verify", *D56, "--phi", "zero", "--b", "1.5", "--nu", "0.17708333333333334",
+               "--w-sharp", "4.0", "--ramp-width", "4.0", "--w-star", "4.0",
+               "--grid-points", "500"],
+    "simulate": ["simulate", *D56, "--phi", "jsplus:a=0.375", "--theta-norm", "1.5",
+                 "--reps", "2000", "--seed", "4", "--model", "student-t:df=5"],
+    "sure-check": ["sure-check", *D56, "--phi", "zero", "--theta-norm", "2.0",
+                   "--sigma", "0.5", "--reps", "5000", "--seed", "9"],
+    "asymptotics": ["asymptotics", *D56, "--phi", "boundary:b=1.5", "--w-lo", "1e2",
+                    "--points", "30"],
+    "known-variance": ["known-variance", "--p", "7", "--a", "-2", "--L", "logpow:b=0.5",
+                       "--z-max", "1e5", "--r-max", "1e4"],
+    "crosscheck-saigo4": ["crosscheck", *D56, "--identity", "saigo4", "--b", "1.5",
+                          "--w", "100", "--tol", "1e-7"],
+    "crosscheck-psi": ["crosscheck", *D56, "--identity", "psi", "--b", "0.5", "--v", "3"],
+}
+
+
 class TestConfigFile:
-    def test_config_file_reproduces_flag_run(self, capsys, tmp_path):
-        flags = [
-            "sure-check", "--p", "5", "--n", "6", "--phi", "zero",
-            "--theta-norm", "2.0", "--sigma", "0.5", "--reps", "5000", "--seed", "9",
-        ]
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+    def test_config_file_reproduces_flag_run(self, case, capsys, tmp_path):
+        flags = ROUND_TRIPS[case]
         _, direct = run_cli(flags, capsys)
         config = json.loads(direct)["config"]
+        assert config["command"] == flags[0]
         path = tmp_path / "run.cfg"
         path.write_text(
             "".join(f"{k}={v}\n" for k, v in config.items() if k != "command")
         )
-        _, from_config = run_cli(["sure-check", "--config", str(path)], capsys)
+        _, from_config = run_cli([flags[0], "--config", str(path)], capsys)
         assert from_config == direct
+
+    def test_config_equals_form_is_read(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("margin=0.2\n")
+        flags = ["classify", *D56, "--phi", "zero"]
+        _, spaced = run_cli(flags + ["--config", str(path)], capsys)
+        _, joined = run_cli(flags + [f"--config={path}"], capsys)
+        assert joined == spaced
+        assert json.loads(joined)["config"]["margin"] == "0.2"
+
+    @pytest.mark.parametrize("flags", [["--conf"], ["--config", "--config"]],
+                             ids=["abbreviated", "twice"])
+    def test_unread_config_is_usage_error(self, capsys, tmp_path, flags):
+        path = tmp_path / "run.cfg"
+        path.write_text("margin=0.2\n")
+        argv = ["classify", *D56, "--phi", "zero"]
+        for flag in flags:
+            argv += [flag, str(path)]
+        assert "would not be read" in usage_error(argv, capsys)
 
     def test_explicit_flags_override_config(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
@@ -158,6 +208,46 @@ class TestExitCodes:
         assert code == 1
         assert "D(w) underflowed" in err and "(60, 60, -2.0, 2.0)" in err
         assert "division by zero" not in err
+
+    @pytest.mark.parametrize(
+        "p,fault",
+        [(41, "a marginal integral underflowed to 0"), (300, "underflowed to 0"),
+         (400, "overflowed")],
+    )
+    def test_known_variance_range_is_typed_error(self, capsys, p, fault):
+        code = main(["known-variance", "--p", str(p), "--a", "-2", "--L", "logpow:b=1.0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert fault in err and f"(p, a, L) = ({p}, -2.0, logpow:b=1.0)" in err
+        assert "at z=" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [cmd, *D56, "--phi", "zero"]
+            for cmd in ("classify", "asymptotics", "sure-check")
+        ]
+        + [
+            ["dominate", *D56, "--phi", "zero", "--b", "1.5"],
+            ["verify", *D56, "--phi", "zero", "--b", "1.5", "--nu", "0.5",
+             "--w-sharp", "4", "--ramp-width", "4", "--w-star", "4"],
+            ["known-variance", "--p", "5", "--a", "-2"],
+            ["crosscheck", *D56, "--identity", "psi", "--b", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_outside_simulate_is_usage_error(self, capsys, argv):
+        err = usage_error(argv + ["--format", "csv"], capsys)
+        assert "--format csv applies only to simulate" in err
+
+    @pytest.mark.parametrize("identity,unused", [("saigo4", "--v"), ("psi", "--w")],
+                             ids=["saigo4", "psi"])
+    def test_crosscheck_point_of_other_identity_is_usage_error(self, capsys, identity,
+                                                               unused):
+        err = usage_error(
+            ["crosscheck", *D56, "--identity", identity, "--b", "1", unused, "3"], capsys
+        )
+        assert f"{unused} does not apply to --identity {identity}" in err
 
     def test_crosscheck_within_tol_is_0(self, capsys):
         code, out = run_cli(

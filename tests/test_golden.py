@@ -42,6 +42,7 @@ CASES = {
     "classify-d-underflow": ["classify", "--p", "60", "--n", "60", "--phi", "gb:a=-2,b=2.0"],
     "classify-missing-n": ["classify", "--p", "5"],
     "config-missing-file": ["classify", "--config", "missing.cfg"],
+    "config-abbreviated": ["classify", *D56, "--phi", "zero", "--conf", "missing.cfg"],
     "dominate-zero": ["dominate", *D56, "--phi", "zero", "--b", "1.5"],
     "dominate-boundary": ["dominate", "--p", "6", "--n", "17", "--phi", "boundary:b=2.0",
                           "--b", "1.5"],
@@ -64,6 +65,14 @@ CASES = {
     "crosscheck-psi": ["crosscheck", *D56, "--identity", "psi", "--b", "1.5"],
     "crosscheck-zero-tol": ["crosscheck", *D56, "--identity", "saigo4", "--b", "2",
                             "--tol", "0"],
+    "classify-csv": ["classify", *D56, "--phi", "zero", "--format", "csv"],
+    "known-variance-csv": ["known-variance", "--p", "5", "--a", "-2", "--format", "csv"],
+    "crosscheck-saigo4-v": ["crosscheck", *D56, "--identity", "saigo4", "--b", "1", "--v", "3"],
+    "crosscheck-psi-w": ["crosscheck", *D56, "--identity", "psi", "--b", "1", "--w", "3"],
+    "known-variance-underflow": ["known-variance", "--p", "300", "--a", "-2",
+                                 "--L", "logpow:b=1.0"],
+    "known-variance-overflow": ["known-variance", "--p", "400", "--a", "-2",
+                                "--L", "logpow:b=1.0"],
 }
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sure_boundary.core import EvaluationError
 from sure_boundary.known_variance import (
     AdmissClass,
     LogPow,
@@ -54,6 +55,13 @@ class TestMarginal:
             LogPow(0.0)
         with pytest.raises(ValueError):
             marginal_m(-1.0, PriorSpec(a=-2.0), P)
+
+    def test_underflow_is_typed_error(self):
+        # m(1e4) for p = 400 is far below the smallest double
+        with pytest.raises(EvaluationError, match=r"m\(z\) underflowed to 0") as err:
+            marginal_m(1e4, PriorSpec(a=-2.0, L=LogPow(1.0)), 400)
+        assert err.value.w == 1e4
+        assert "(p, a, L) = (400, -2.0, logpow:b=1.0)" in str(err.value)
 
 
 class TestTauberian:

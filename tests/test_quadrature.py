@@ -15,7 +15,6 @@ from sure_boundary.quadrature import (
     QuadratureConvergenceError,
     QuadratureError,
     _tanh_sinh_batch,
-    integrate_loglambda,
     log_recip,
     tanh_sinh_unit,
 )
@@ -27,17 +26,21 @@ def gamma_moment(s: float, b: float) -> float:
 
 
 def test_power_closed_form():
-    val = integrate_loglambda(lambda lam: np.sqrt(lam), 0.5, 0.0)
+    val = tanh_sinh_unit(lambda lam, lam_c: np.sqrt(lam), singular_exponent=0.5)
     assert abs(val - 2.0 / 3.0) < 1e-12
 
 
 def test_log_singularity_closed_form():
-    val = integrate_loglambda(lambda lam: lam**-0.5 * np.log(1.0 / lam), -0.5, 1.0)
+    val = tanh_sinh_unit(
+        lambda lam, lam_c: lam**-0.5 * np.log(1.0 / lam),
+        singular_exponent=-0.5,
+        log_power=1.0,
+    )
     assert abs(val - 4.0) < 1e-10
 
 
 def test_log_squared_closed_form():
-    val = integrate_loglambda(lambda lam: np.log(1.0 / lam) ** 2, 0.0, 2.0)
+    val = tanh_sinh_unit(lambda lam, lam_c: np.log(1.0 / lam) ** 2, log_power=2.0)
     assert abs(val - 2.0) < 1e-10
 
 
@@ -47,8 +50,10 @@ def test_log_squared_closed_form():
     b=st.floats(min_value=0.0, max_value=3.0),
 )
 def test_gamma_moment_property(s, b):
-    val = integrate_loglambda(
-        lambda lam: lam**s * np.log(1.0 / lam) ** b if b else lam**s, s, b
+    val = tanh_sinh_unit(
+        lambda lam, lam_c: lam**s * np.log(1.0 / lam) ** b if b else lam**s,
+        singular_exponent=s,
+        log_power=b,
     )
     expected = gamma_moment(s, b)
     assert abs(val - expected) <= 1e-9 * (1.0 + abs(expected))
@@ -63,7 +68,7 @@ def test_gamma_moment_property(s, b):
     ],
 )
 def test_against_scipy_quad(f, s):
-    ours = integrate_loglambda(f, s, 0.0)
+    ours = tanh_sinh_unit(lambda lam, lam_c: f(lam), singular_exponent=s)
     ref, _ = quad(lambda x: float(f(np.asarray(x))), 0.0, 1.0, limit=200)
     assert abs(ours - ref) <= 1e-9 * (1.0 + abs(ref))
 
@@ -75,17 +80,18 @@ def test_sharply_peaked_integrand_resolved():
     # Beta-function form B(3/2, 5) w^(-3/2) = (768/10395) w^(-3/2) is exact
     # at double precision.
     w = 1e8
-    ours = integrate_loglambda(
-        lambda lam: lam**0.5 * (1.0 + w * lam) ** -6.5, 0.5, 0.0
+    ours = tanh_sinh_unit(
+        lambda lam, lam_c: lam**0.5 * (1.0 + w * lam) ** -6.5, singular_exponent=0.5
     )
     ref = (768.0 / 10395.0) * w**-1.5
     assert abs(ours - ref) <= 1e-12 * abs(ref)
 
 
 def test_halving_rel_tol_self_consistency():
-    f = lambda lam: lam**-0.4 * np.log(1.0 / lam) ** 1.5  # noqa: E731
-    loose = integrate_loglambda(f, -0.4, 1.5, QuadratureConfig(rel_tol=1e-6))
-    tight = integrate_loglambda(f, -0.4, 1.5, QuadratureConfig(rel_tol=5e-7))
+    f = lambda lam, lam_c: lam**-0.4 * np.log(1.0 / lam) ** 1.5  # noqa: E731
+    endpoint = {"singular_exponent": -0.4, "log_power": 1.5}
+    loose = tanh_sinh_unit(f, QuadratureConfig(rel_tol=1e-6), **endpoint)
+    tight = tanh_sinh_unit(f, QuadratureConfig(rel_tol=5e-7), **endpoint)
     assert abs(loose - tight) <= 1e-6 * abs(tight)
 
 
@@ -104,7 +110,9 @@ def test_complement_form_stable_at_right_endpoint():
 def test_budget_exhaustion_carries_best_estimate():
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16, max_refinement_levels=2)
     with pytest.raises(QuadratureConvergenceError) as err:
-        integrate_loglambda(lambda lam: np.cos(40.0 * lam) * lam**-0.5, -0.5, 0.0, cfg)
+        tanh_sinh_unit(
+            lambda lam, lam_c: np.cos(40.0 * lam) * lam**-0.5, cfg, singular_exponent=-0.5
+        )
     assert math.isfinite(err.value.best_estimate)
     assert err.value.error_estimate > 0.0
 
@@ -112,14 +120,14 @@ def test_budget_exhaustion_carries_best_estimate():
 def test_non_finite_integrand_rejected():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(QuadratureError):
-            integrate_loglambda(lambda lam: 1.0 / (lam - lam), 0.0, 0.0)
+            tanh_sinh_unit(lambda lam, lam_c: 1.0 / (lam - lam))
 
 
 def test_precondition_validation():
     with pytest.raises(ValueError):
-        integrate_loglambda(lambda lam: lam, -0.99, 0.0)
+        tanh_sinh_unit(lambda lam, lam_c: lam, singular_exponent=-0.99)
     with pytest.raises(ValueError):
-        integrate_loglambda(lambda lam: lam, 0.0, -1.0)
+        tanh_sinh_unit(lambda lam, lam_c: lam, log_power=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
