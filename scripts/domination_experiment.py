@@ -70,16 +70,7 @@ def main() -> None:
     csv_path = os.path.join(args.outdir, "domination_paired.csv")
     write_text(csv_path, canonical_csv(CSV_HEADER, rows))
     cert_path = os.path.join(args.outdir, "domination_certificate.json")
-    write_text(cert_path, canonical_json({
-        "spec": {
-            "nu": spec.nu, "w_sharp": spec.w_sharp, "ramp_width": spec.ramp_width,
-            "b": spec.b, "w_star": spec.w_star,
-        },
-        "grid": [[w, d] for w, d in cert.grid],
-        "min_delta_above_sharp": cert.min_delta_above_sharp,
-        "zero_below_sharp": cert.zero_below_sharp,
-        "verdict": cert.verdict,
-    }))
+    write_text(cert_path, canonical_json(cert))
     print(f"wrote {csv_path} and {cert_path}")
 
 

@@ -1,15 +1,16 @@
 """Command line front end.
 
 Subcommands: classify, dominate, verify, simulate, sure-check, asymptotics,
-known-variance, crosscheck.  Every run emits a single report (JSON by
-default, CSV for simulate) whose "config" block contains the exact
-key=value pairs needed to reproduce it; identical configs produce
-byte-identical reports.
+known-variance, crosscheck.  Every run emits a single report: JSON by
+default, whose "config" block contains the exact key=value pairs needed to
+reproduce it, or, for ``simulate --format csv``, one row of the simulation
+columns (SIMULATE_CSV_HEADER), which leaves out p, n, phi and rel_tol.
+Identical configs produce byte-identical reports.
 
 Exit status: 0 success, 2 classification came back Indeterminate, 1 runtime
 error, 64 usage error.  ``SURE_BOUNDARY_THREADS`` caps worker threads for
-replication-chunk evaluation (sampling itself is always serial, so the cap
-never changes results).
+Monte Carlo chunks; each chunk samples its own block of the counter-based
+stream, so the cap never changes results.
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ consumption).  Replication r owns the contiguous uniform block
 [r*(p+2), (r+1)*(p+2)): coordinates 0..p-1 drive the normal draws, p drives
 S, and p+1 drives the mixing variable (reserved, and burned, under the
 Normal model too, so the two models are coupled by common random numbers).
-Hence (X_r, S_r) is a pure function of (seed, r): results are bit-identical
-across runs, chunk sizes, and thread counts.  Threading, when enabled,
-dispatches pure per-chunk evaluation only; partial sums are combined with
-math.fsum in fixed chunk order, so the reduction is exact and
-order-independent.
+Hence (X_r, S_r) is a pure function of (seed, r): samples are bit-identical
+across runs and chunk sizes.  Risk runs split the replications into fixed
+_CHUNK blocks; each chunk seeks its own block of the stream and is sampled
+and reduced to partial sums inside whichever thread runs it.  Partial sums
+are combined with math.fsum in fixed chunk order, so the reduction is exact
+and reports are bit-identical across thread counts.
 
 SURE checking: for the Normal model E[p + (n+2) D_phi(W)] equals the risk,
 so the z-score (mean_loss - sure_mean)/sqrt(se_loss^2 + se_sure^2) should be
@@ -34,14 +35,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .boundary import DominatorSpec, dominator_g
-from .core import ProblemDims, ShrinkageFunction, constants, d_phi
+from .core import ProblemDims, ShrinkageFunction, d_phi
 
 __all__ = [
     "Normal",
@@ -157,25 +158,32 @@ def thread_cap_from_env(default: int = 1) -> int:
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
         return default
-    cap = int(raw)
+    message = f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
     if cap < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1")
+        raise ValueError(message)
     return cap
 
 
 _U_MIN = 2.0**-53  # uniforms are k/2^53; clamp the single value 0.0 away
 
 
-def _uniforms(config: SimConfig) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=config.seed))
-    u = gen.random((config.reps, config.dims.p + 2))
-    np.maximum(u, _U_MIN, out=u)
-    return u
+def _block(config: SimConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X, S) of replications [start, stop) by inverse CDFs of their uniforms.
 
-
-def _transform(config: SimConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map a uniform block to (X, S) by inverse CDFs (fixed consumption)."""
+    Philox yields 4 words per counter step, so seeking replication start's
+    first word is one counter jump plus a skip of fewer than 4 words.
+    """
     p, n = config.dims.p, config.dims.n
+    bits = np.random.Philox(key=config.seed)
+    word = start * (p + 2)
+    bits.advance(word // 4)
+    bits.random_raw(word % 4)
+    u = np.random.Generator(bits).random((stop - start, p + 2))
+    np.maximum(u, _U_MIN, out=u)
     if isinstance(config.model, StudentT):
         half_df = config.model.df / 2.0
         v = half_df / gammaincinv(half_df, u[:, p + 1])
@@ -192,86 +200,73 @@ def sample_model(
     config: SimConfig, chunk_size: int = _CHUNK
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (start_index, X, S) chunks; values depend only on (seed, index)."""
-    u = _uniforms(config)
     for start in range(0, config.reps, chunk_size):
-        block = u[start : start + chunk_size]
-        x, s = _transform(config, block)
+        x, s = _block(config, start, min(start + chunk_size, config.reps))
         yield start, x, s
 
 
 def sample_all(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """All replications at once: X of shape (reps, p) and S of shape (reps,)."""
-    x, s = _transform(config, _uniforms(config))
-    return x, s
+    return _block(config, 0, config.reps)
 
 
 def _loss(
-    phi: ShrinkageFunction, x: np.ndarray, s: np.ndarray, config: SimConfig
+    phi: ShrinkageFunction, x: np.ndarray, w: np.ndarray, config: SimConfig
 ) -> np.ndarray:
-    w = np.einsum("ij,ij->i", x, x) / s
     shrink = 1.0 - np.asarray(phi.eval(w), dtype=float) / w
     resid = shrink[:, None] * x
     resid[:, 0] -= config.theta_norm
     return np.einsum("ij,ij->i", resid, resid) / config.sigma**2
 
 
-def _sure(
-    phi: ShrinkageFunction, x: np.ndarray, s: np.ndarray, dims: ProblemDims
-) -> np.ndarray:
-    w = np.einsum("ij,ij->i", x, x) / s
-    return dims.p + (dims.n + 2) * np.asarray(d_phi(phi, w, dims), dtype=float)
-
-
-def _map_chunks(
+def _mean_se(
     config: SimConfig,
-    per_chunk: Callable[[np.ndarray, np.ndarray], tuple[float, ...]],
+    per_rep: Callable[[np.ndarray, np.ndarray], Sequence[np.ndarray]],
     threads: int | None,
-) -> list[tuple[float, ...]]:
-    """Apply a pure per-chunk reducer; results are returned in chunk order
-    regardless of the executor, keeping reports thread-count independent."""
-    chunks = list(sample_model(config))
+) -> list[tuple[float, float]]:
+    """(mean, se) of each per-replication array that per_rep(X, W) returns.
+
+    Each _CHUNK block is sampled and reduced to its sum and sum of squares in
+    the thread that runs it, so memory is O(threads * _CHUNK).  Chunks are
+    combined with math.fsum in chunk order, which keeps reports independent
+    of the thread count.
+    """
+
+    def chunk_sums(start: int) -> list[tuple[float, float]]:
+        x, s = _block(config, start, min(start + _CHUNK, config.reps))
+        w = np.einsum("ij,ij->i", x, x) / s
+        return [(float(np.sum(a)), float(np.sum(a * a))) for a in per_rep(x, w)]
+
+    starts = range(0, config.reps, _CHUNK)
     workers = thread_cap_from_env(1) if threads is None else threads
-    if workers <= 1 or len(chunks) <= 1:
-        return [per_chunk(x, s) for _, x, s in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(per_chunk, x, s) for _, x, s in chunks]
-        return [f.result() for f in futures]
-
-
-def _moments(total: float, total_sq: float, count: int) -> tuple[float, float]:
-    mean = total / count
-    if count < 2:
-        return mean, 0.0
-    var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-    return mean, math.sqrt(var / count)
+    if workers <= 1 or len(starts) <= 1:
+        parts = [chunk_sums(start) for start in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk_sums, starts))
+    count = config.reps
+    stats = []
+    for column in zip(*parts):
+        total, total_sq = (math.fsum(sums) for sums in zip(*column))
+        mean = total / count
+        var = max(total_sq - count * mean * mean, 0.0) / (count - 1) if count > 1 else 0.0
+        stats.append((mean, math.sqrt(var / count)))
+    return stats
 
 
 def estimate_risk(
     phi: ShrinkageFunction, config: SimConfig, threads: int | None = None
 ) -> RiskReport:
     """Monte Carlo risk of delta_phi together with the mean SURE statistic."""
+    dims = config.dims
 
-    def per_chunk(x: np.ndarray, s: np.ndarray) -> tuple[float, ...]:
-        loss = _loss(phi, x, s, config)
-        sure = _sure(phi, x, s, config.dims)
-        return (
-            float(np.sum(loss)),
-            float(np.sum(loss * loss)),
-            float(np.sum(sure)),
-            float(np.sum(sure * sure)),
-        )
+    def per_rep(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sure = dims.p + (dims.n + 2) * np.asarray(d_phi(phi, w, dims), dtype=float)
+        return _loss(phi, x, w, config), sure
 
-    parts = _map_chunks(config, per_chunk, threads)
-    sums = [math.fsum(p[i] for p in parts) for i in range(4)]
-    mean_loss, se_loss = _moments(sums[0], sums[1], config.reps)
-    sure_mean, se_sure = _moments(sums[2], sums[3], config.reps)
-    return RiskReport(
-        mean_loss=mean_loss,
-        se_loss=se_loss,
-        sure_mean=sure_mean,
-        se_sure=se_sure,
-        reps=config.reps,
-    )
+    (mean_loss, se_loss), (sure_mean, se_sure) = _mean_se(config, per_rep, threads)
+    return RiskReport(mean_loss=mean_loss, se_loss=se_loss, sure_mean=sure_mean,
+                      se_sure=se_sure, reps=config.reps)
 
 
 def sure_unbiasedness_test(
@@ -286,15 +281,7 @@ def sure_unbiasedness_test(
     r = estimate_risk(phi, config, threads)
     denom = math.hypot(r.se_loss, r.se_sure)
     z = (r.mean_loss - r.sure_mean) / denom if denom > 0.0 else 0.0
-    return SureCheckReport(
-        z=z,
-        mean_loss=r.mean_loss,
-        se_loss=r.se_loss,
-        sure_mean=r.sure_mean,
-        se_sure=r.se_sure,
-        reps=r.reps,
-        flagged=abs(z) > 4.0,
-    )
+    return SureCheckReport(z=z, flagged=abs(z) > 4.0, **asdict(r))
 
 
 def domination_mc(
@@ -313,31 +300,13 @@ def domination_mc(
     reports = []
     for config in configs:
 
-        def per_chunk(x: np.ndarray, s: np.ndarray) -> tuple[float, ...]:
-            base = _loss(phi, x, s, config)
-            challenger = _loss(phi_g, x, s, config)
-            diff = base - challenger
-            return (
-                float(np.sum(diff)),
-                float(np.sum(diff * diff)),
-                float(np.sum(base * base)),
-                float(np.sum(base)),
-                float(np.sum(challenger * challenger)),
-                float(np.sum(challenger)),
-            )
+        def per_rep(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+            base = _loss(phi, x, w, config)
+            challenger = _loss(phi_g, x, w, config)
+            return base - challenger, base, challenger
 
-        parts = _map_chunks(config, per_chunk, threads)
-        sums = [math.fsum(p[i] for p in parts) for i in range(6)]
-        mean_diff, se_diff = _moments(sums[0], sums[1], config.reps)
-        _, se_base = _moments(sums[3], sums[2], config.reps)
-        _, se_chal = _moments(sums[5], sums[4], config.reps)
-        reports.append(
-            PairedReport(
-                config=config,
-                mean_diff=mean_diff,
-                se_diff=se_diff,
-                se_unpaired=math.hypot(se_base, se_chal),
-                reps=config.reps,
-            )
-        )
+        (mean_diff, se_diff), (_, se_base), (_, se_chal) = _mean_se(config, per_rep, threads)
+        reports.append(PairedReport(config=config, mean_diff=mean_diff, se_diff=se_diff,
+                                    se_unpaired=math.hypot(se_base, se_chal),
+                                    reps=config.reps))
     return reports

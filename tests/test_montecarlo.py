@@ -1,6 +1,8 @@
 """Sampling determinism, distributional checks, SURE and domination runs."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from sure_boundary.boundary import DominatorSpec, construct_dominator
 from sure_boundary.core import ProblemDims, constants
 from sure_boundary.families import GBUnknown, PositivePartJS, Zero, make_shrinkage
 from sure_boundary.montecarlo import (
+    _CHUNK,
+    THREADS_ENV_VAR,
     Normal,
     SimConfig,
     StudentT,
@@ -20,6 +24,7 @@ from sure_boundary.montecarlo import (
     sample_all,
     sample_model,
     sure_unbiasedness_test,
+    thread_cap_from_env,
 )
 
 DIMS = ProblemDims(5, 6)
@@ -33,10 +38,20 @@ class TestSampling:
         x2, s2 = sample_all(BASE)
         assert np.array_equal(x1, x2) and np.array_equal(s1, s2)
 
-    def test_chunking_does_not_change_values(self):
-        x_all, s_all = sample_all(BASE)
+    @pytest.mark.parametrize(
+        "config",
+        [
+            BASE,
+            replace(BASE, model=StudentT(df=5.0)),
+            # p + 2 = 8 words per replication: every chunk starts on a Philox block
+            replace(BASE, dims=ProblemDims(6, 6)),
+        ],
+        ids=["normal-p5", "student-t-p5", "normal-p6"],
+    )
+    def test_chunking_does_not_change_values(self, config):
+        x_all, s_all = sample_all(config)
         xs, ss = [], []
-        for start, x, s in sample_model(BASE, chunk_size=10_001):
+        for start, x, s in sample_model(config, chunk_size=10_001):
             xs.append(x)
             ss.append(s)
         assert np.array_equal(np.concatenate(xs), x_all)
@@ -119,6 +134,39 @@ class TestRisk:
     def test_thread_cap_does_not_change_report(self):
         phi = make_shrinkage(PositivePartJS(a=K.c_pn), DIMS)
         assert estimate_risk(phi, BASE, threads=1) == estimate_risk(phi, BASE, threads=4)
+
+    @pytest.mark.parametrize("model", [Normal(), StudentT(df=5.0)], ids=encode_model)
+    def test_thread_cap_does_not_change_multichunk_reports(self, model):
+        # three chunks, the last one partial, so the thread pool does run
+        phi = make_shrinkage(PositivePartJS(a=K.c_pn), DIMS)
+        zero = make_shrinkage(Zero(), DIMS)
+        spec = construct_dominator(zero, DIMS, 1.5)
+        cfg = SimConfig(dims=DIMS, theta_norm=1.0, sigma=1.0, reps=300_001, seed=11,
+                        model=model)
+        risks = [estimate_risk(phi, cfg, threads=t) for t in (1, 2, 4)]
+        pairs = [domination_mc(zero, spec, [cfg], threads=t) for t in (1, 2, 4)]
+        assert risks[0] == risks[1] == risks[2]
+        assert pairs[0] == pairs[1] == pairs[2]
+
+    @pytest.mark.parametrize("raw", ["two", "0"])
+    def test_malformed_thread_cap_names_variable_and_value(self, monkeypatch, raw):
+        monkeypatch.setenv(THREADS_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=f"{THREADS_ENV_VAR}.*'{raw}'"):
+            thread_cap_from_env()
+
+    def test_memory_does_not_grow_with_reps(self):
+        phi = make_shrinkage(Zero(), DIMS)
+
+        def peak(chunks: int) -> int:
+            cfg = SimConfig(dims=DIMS, reps=chunks * _CHUNK, seed=4)
+            tracemalloc.start()
+            try:
+                estimate_risk(phi, cfg, threads=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.25 * peak(2)
 
 
 class TestSureCheck:
