@@ -45,11 +45,11 @@ generalized Bayes member is tabulated once on a dense log-spaced grid and
 interpolated with a cubic spline in log w (linear below the grid, constant
 above), which keeps Monte Carlo evaluation cheap; the spline and its exact
 derivative are used consistently so SURE identities hold for the compiled
-function itself.  The tanh-sinh node set does not depend on w, so N(w) and
-D(w) for all 508 grid nodes are integrated in one batched pass
-(quadrature._tanh_sinh_batch) that is bit-identical to the exact route
-phi_gb_unknown at every node.  When D(w) underflows to 0 (large p + n near the
-top of the grid) both routes raise EvaluationError.
+function itself.  Every integral above is quadrature.power_log_integrals with
+kernel (1 + w lambda)^-m; N(w) and D(w) at all 508 grid nodes run in one
+batched pass, bit-identical to phi_gb_unknown at every node.  When D(w)
+underflows to 0 (large p + n near the top of the grid) both routes raise
+EvaluationError.
 """
 
 from __future__ import annotations
@@ -63,13 +63,7 @@ from typing import Union
 import numpy as np
 
 from .core import EvaluationError, ProblemDims, ShrinkageFunction, constants
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    _tanh_sinh_batch,
-    log_recip,
-    tanh_sinh_unit,
-)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
 
 __all__ = [
     "Zero",
@@ -272,22 +266,18 @@ def tail_profile(
 # generalized Bayes member: exact quadrature routes
 # ---------------------------------------------------------------------------
 
-def _gb_integral(
-    q: float, b: float, w: float, m: float, cfg: QuadratureConfig
-) -> float:
-    """int_0^1 lambda^q (log 1/lambda)^b (1 + w lambda)^{-m} dlambda.
+def _gb_integrals(w, qs, b: float, m: float, cfg: QuadratureConfig):
+    return power_log_integrals(w, qs, b, lambda w, lam: np.power(1.0 + w * lam, -m), cfg)
 
-    Handles q > -1 at lambda -> 0 and, for -1 < b < 0, the integrable
-    (1-lambda)^b singularity at lambda -> 1 via the stable complement form.
-    """
 
-    def f(lam: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
-        out = lam**q * np.power(1.0 + w * lam, -m)
-        if b != 0.0:
-            out = out * log_recip(lam, lam_c) ** b
-        return out
-
-    return tanh_sinh_unit(f, cfg, singular_exponent=q, log_power=max(b, 0.0))
+def _gb_num_den(a: float, b: float, w, dims: ProblemDims, cfg: QuadratureConfig):
+    """(m, q, N(w), D(w)); raises EvaluationError at the first w where D is 0."""
+    m = (dims.p + dims.n) / 2 + 1
+    q = dims.p / 2 + a
+    num, den = _gb_integrals(w, (q + 1.0, q), b, m, cfg)
+    if not np.all(den):
+        raise _d_underflow(a, b, w if np.ndim(w) == 0 else float(w[np.argmin(den != 0.0)]), dims)
+    return m, q, num, den
 
 
 def phi_gb_limit(a: float, dims: ProblemDims) -> float:
@@ -308,12 +298,7 @@ def phi_gb_unknown(
         raise ValueError("w must be >= 0")
     if w == 0.0:
         return 0.0
-    m = (dims.p + dims.n) / 2 + 1
-    q = dims.p / 2 + a
-    num = _gb_integral(q + 1.0, b, w, m, cfg)
-    den = _gb_integral(q, b, w, m, cfg)
-    if den == 0.0:
-        raise _d_underflow(a, b, w, dims)
+    _, _, num, den = _gb_num_den(a, b, w, dims, cfg)
     return w * num / den
 
 
@@ -336,14 +321,8 @@ def phi_gb_unknown_deriv(
     GBUnknown(a=a, b=b).validate_for(dims)
     if not w > 0:
         raise ValueError("derivative route requires w > 0")
-    m = (dims.p + dims.n) / 2 + 1
-    q = dims.p / 2 + a
-    num = _gb_integral(q + 1.0, b, w, m, cfg)
-    den = _gb_integral(q, b, w, m, cfg)
-    if den == 0.0:
-        raise _d_underflow(a, b, w, dims)
-    dnum = -m * _gb_integral(q + 2.0, b, w, m + 1.0, cfg)
-    dden = -m * _gb_integral(q + 1.0, b, w, m + 1.0, cfg)
+    m, q, num, den = _gb_num_den(a, b, w, dims, cfg)
+    dnum, dden = (-m * i for i in _gb_integrals(w, (q + 2.0, q + 1.0), b, m + 1.0, cfg))
     return num / den + w * (dnum * den - num * dden) / den**2
 
 
@@ -365,12 +344,12 @@ def phi_gb_identity_saigo4(
     k = constants(dims)
     m0 = (dims.p + dims.n) / 2
     q = dims.p / 2 - 2.0
-    den = _gb_integral(q, b, w, m0 + 1.0, cfg)
+    (den,) = _gb_integrals(w, (q,), b, m0 + 1.0, cfg)
     if den == 0.0:
         raise _d_underflow(-2.0, b, w, dims)
     out = k.c_pn
     if b > 0.0:
-        num = _gb_integral(q, b - 1.0, w, m0, cfg)
+        (num,) = _gb_integrals(w, (q,), b - 1.0, m0, cfg)
         out -= (2.0 * b / (dims.n + 2)) * num / den
     else:
         out -= (2.0 / (dims.n + 2)) * (1.0 + w) ** (-m0) / den
@@ -424,34 +403,13 @@ def _gb_grid_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The log-w grid and phi_{a,b} on it, equal to the exact route bit for bit.
 
-    All w-nodes share one tanh-sinh node set, so N(w) and D(w) for the whole
-    grid come from one _tanh_sinh_batch pass whose elementwise operations are
-    those of _gb_integral: the values are
+    N(w) and D(w) for the whole grid come from one batched pass of
+    power_log_integrals, so the values are
     [phi_gb_unknown(a, b, exp(x), dims, cfg) for x in grid] exactly.
     """
     x = np.arange(_GB_LOG_LO, _GB_LOG_HI + _GB_STEP / 2, _GB_STEP)
     w = np.array([math.exp(xi) for xi in x])
-    m = (dims.p + dims.n) / 2 + 1
-    q = dims.p / 2 + a
-
-    def level_integrand(lam, lam_c):
-        lam_q, lam_q1 = lam**q, lam ** (q + 1.0)
-        log_b = log_recip(lam, lam_c) ** b if b != 0.0 else None
-
-        def rows(idx):
-            shared = np.power(1.0 + w[idx, None] * lam, -m)
-            num, den = lam_q1 * shared, lam_q * shared
-            if log_b is not None:
-                num, den = num * log_b, den * log_b
-            return num, den
-
-        return rows
-
-    num, den = _tanh_sinh_batch(
-        level_integrand, len(w), 2, cfg, singular_exponent=q, log_power=max(b, 0.0)
-    )
-    if not np.all(den):
-        raise _d_underflow(a, b, float(w[np.argmin(den != 0.0)]), dims)
+    _, _, num, den = _gb_num_den(a, b, w, dims, cfg)
     return x, w * num / den
 
 

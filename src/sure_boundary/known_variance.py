@@ -61,8 +61,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     gauss_legendre_panel,
-    log_recip,
-    tanh_sinh_unit,
+    power_log_integrals,
 )
 
 __all__ = [
@@ -150,18 +149,18 @@ class AdmissClass:
     boundary: bool = False
 
 
-def _exp_integral(
-    q: float, b: float, c: float, cfg: QuadratureConfig
-) -> float:
-    """int_0^1 lambda^q (log 1/lambda)^b exp(-c lambda) dlambda."""
+def _exp_integrals(c, qs, b: float, cfg: QuadratureConfig):
+    return power_log_integrals(c, qs, b, lambda c, lam: np.exp(-c * lam), cfg)
 
-    def f(lam: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
-        out = lam**q * np.exp(-c * lam)
-        if b != 0.0:
-            out = out * log_recip(lam, lam_c) ** b
-        return out
 
-    return tanh_sinh_unit(f, cfg, singular_exponent=q, log_power=max(b, 0.0))
+def _squares(z: np.ndarray) -> np.ndarray:
+    """zi**2 rounded as the single-point routes round it (pow, not z*z)."""
+    return np.array([zi**2 for zi in z])
+
+
+def _marginals(z: np.ndarray, prior: PriorSpec, p: int, cfg: QuadratureConfig) -> np.ndarray:
+    """m(z) at every ||z|| of the grid z; zeros are left to the caller."""
+    return _exp_integrals(_squares(z) / 2.0, (p / 2 + prior.a,), prior.log_power, cfg)[0]
 
 
 def marginal_m(
@@ -174,7 +173,7 @@ def marginal_m(
     prior.validate_for(p)
     if z_norm < 0:
         raise ValueError("z_norm must be >= 0")
-    m = _exp_integral(p / 2 + prior.a, prior.log_power, z_norm**2 / 2.0, cfg)
+    (m,) = _exp_integrals(z_norm**2 / 2.0, (p / 2 + prior.a,), prior.log_power, cfg)
     if m == 0.0:
         raise _range_error("m(z) underflowed to 0", z_norm, prior, p)
     return m
@@ -197,7 +196,9 @@ def _range_error(what: str, z: float, prior: PriorSpec, p: int) -> EvaluationErr
     )
 
 
-def _asymptotic_m(z: float, prior: PriorSpec, p: int) -> float:
+def _tauberian_ratio(z: float, m: float, prior: PriorSpec, p: int) -> float:
+    if m == 0.0:
+        raise _range_error("m(z) underflowed to 0", z, prior, p)
     s1 = p / 2 + prior.a + 1.0
     try:
         out = math.exp(gammaln(s1)) * (2.0 / z**2) ** s1
@@ -207,7 +208,7 @@ def _asymptotic_m(z: float, prior: PriorSpec, p: int) -> float:
         raise _range_error("the Tauberian form of m(z) underflowed to 0", z, prior, p)
     if isinstance(prior.L, LogPow):
         out *= math.log(z**2) ** prior.L.b
-    return out
+    return m / out
 
 
 @dataclass(frozen=True)
@@ -232,9 +233,12 @@ def tauberian_check(
     z = np.geomspace(10.0, 1e8, 15) if z_grid is None else np.asarray(z_grid, float)
     if np.any(np.diff(z) <= 0) or z[-1] < 1e4:
         raise ValueError("z_grid must be ascending and reach at least 1e4")
-    ratios = np.array(
-        [marginal_m(zi, prior, p, cfg) / _asymptotic_m(zi, prior, p) for zi in z]
-    )
+    prior.validate_for(p)
+    if z[0] < 0:
+        raise ValueError("z_norm must be >= 0")
+    ratios = np.array([  # point by point, so faults are raised in grid order
+        _tauberian_ratio(zi, mi, prior, p) for zi, mi in zip(z, _marginals(z, prior, p, cfg))
+    ])
     top = z >= z[-1] / 10.0
     gaps = np.abs(ratios[top] - 1.0)
     monotone = bool(np.all(np.diff(gaps) <= 1e-12)) if gaps.size > 1 else True
@@ -270,16 +274,12 @@ def gradient_bound_check(
         raise ValueError("z_grid must be ascending and reach at least 1e4")
     prior.validate_for(p)
     q = p / 2 + prior.a
-    b = prior.log_power
-    vals = []
-    for zi in z:
-        c = zi**2 / 2.0
-        num = _exp_integral(q + 1.0, b, c, cfg)
-        den = _exp_integral(q, b, c, cfg)
-        if num == 0.0 or den == 0.0:
-            raise _range_error("a marginal integral underflowed to 0", zi, prior, p)
-        vals.append(zi**2 * num / den)
-    values = np.asarray(vals)
+    z2 = _squares(z)
+    num, den = _exp_integrals(z2 / 2.0, (q + 1.0, q), prior.log_power, cfg)
+    under = (num == 0.0) | (den == 0.0)
+    if under.any():
+        raise _range_error("a marginal integral underflowed to 0", z[np.argmax(under)], prior, p)
+    values = z2 * num / den
     return GradientBoundReport(
         z_grid=tuple(z.tolist()),
         values=tuple(values.tolist()),
@@ -318,9 +318,7 @@ def psi_known(
         raise ValueError("need b >= 0, v >= 0, p >= 3")
     if v == 0.0:
         return 0.0
-    c = v / 2.0
-    num = _exp_integral(p / 2 - 1.0, b, c, cfg)
-    den = _exp_integral(p / 2 - 2.0, b, c, cfg)
+    num, den = _exp_integrals(v / 2.0, (p / 2 - 1.0, p / 2 - 2.0), b, cfg)
     return v * num / den
 
 
@@ -337,10 +335,10 @@ def psi_known_via_identity(
     if v == 0.0:
         return 0.0
     c = v / 2.0
-    den = _exp_integral(p / 2 - 2.0, b, c, cfg)
+    (den,) = _exp_integrals(c, (p / 2 - 2.0,), b, cfg)
     out = p - 2.0
     if b > 0.0:
-        num = _exp_integral(p / 2 - 2.0, b - 1.0, c, cfg)
+        (num,) = _exp_integrals(c, (p / 2 - 2.0,), b - 1.0, cfg)
         out -= 2.0 * b * num / den
     else:
         out -= 2.0 * math.exp(-c) / den
@@ -365,7 +363,10 @@ def psi_tail_fit(
     v = np.geomspace(1e3, 1e8, 24) if v_grid is None else np.asarray(v_grid, float)
     if np.any(np.diff(v) <= 0) or v[0] <= 1.0:
         raise ValueError("v_grid must be ascending with v > 1")
-    gaps = np.array([math.log(vi) * (p - 2.0 - psi_known(b, vi, p, cfg)) for vi in v])
+    if b < 0 or p < 3:
+        raise ValueError("need b >= 0, v >= 0, p >= 3")
+    num, den = _exp_integrals(v / 2.0, (p / 2 - 1.0, p / 2 - 2.0), b, cfg)
+    gaps = np.array([math.log(vi) * (p - 2.0 - si) for vi, si in zip(v, v * num / den)])
     log_v = np.log(v)
     fit = log_v >= 0.5 * (log_v[0] + log_v[-1])
     return PsiTailReport(
@@ -410,7 +411,9 @@ def brown_integral_numeric(
 
     def integrand(u: np.ndarray) -> np.ndarray:
         r = np.exp(u)
-        m = np.array([marginal_m(ri, prior, p, cfg) for ri in r])
+        m = _marginals(r, prior, p, cfg)
+        if not np.all(m):
+            raise _range_error("m(z) underflowed to 0", r[np.argmin(m != 0.0)], prior, p)
         return np.exp(u * (2.0 - p)) / m
 
     checkpoints: list[tuple[float, float]] = []

@@ -33,6 +33,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureConvergenceError",
     "tanh_sinh_unit",
+    "power_log_integrals",
 ]
 
 # Trapezoidal truncation horizon in t.  At t = 6 the node distance to the
@@ -297,6 +298,44 @@ def log_recip(lam: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
     out[~near_one] = -np.log(lam[~near_one])
     out[near_one] = -np.log1p(-lam_c[near_one])
     return out
+
+
+def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """I[k, i] = int_0^1 lambda^qs[k] (log 1/lambda)^b kernel(x[i], lambda) dlambda.
+
+    qs are floats; kernel(x, lam) is elementwise; b may lie in (-1, 0), an
+    integrable singularity at lambda -> 1.  A scalar x gives the list of
+    len(qs) floats of tanh_sinh_unit, run once per exponent in order.  A 1-d x
+    gives an array (len(qs), len(x)) from one _tanh_sinh_batch pass that
+    evaluates the kernel and the log power once per level and slice for all
+    exponents.  The two paths do the same elementwise operations and agree
+    bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def level(lam, lam_c, exps):  # kernel points -> the integrand of each exponent
+        lam_qs = [lam**q for q in exps]
+        log_b = log_recip(lam, lam_c) ** b if b != 0.0 else None
+
+        def terms(points):
+            k = kernel(points, lam)
+            return [lq * k if log_b is None else lq * k * log_b for lq in lam_qs]
+
+        return terms
+
+    if x.ndim == 0:
+        return [
+            tanh_sinh_unit(lambda lam, lam_c: level(lam, lam_c, [q])(float(x))[0], cfg,
+                           singular_exponent=q, log_power=max(b, 0.0))
+            for q in qs
+        ]
+
+    def batch_level(lam, lam_c):
+        terms = level(lam, lam_c, qs)
+        return lambda rows: terms(x[rows, None])
+
+    return _tanh_sinh_batch(batch_level, x.size, len(qs), cfg,
+                            singular_exponent=min(qs), log_power=max(b, 0.0))
 
 
 def gauss_legendre_panel(
