@@ -166,31 +166,36 @@ def encode_phi_spec(spec: PhiSpec) -> str:
 
 
 def parse_phi_spec(text: str) -> PhiSpec:
-    """Parse the CLI encoding, e.g. ``zero``, ``jsplus:a=0.375``, ``gb:a=-2,b=1``."""
+    """Parse ``zero``, ``jsplus:a=0.375``, ``gb:a=-2,b=1``, ...; unknown or repeated keys raise."""
     head, _, rest = text.strip().partition(":")
     params: dict[str, float] = {}
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             if not value:
                 raise ValueError(f"malformed phi spec parameter {item!r} in {text!r}")
-            params[key.strip()] = float(value)
+            if key in params:
+                raise ValueError(f"phi spec {text!r} repeats parameter {key!r}")
+            params[key] = float(value)
     try:
         if head == "zero":
-            if params:
-                raise ValueError("zero takes no parameters")
-            return Zero()
-        if head == "linear":
-            return Linear(alpha=params.pop("alpha"))
-        if head == "jsplus":
-            return PositivePartJS(a=params.pop("a"))
-        if head == "boundary":
-            return BoundaryPhi(b=params.pop("b"), w_floor=params.pop("w_floor", None))
-        if head == "gb":
-            return GBUnknown(a=params.pop("a"), b=params.pop("b", 0.0))
+            spec = Zero()
+        elif head == "linear":
+            spec = Linear(alpha=params.pop("alpha"))
+        elif head == "jsplus":
+            spec = PositivePartJS(a=params.pop("a"))
+        elif head == "boundary":
+            spec = BoundaryPhi(b=params.pop("b"), w_floor=params.pop("w_floor", None))
+        elif head == "gb":
+            spec = GBUnknown(a=params.pop("a"), b=params.pop("b", 0.0))
+        else:
+            raise ValueError(f"unknown phi spec family {head!r}")
     except KeyError as exc:
         raise ValueError(f"phi spec {text!r} is missing parameter {exc}") from None
-    raise ValueError(f"unknown phi spec family {head!r}")
+    if params:
+        raise ValueError(f"phi spec {text!r} has unknown parameter {next(iter(params))!r}")
+    return spec
 
 
 # ---------------------------------------------------------------------------

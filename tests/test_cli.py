@@ -202,6 +202,12 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_unknown_phi_parameter_is_1(self, capsys):
+        code = main(["classify", *D56, "--phi", "gb:a=-2,B=2.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "unknown parameter 'B'" in captured.err
+
     def test_gb_d_underflow_is_typed_error(self, capsys):
         code = main(["classify", "--p", "60", "--n", "60", "--phi", "gb:a=-2,b=2.0"])
         err = capsys.readouterr().err

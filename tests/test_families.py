@@ -72,6 +72,15 @@ class TestSpecEncoding:
             with pytest.raises(ValueError):
                 parse_phi_spec(bad)
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [("gb:a=-2,B=2.5", "'B'"), ("jsplus:a=0.3,bogus=1", "'bogus'"),
+         ("linear:alpha=0.5,alpha=0.7", "'alpha'")],
+    )
+    def test_unknown_or_repeated_parameter_named(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            parse_phi_spec(text)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             Linear(alpha=1.5)
