@@ -175,13 +175,9 @@ def dominator_g(spec: DominatorSpec) -> ShrinkageFunction:
     )
 
 
-def default_w_grid(
-    lo: float = 1e-6, hi: float = 1e8, points: int = 600, include_zero: bool = True
-) -> np.ndarray:
-    grid = np.geomspace(lo, hi, points)
-    if include_zero:
-        grid = np.concatenate([[0.0], grid])
-    return grid
+def default_w_grid(lo: float = 1e-6, hi: float = 1e8, points: int = 600) -> np.ndarray:
+    """w = 0 followed by a geometric grid of points from lo to hi."""
+    return np.concatenate([[0.0], np.geomspace(lo, hi, points)])
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +355,6 @@ def construct_dominator(
     b: float,
     profile: TailProfile | None = None,
     *,
-    margin: float = MARGIN_DEFAULT,
     w_grid: np.ndarray | None = None,
     w_sharp_cap: float = 1e10,
 ) -> DominatorSpec:

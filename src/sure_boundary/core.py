@@ -44,7 +44,7 @@ scalar w or an ndarray of w values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
@@ -135,9 +135,6 @@ class ShrinkageFunction:
             label=label or f"({self.label})+({g.label})",
             tail=None,
         )
-
-    def with_tail(self, tail: "TailProfile") -> "ShrinkageFunction":
-        return replace(self, tail=tail)
 
 
 @dataclass(frozen=True)

@@ -154,10 +154,10 @@ class PairedReport:
     reps: int
 
 
-def thread_cap_from_env(default: int = 1) -> int:
+def thread_cap_from_env() -> int:
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
-        return default
+        return 1
     message = f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}"
     try:
         cap = int(raw)
@@ -238,7 +238,7 @@ def _mean_se(
         return [(float(np.sum(a)), float(np.sum(a * a))) for a in per_rep(x, w)]
 
     starts = range(0, config.reps, _CHUNK)
-    workers = thread_cap_from_env(1) if threads is None else threads
+    workers = thread_cap_from_env() if threads is None else threads
     if workers <= 1 or len(starts) <= 1:
         parts = [chunk_sums(start) for start in starts]
     else:

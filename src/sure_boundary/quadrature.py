@@ -338,14 +338,9 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
                             singular_exponent=min(qs), log_power=max(b, 0.0))
 
 
-def gauss_legendre_panel(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    order: int = 24,
-) -> float:
-    """Fixed-order Gauss-Legendre integral of a smooth f over [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def gauss_legendre_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """24-point Gauss-Legendre integral of a smooth f over [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(24)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return float(half * np.sum(w * f(mid + half * x)))
