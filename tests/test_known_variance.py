@@ -101,6 +101,12 @@ class TestGradientBound:
         cap = 1.1 * max(rep.target, rep.values[0])
         assert max(rep.values) <= cap
 
+    @pytest.mark.parametrize("L,b", [(One(), 0.0), (LogPow(1.5), 1.5)])
+    def test_grid_equals_psi_known_at_each_point(self, L, b):
+        # at a = -2 the check's ratio is psi_b(||z||^2), integrated one point at a time
+        rep = gradient_bound_check(PriorSpec(a=-2.0, L=L), P, Z_GRID)
+        assert rep.values == tuple(psi_known(b, z**2, P) for z in rep.z_grid)
+
 
 class TestBrownClassify:
     @pytest.mark.parametrize(

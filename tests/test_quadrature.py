@@ -10,12 +10,15 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from sure_boundary.quadrature import (
+    _BATCH_ELEMENTS,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureConvergenceError,
     QuadratureError,
+    _nodes,
     _tanh_sinh_batch,
     log_recip,
+    power_log_integrals,
     tanh_sinh_unit,
 )
 
@@ -192,3 +195,30 @@ class TestBatch:
                 tanh_sinh_unit(bad)
             with pytest.raises(QuadratureError):
                 _tanh_sinh_batch(_batch_of([lambda lam, lam_c: lam, bad]), 2, 1)
+
+
+KERNELS = {
+    "unknown scale": lambda w, lam: np.power(1.0 + w * lam, -5.5),
+    "known variance": lambda c, lam: np.exp(-c * lam),
+}
+
+
+class TestPowerLogIntegrals:
+    # more points than a level-0 slice holds, so every level runs in several slices
+    X = np.geomspace(1e-3, 1e9, 2 * (_BATCH_ELEMENTS // _nodes(0)[0].size) + 5)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("b", [0.0, 0.7, -0.5])  # -0.5: the b - 1 power of identity routes
+    def test_grid_equals_points_bit_for_bit(self, kernel, b):
+        qs = (1.5, 0.5)
+        grid = power_log_integrals(self.X, qs, b, KERNELS[kernel])
+        points = [power_log_integrals(x, qs, b, KERNELS[kernel]) for x in self.X]
+        assert all(type(v) is float for v in points[0])
+        assert grid.shape == (2, len(self.X))
+        assert np.array_equal(grid, np.array(points).T)
+
+    def test_points_match_an_independent_integrator(self):
+        c, q, b = 3.0, 0.5, 0.7
+        (val,) = power_log_integrals(c, (q,), b, KERNELS["known variance"])
+        ref, _ = quad(lambda x: x**q * math.log(1.0 / x) ** b * math.exp(-c * x), 0.0, 1.0)
+        assert abs(val - ref) <= 1e-9 * ref
