@@ -45,6 +45,9 @@ term, which the b > 0 case kills):
 
 and the tail limit (log v)(p - 2 - psi_b(v)) -> 2b, the known-variance twin
 of the unknown-scale critical tail.
+
+Every integral above is quadrature.power_log_integrals with kernel exp(-c
+lambda); a grid check integrates all its points in one batched pass.
 """
 
 from __future__ import annotations

@@ -18,6 +18,9 @@ and 1 - lambda accurate down to ~1e-276 (no cancellation against 1.0).
 Refinement halves the step h; levels reuse all previous evaluations, and the
 difference between consecutive levels serves as the (conservative) error
 estimate.
+
+power_log_integrals is the one primitive for the generalized-Bayes and known-
+variance integrals; a grid of kernel points runs in one batched pass.
 """
 
 from __future__ import annotations
