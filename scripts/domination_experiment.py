@@ -10,12 +10,10 @@ Writes a CSV of paired results next to a JSON certificate.
 import argparse
 import os
 
-import numpy as np
-
-from sure_boundary.boundary import construct_dominator, verify_domination
+from sure_boundary.boundary import construct_dominator, default_w_grid, verify_domination
 from sure_boundary.core import ProblemDims
 from sure_boundary.families import make_shrinkage, parse_phi_spec
-from sure_boundary.montecarlo import SimConfig, StudentT, domination_mc
+from sure_boundary.montecarlo import SimConfig, domination_mc, parse_model
 from sure_boundary.reports import canonical_csv, canonical_json, write_text
 
 CSV_HEADER = ("model", "theta_norm", "reps", "seed", "mean_diff", "se_diff", "se_unpaired")
@@ -40,21 +38,16 @@ def main() -> None:
     print(f"dominator: nu={spec.nu:.6f} w_sharp={spec.w_sharp:.4f} "
           f"ramp={spec.ramp_width:.4f} (witness b={spec.b})")
 
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e8, 10**4)])
-    cert = verify_domination(phi, spec, dims, grid)
+    cert = verify_domination(phi, spec, dims, default_w_grid(points=10**4))
     print(f"certificate: verdict={cert.verdict} "
           f"min_delta_above_sharp={cert.min_delta_above_sharp:.3e}")
 
     rows = []
     thetas = (0.0, 1.0, 5.0, 20.0)
     for model, reps in (("normal", args.reps), ("student-t:df=5.0", args.t_reps)):
-        model_spec = StudentT(df=5.0) if model.startswith("student") else None
         configs = [
-            SimConfig(
-                dims=dims, theta_norm=t, sigma=1.0, reps=reps,
-                seed=args.seed + i,
-                **({"model": model_spec} if model_spec else {}),
-            )
+            SimConfig(dims=dims, theta_norm=t, sigma=1.0, reps=reps, seed=args.seed + i,
+                      model=parse_model(model))
             for i, t in enumerate(thetas)
         ]
         for rep in domination_mc(phi, spec, configs):

@@ -62,7 +62,7 @@ def lines():
                 for v in W:
                     yield (f"{head} v={v} {outcome(kv.psi_known, b, v, p, cfg)} "
                            f"{outcome(kv.psi_known_via_identity, b, v, p, cfg)}")
-                yield f"{head} psi_tail {outcome(kv.psi_tail_fit, b, p, None, cfg)}"
+                yield f"{head} psi_tail {outcome(kv.psi_tail_fit, b, p, cfg)}"
             for a in A:
                 for b in B:
                     prior = kv.PriorSpec(a, kv.LogPow(b) if b else kv.One())
@@ -80,7 +80,7 @@ def lines():
         prior = kv.PriorSpec(-2.0, L)
         yield f"custom z {outcome(kv.tauberian_check, prior, 5, z)}"
         yield f"custom z {outcome(kv.gradient_bound_check, prior, 5, z)}"
-    yield f"custom v {outcome(kv.psi_tail_fit, 1.5, 5, np.geomspace(1.5, 1e9, 11))}"
+    yield f"custom v {outcome(kv._psi_tail, 1.5, 5, np.geomspace(1.5, 1e9, 11), DEFAULT_CONFIG)}"
 
 
 def main() -> None:

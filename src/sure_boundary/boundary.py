@@ -188,10 +188,10 @@ def default_w_grid(lo: float = 1e-6, hi: float = 1e8, points: int = 600) -> np.n
 class AssumptionReport:
     """Grid diagnostics for the regularity assumptions on phi.
 
-    a1: phi(0) = 0 and phi >= 0; a2: at most max_extrema sign changes of
-    phi'; a3: phi' finite everywhere sampled; a4: tail values of
-    w phi'(w)/phi(w) inside [-eps, 1+eps] (ratio taken as 0 where phi = 0).
-    Failures are report entries, never exceptions.
+    a1: phi(0) = 0 and phi >= 0; a2: at most _MAX_EXTREMA sign changes of
+    phi'; a3: phi' finite everywhere sampled; a4: values of w phi'(w)/phi(w)
+    from w = _TAIL_FROM on inside [-_A4_EPS, 1 + _A4_EPS] (ratio taken as 0
+    where phi = 0).  Failures are report entries, never exceptions.
     """
 
     a1_ok: bool
@@ -206,13 +206,13 @@ class AssumptionReport:
         return self.a1_ok and self.a2_ok and self.a3_ok and self.a4_ok
 
 
+_MAX_EXTREMA = 12
+_A4_EPS = 0.05
+_TAIL_FROM = 1e3
+
+
 def check_assumptions(
-    phi: ShrinkageFunction,
-    w_grid: np.ndarray | None = None,
-    *,
-    max_extrema: int = 12,
-    eps: float = 0.05,
-    tail_from: float = 1e3,
+    phi: ShrinkageFunction, w_grid: np.ndarray | None = None
 ) -> AssumptionReport:
     grid = default_w_grid(points=400) if w_grid is None else np.asarray(w_grid, float)
     if len(grid) < 100 or grid.min() > 0.0 or grid.max() < 1e8:
@@ -232,9 +232,9 @@ def check_assumptions(
     signs = np.sign(derivs)
     signs = signs[np.abs(derivs) > floor]
     changes = int(np.count_nonzero(np.diff(signs) != 0.0)) if signs.size else 0
-    a2 = changes <= max_extrema
+    a2 = changes <= _MAX_EXTREMA
 
-    tail = grid >= tail_from
+    tail = grid >= _TAIL_FROM
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = grid[tail] * derivs[tail] / vals[tail]
     ratios = np.where(vals[tail] == 0.0, 0.0, ratios)  # phi == 0 convention
@@ -242,7 +242,7 @@ def check_assumptions(
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
     else:
         lo = hi = 0.0
-    a4 = bool(np.isfinite(lo) and np.isfinite(hi) and lo >= -eps and hi <= 1.0 + eps)
+    a4 = bool(np.isfinite(lo) and np.isfinite(hi) and lo >= -_A4_EPS and hi <= 1.0 + _A4_EPS)
 
     return AssumptionReport(
         a1_ok=a1, a2_ok=a2, a2_sign_changes=changes, a3_ok=a3, a4_ok=a4,
@@ -254,12 +254,8 @@ def check_assumptions(
 # classification
 # ---------------------------------------------------------------------------
 
-def _profile(
-    phi: ShrinkageFunction, dims: ProblemDims, profile: TailProfile | None
-) -> TailProfile:
-    """The given profile, else phi's own tail hint, else one fitted on [1e3, 1e8]."""
-    if profile is not None:
-        return profile
+def _profile(phi: ShrinkageFunction, dims: ProblemDims) -> TailProfile:
+    """phi's own tail hint, else a profile fitted on [1e3, 1e8]."""
     return phi.tail or tail_profile(phi, dims, np.geomspace(1e3, 1e8, 48))
 
 
@@ -280,7 +276,6 @@ def _tail_threshold(grid: np.ndarray, ok: np.ndarray, min_span: float) -> float 
 def classify(
     phi: ShrinkageFunction,
     dims: ProblemDims,
-    profile: TailProfile | None = None,
     margin: float = MARGIN_DEFAULT,
     w_grid: np.ndarray | None = None,
 ) -> QuasiClass:
@@ -297,7 +292,7 @@ def classify(
     grid = np.geomspace(2.0, 1e8, 700) if w_grid is None else np.asarray(w_grid, float)
     if grid.min() <= 1.0:
         raise ValueError("classification grid must lie in (1, inf)")
-    profile = _profile(phi, dims, profile)
+    profile = _profile(phi, dims)
 
     min_span = 100.0  # the deciding tail must cover >= two decades
     vals = np.asarray(phi.eval(grid), dtype=float)
@@ -353,9 +348,7 @@ def construct_dominator(
     phi: ShrinkageFunction,
     dims: ProblemDims,
     b: float,
-    profile: TailProfile | None = None,
     *,
-    w_grid: np.ndarray | None = None,
     w_sharp_cap: float = 1e10,
 ) -> DominatorSpec:
     """Build a perturbation g whose risk-difference certificate verifies.
@@ -368,15 +361,12 @@ def construct_dominator(
     if not b > 1.0:
         raise ValueError("construction requires a witness b > 1")
     k = constants(dims)
-    profile = _profile(phi, dims, profile)
+    profile = _profile(phi, dims)
     if math.isinf(profile.phi_limit):
         raise ConstructionError("phi_star must be finite to construct a dominator")
     phi_star = profile.phi_limit
 
-    grid = (
-        default_w_grid(lo=1e-4, hi=1e8, points=1400) if w_grid is None
-        else np.asarray(w_grid, float)
-    )
+    grid = default_w_grid(lo=1e-4, hi=1e8, points=1400)
     pos = grid[grid > 1.0]
     vals = np.asarray(phi.eval(pos), dtype=float)
     ok = vals <= k.c_pn - b * k.beta_star / np.log(pos)
@@ -447,10 +437,7 @@ def verify_domination(
 # ---------------------------------------------------------------------------
 
 def lemma_gg_witness(
-    phi: ShrinkageFunction,
-    g: ShrinkageFunction,
-    dims: ProblemDims,
-    search_grid: np.ndarray | None = None,
+    phi: ShrinkageFunction, g: ShrinkageFunction, dims: ProblemDims
 ) -> Optional[float]:
     """Search for a w with Delta(w; phi, g) < 0 when g violates a necessary
     condition (g(0) >= 0, g >= 0, or positivity persistence).
@@ -459,9 +446,7 @@ def lemma_gg_witness(
     all three conditions on the grid (no search performed) or when the grid
     search finds no negative Delta; a None is "none found", never a proof.
     """
-    grid = default_w_grid(lo=1e-6, hi=1e8, points=900) if search_grid is None else np.asarray(
-        search_grid, float
-    )
+    grid = default_w_grid(points=900)
     gv = np.asarray(g.eval(grid), dtype=float)
 
     b1_violated = bool(gv[grid == 0.0].size and np.any(gv[grid == 0.0] < 0.0))
@@ -488,20 +473,14 @@ class Cc0Report:
     compliant: bool
 
 
-def cc0_diagnostic(
-    phi: ShrinkageFunction,
-    dims: ProblemDims,
-    w_grid: np.ndarray | None = None,
-) -> Cc0Report:
+def cc0_diagnostic(phi: ShrinkageFunction, dims: ProblemDims) -> Cc0Report:
     """Minimum of |phi(t)|^{d_n}/t over the top decade plus a log-log slope.
 
     Compliance requires either clear decay (negative slope) or a proxy that
     already sits at zero; a proxy bounded away from zero with slope >= 0 is
     flagged as violating the growth condition.
     """
-    grid = np.geomspace(1e2, 1e12, 240) if w_grid is None else np.asarray(w_grid, float)
-    if np.any(np.diff(grid) <= 0) or grid.min() <= 0:
-        raise ValueError("cc0 grid must be positive ascending")
+    grid = np.geomspace(1e2, 1e12, 240)
     k = constants(dims)
     vals = np.abs(np.asarray(phi.eval(grid), dtype=float))
     proxy = vals**k.d_n / grid

@@ -27,6 +27,7 @@ from .boundary import (
     MARGIN_DEFAULT,
     classify,
     construct_dominator,
+    default_w_grid,
     verify_domination,
 )
 from .core import ProblemDims, ShrinkageFunction
@@ -233,7 +234,7 @@ def _emit(args: argparse.Namespace, body: dict[str, Any]) -> None:
 
 def _cmd_classify(args) -> int:
     dims, phi = _problem(args)
-    verdict = classify(phi, dims, phi.tail, margin=args.margin)
+    verdict = classify(phi, dims, margin=args.margin)
     _emit(args, {"verdict": verdict, "tail_profile": phi.tail})
     return 2 if verdict.variant == "Indeterminate" else 0
 
@@ -251,7 +252,7 @@ def _cmd_verify(args) -> int:
         nu=args.nu, w_sharp=args.w_sharp, ramp_width=args.ramp_width,
         b=args.b, w_star=args.w_star,
     )
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e8, args.grid_points)])
+    grid = default_w_grid(points=args.grid_points)
     _emit(args, {"certificate": verify_domination(phi, spec, dims, grid)})
     return 0
 

@@ -40,13 +40,22 @@ stated for w > 0); inputs with phi(0) != 0 are rejected at w = 0.
 
 All operations are pure functions of their arguments and accept either a
 scalar w or an ndarray of w values.
+
+Text specs
+----------
+Shrinkage functions, known-variance L families and sampling models reach
+the CLI as ``head`` or ``head:key=value,...`` (``gb:a=-2,b=1.0``,
+``logpow:b=1.0``, ``student-t:df=5``).  ``parse_spec`` and ``encode_spec``
+are the one grammar for all of them: the head picks a frozen dataclass, its
+fields are the keys, and a field with a default may be left out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -61,6 +70,8 @@ __all__ = [
     "EvaluationError",
     "ZeroPerturbationError",
     "constants",
+    "parse_spec",
+    "encode_spec",
     "d_phi",
     "sure_risk_estimate",
     "delta1",
@@ -95,6 +106,51 @@ class ProblemDims:
             raise ValueError("p and n must be integers")
         if self.p < 3 or self.n < 3:
             raise ValueError(f"require p >= 3 and n >= 3, got p={self.p}, n={self.n}")
+
+
+def parse_spec(text: str, kinds: Mapping[str, type]) -> Any:
+    """kinds[head](**params) for ``head`` or ``head:key=value,...``.
+
+    Every value is a finite float.  An unknown head, and an unknown,
+    repeated, missing or non-finite parameter, raise ValueError naming it.
+    """
+    head, _, rest = text.strip().partition(":")
+    if head not in kinds:
+        raise ValueError(f"unknown spec {head!r} in {text!r}; expected one of {', '.join(kinds)}")
+    defaults = {f.name: f.default for f in fields(kinds[head])}
+    params: dict[str, float] = {}
+    for item in rest.split(",") if rest else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if not key or not value:
+            raise ValueError(f"malformed parameter {item!r} in spec {text!r}")
+        if key not in defaults:
+            raise ValueError(f"spec {text!r} has unknown parameter {key!r}")
+        if key in params:
+            raise ValueError(f"spec {text!r} repeats parameter {key!r}")
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ValueError(f"spec {text!r} has non-numeric parameter {key!r}") from None
+        if not math.isfinite(params[key]):
+            raise ValueError(f"spec {text!r} has non-finite parameter {key!r}")
+    for key, default in defaults.items():
+        if key not in params and default is MISSING:
+            raise ValueError(f"spec {text!r} is missing parameter {key!r}")
+    return kinds[head](**params)
+
+
+def encode_spec(spec: Any, kinds: Mapping[str, type]) -> str:
+    """Canonical text of spec; parse_spec(encode_spec(s, kinds), kinds) == s.
+
+    Fields that are None are left out; every other field is written as
+    name=repr(float(value)).
+    """
+    head = next((h for h, kind in kinds.items() if type(spec) is kind), None)
+    if head is None:
+        raise TypeError(f"not one of {', '.join(kinds)}: {spec!r}")
+    values = ((f.name, getattr(spec, f.name)) for f in fields(spec))
+    params = ",".join(f"{name}={float(v)!r}" for name, v in values if v is not None)
+    return f"{head}:{params}" if params else head
 
 
 @dataclass(frozen=True)

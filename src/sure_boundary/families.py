@@ -63,6 +63,7 @@ from typing import Union
 import numpy as np
 
 from .core import EvaluationError, ProblemDims, ShrinkageFunction, constants
+from .core import encode_spec, parse_spec
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
 
 __all__ = [
@@ -142,60 +143,16 @@ class GBUnknown:
 
 
 PhiSpec = Union[Zero, Linear, PositivePartJS, BoundaryPhi, GBUnknown]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_PHI_KINDS = {"zero": Zero, "linear": Linear, "jsplus": PositivePartJS,
+              "boundary": BoundaryPhi, "gb": GBUnknown}
 
 
 def encode_phi_spec(spec: PhiSpec) -> str:
-    """Canonical text encoding; parse_phi_spec(encode_phi_spec(s)) == s."""
-    if isinstance(spec, Zero):
-        return "zero"
-    if isinstance(spec, Linear):
-        return f"linear:alpha={_fmt(spec.alpha)}"
-    if isinstance(spec, PositivePartJS):
-        return f"jsplus:a={_fmt(spec.a)}"
-    if isinstance(spec, BoundaryPhi):
-        if spec.w_floor is None:
-            return f"boundary:b={_fmt(spec.b)}"
-        return f"boundary:b={_fmt(spec.b)},w_floor={_fmt(spec.w_floor)}"
-    if isinstance(spec, GBUnknown):
-        return f"gb:a={_fmt(spec.a)},b={_fmt(spec.b)}"
-    raise TypeError(f"not a PhiSpec: {spec!r}")
+    return encode_spec(spec, _PHI_KINDS)
 
 
 def parse_phi_spec(text: str) -> PhiSpec:
-    """Parse ``zero``, ``jsplus:a=0.375``, ``gb:a=-2,b=1``, ...; unknown or repeated keys raise."""
-    head, _, rest = text.strip().partition(":")
-    params: dict[str, float] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            key = key.strip()
-            if not value:
-                raise ValueError(f"malformed phi spec parameter {item!r} in {text!r}")
-            if key in params:
-                raise ValueError(f"phi spec {text!r} repeats parameter {key!r}")
-            params[key] = float(value)
-    try:
-        if head == "zero":
-            spec = Zero()
-        elif head == "linear":
-            spec = Linear(alpha=params.pop("alpha"))
-        elif head == "jsplus":
-            spec = PositivePartJS(a=params.pop("a"))
-        elif head == "boundary":
-            spec = BoundaryPhi(b=params.pop("b"), w_floor=params.pop("w_floor", None))
-        elif head == "gb":
-            spec = GBUnknown(a=params.pop("a"), b=params.pop("b", 0.0))
-        else:
-            raise ValueError(f"unknown phi spec family {head!r}")
-    except KeyError as exc:
-        raise ValueError(f"phi spec {text!r} is missing parameter {exc}") from None
-    if params:
-        raise ValueError(f"phi spec {text!r} has unknown parameter {next(iter(params))!r}")
-    return spec
+    return parse_spec(text, _PHI_KINDS)
 
 
 # ---------------------------------------------------------------------------

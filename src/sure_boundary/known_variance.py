@@ -59,7 +59,7 @@ from typing import Union
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .core import EvaluationError
+from .core import EvaluationError, encode_spec, parse_spec
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -108,24 +108,15 @@ class LogPow:
 
 
 LFamily = Union[One, LogPow]
+_L_KINDS = {"one": One, "logpow": LogPow}
 
 
 def parse_l_family(text: str) -> LFamily:
-    head, _, rest = text.strip().partition(":")
-    if head == "one" and not rest:
-        return One()
-    if head == "logpow":
-        key, _, value = rest.partition("=")
-        if key.strip() != "b" or not value:
-            raise ValueError(f"logpow spec must look like 'logpow:b=1.0', got {text!r}")
-        return LogPow(b=float(value))
-    raise ValueError(f"unknown L family {text!r}")
+    return parse_spec(text, _L_KINDS)
 
 
 def encode_l_family(L: LFamily) -> str:
-    if isinstance(L, One):
-        return "one"
-    return f"logpow:b={repr(float(L.b))}"
+    return encode_spec(L, _L_KINDS)
 
 
 @dataclass(frozen=True)
@@ -357,15 +348,14 @@ class PsiTailReport:
 
 
 def psi_tail_fit(
-    b: float,
-    p: int,
-    v_grid: np.ndarray | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    b: float, p: int, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> PsiTailReport:
-    """Fit the limit of (log v)(p - 2 - psi_b(v)) over the top half of a grid."""
-    v = np.geomspace(1e3, 1e8, 24) if v_grid is None else np.asarray(v_grid, float)
-    if np.any(np.diff(v) <= 0) or v[0] <= 1.0:
-        raise ValueError("v_grid must be ascending with v > 1")
+    """Fit the limit of (log v)(p - 2 - psi_b(v)) over the top half of v in [1e3, 1e8]."""
+    return _psi_tail(b, p, np.geomspace(1e3, 1e8, 24), cfg)
+
+
+def _psi_tail(b: float, p: int, v: np.ndarray, cfg: QuadratureConfig) -> PsiTailReport:
+    """psi_tail_fit on the ascending grid v > 1."""
     if b < 0 or p < 3:
         raise ValueError("need b >= 0, v >= 0, p >= 3")
     num, den = _exp_integrals(v / 2.0, (p / 2 - 1.0, p / 2 - 2.0), b, cfg)

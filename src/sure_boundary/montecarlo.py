@@ -36,13 +36,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .boundary import DominatorSpec, dominator_g
-from .core import ProblemDims, ShrinkageFunction, d_phi
+from .core import ProblemDims, ShrinkageFunction, d_phi, encode_spec, parse_spec
 
 __all__ = [
     "Normal",
@@ -54,7 +54,6 @@ __all__ = [
     "PairedReport",
     "parse_model",
     "encode_model",
-    "sample_model",
     "sample_all",
     "estimate_risk",
     "sure_unbiasedness_test",
@@ -81,24 +80,15 @@ class StudentT:
 
 
 ModelSpec = Union[Normal, StudentT]
+_MODEL_KINDS = {"normal": Normal, "student-t": StudentT}
 
 
 def parse_model(text: str) -> ModelSpec:
-    head, _, rest = text.strip().partition(":")
-    if head == "normal" and not rest:
-        return Normal()
-    if head == "student-t":
-        key, _, value = rest.partition("=")
-        if key.strip() != "df" or not value:
-            raise ValueError(f"student-t spec must look like 'student-t:df=5', got {text!r}")
-        return StudentT(df=float(value))
-    raise ValueError(f"unknown model {text!r}")
+    return parse_spec(text, _MODEL_KINDS)
 
 
 def encode_model(model: ModelSpec) -> str:
-    if isinstance(model, Normal):
-        return "normal"
-    return f"student-t:df={repr(float(model.df))}"
+    return encode_spec(model, _MODEL_KINDS)
 
 
 @dataclass(frozen=True)
@@ -194,15 +184,6 @@ def _block(config: SimConfig, start: int, stop: int) -> tuple[np.ndarray, np.nda
     x[:, 0] += config.theta_norm
     s = config.sigma**2 * v * 2.0 * gammaincinv(n / 2.0, u[:, p])
     return x, s
-
-
-def sample_model(
-    config: SimConfig, chunk_size: int = _CHUNK
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (start_index, X, S) chunks; values depend only on (seed, index)."""
-    for start in range(0, config.reps, chunk_size):
-        x, s = _block(config, start, min(start + chunk_size, config.reps))
-        yield start, x, s
 
 
 def sample_all(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:

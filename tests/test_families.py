@@ -28,6 +28,8 @@ from sure_boundary.families import (
     resolve_w_floor,
     tail_profile,
 )
+from sure_boundary.known_variance import LogPow, encode_l_family, parse_l_family
+from sure_boundary.montecarlo import StudentT, encode_model, parse_model
 from sure_boundary.quadrature import QuadratureConfig
 
 DIMS = ProblemDims(5, 6)
@@ -67,6 +69,16 @@ class TestSpecEncoding:
         assert parse_phi_spec(text) == spec
         assert encode_phi_spec(parse_phi_spec(text)) == text
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(min_value=2.01, max_value=1e6))
+    def test_model_round_trip(self, df):
+        assert parse_model(encode_model(StudentT(df=df))) == StudentT(df=df)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=10.0))
+    def test_l_family_round_trip(self, b):
+        assert parse_l_family(encode_l_family(LogPow(b=b))) == LogPow(b=b)
+
     def test_malformed_specs_rejected(self):
         for bad in ("nope", "linear", "linear:alpha", "jsplus:b=1", "gb:b=1"):
             with pytest.raises(ValueError):
@@ -75,11 +87,18 @@ class TestSpecEncoding:
     @pytest.mark.parametrize(
         "text,key",
         [("gb:a=-2,B=2.5", "'B'"), ("jsplus:a=0.3,bogus=1", "'bogus'"),
-         ("linear:alpha=0.5,alpha=0.7", "'alpha'")],
+         ("linear:alpha=0.5,alpha=0.7", "'alpha'"),
+         ("student-t:df=5,df=6", "repeats parameter 'df'"),
+         ("logpow:b=1,b=2", "repeats parameter 'b'"),
+         ("one:b=1", "unknown parameter 'b'"),
+         ("student-t:df=inf", "non-finite parameter 'df'"),
+         ("gb:a=-2,b=inf", "non-finite parameter 'b'")],
     )
     def test_unknown_or_repeated_parameter_named(self, text, key):
+        parse = {"student-t": parse_model, "one": parse_l_family,
+                 "logpow": parse_l_family}.get(text.partition(":")[0], parse_phi_spec)
         with pytest.raises(ValueError, match=key):
-            parse_phi_spec(text)
+            parse(text)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

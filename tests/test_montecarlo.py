@@ -17,12 +17,12 @@ from sure_boundary.montecarlo import (
     Normal,
     SimConfig,
     StudentT,
+    _block,
     domination_mc,
     encode_model,
     estimate_risk,
     parse_model,
     sample_all,
-    sample_model,
     sure_unbiasedness_test,
     thread_cap_from_env,
 )
@@ -50,10 +50,8 @@ class TestSampling:
     )
     def test_chunking_does_not_change_values(self, config):
         x_all, s_all = sample_all(config)
-        xs, ss = [], []
-        for start, x, s in sample_model(config, chunk_size=10_001):
-            xs.append(x)
-            ss.append(s)
+        starts = range(0, config.reps, 10_001)
+        xs, ss = zip(*(_block(config, i, min(i + 10_001, config.reps)) for i in starts))
         assert np.array_equal(np.concatenate(xs), x_all)
         assert np.array_equal(np.concatenate(ss), s_all)
 
