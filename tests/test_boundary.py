@@ -29,6 +29,7 @@ from sure_boundary.families import (
     GBUnknown,
     Linear,
     PositivePartJS,
+    TailProfile,
     Zero,
     make_shrinkage,
     tail_profile,
@@ -126,6 +127,20 @@ class TestClassify:
         assert v.w_star > 1.0
         v = classify(make_shrinkage(Linear(alpha=0.5), DIMS), DIMS)
         assert v.b_witness == pytest.approx(0.95)
+
+    def test_unbounded_phi_that_rises_late_is_indeterminate(self):
+        # the admissible-side inequality holds only over the last decade
+        late = dataclasses.replace(
+            fn(lambda w: np.where(w > 1e7, w, 0.0),
+               lambda w: np.where(w > 1e7, 1.0, 0.0), "late-riser"),
+            tail=TailProfile(phi_limit=math.inf),
+        )
+        v = classify(late, DIMS)
+        assert v.variant == "Indeterminate"
+        assert v.reason == (
+            "phi unbounded but the admissible-side inequality did not "
+            "stabilize on the grid"
+        )
 
     def test_constructor_invariants(self):
         with pytest.raises(ValueError):
