@@ -14,7 +14,9 @@ Since the inequalities are monotone in b, testing at the edge witnesses
 b = 1 -/+ margin is sufficient: if the quasi-admissible inequality fails at
 b = 1 - margin it fails for every smaller b, and symmetrically.  A verdict
 additionally requires the inequality to hold over at least the last two
-decades of the grid, so a one-point tail can never decide.
+decades of the grid, so a one-point tail can never decide.  One scan,
+``_tail_start``, serves both verdicts and the construction below; b picks
+the side (phi at or below the tail when b > 1, at or above it when b < 1).
 
 The constructive dominator for a quasi-inadmissible phi (with witness b and
 finite limit phi_star) is
@@ -46,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ProblemDims, ShrinkageFunction, constants, delta
+from .core import ProblemDims, ShrinkageFunction, constants, delta, elementwise
 from .families import TailProfile, tail_profile
 
 __all__ = [
@@ -153,19 +155,17 @@ def dominator_g(spec: DominatorSpec) -> ShrinkageFunction:
     nu, w_sharp, width = spec.nu, spec.w_sharp, spec.ramp_width
     expo = 1.0 + nu
 
+    @elementwise
     def ev(w):
-        arr = np.asarray(w, dtype=float)
-        k = np.clip((arr - w_sharp) / width, 0.0, 1.0)
-        out = k * np.log(arr + math.e) ** (-expo)
-        return float(out) if np.ndim(w) == 0 else out
+        k = np.clip((w - w_sharp) / width, 0.0, 1.0)
+        return k * np.log(w + math.e) ** (-expo)
 
+    @elementwise
     def dv(w):
-        arr = np.asarray(w, dtype=float)
-        le = np.log(arr + math.e)
-        k = np.clip((arr - w_sharp) / width, 0.0, 1.0)
-        kp = np.where((arr > w_sharp) & (arr < w_sharp + width), 1.0 / width, 0.0)
-        out = kp * le ** (-expo) - k * expo * le ** (-expo - 1.0) / (arr + math.e)
-        return float(out) if np.ndim(w) == 0 else out
+        le = np.log(w + math.e)
+        k = np.clip((w - w_sharp) / width, 0.0, 1.0)
+        kp = np.where((w > w_sharp) & (w < w_sharp + width), 1.0 / width, 0.0)
+        return kp * le ** (-expo) - k * expo * le ** (-expo - 1.0) / (w + math.e)
 
     return ShrinkageFunction(
         eval=ev,
@@ -175,9 +175,9 @@ def dominator_g(spec: DominatorSpec) -> ShrinkageFunction:
     )
 
 
-def default_w_grid(lo: float = 1e-6, hi: float = 1e8, points: int = 600) -> np.ndarray:
-    """w = 0 followed by a geometric grid of points from lo to hi."""
-    return np.concatenate([[0.0], np.geomspace(lo, hi, points)])
+def default_w_grid(lo: float = 1e-6, points: int = 600) -> np.ndarray:
+    """w = 0 followed by a geometric grid of points from lo to 1e8."""
+    return np.concatenate([[0.0], np.geomspace(lo, 1e8, points)])
 
 
 # ---------------------------------------------------------------------------
@@ -211,37 +211,28 @@ _A4_EPS = 0.05
 _TAIL_FROM = 1e3
 
 
-def check_assumptions(
-    phi: ShrinkageFunction, w_grid: np.ndarray | None = None
-) -> AssumptionReport:
-    grid = default_w_grid(points=400) if w_grid is None else np.asarray(w_grid, float)
-    if len(grid) < 100 or grid.min() > 0.0 or grid.max() < 1e8:
-        raise ValueError("assumption grid must span [0, 1e8] with >= 100 points")
+def check_assumptions(phi: ShrinkageFunction) -> AssumptionReport:
+    grid = default_w_grid(points=400)
     vals = np.asarray(phi.eval(grid), dtype=float)
     derivs = np.asarray(phi.deriv(grid), dtype=float)
 
-    a1 = bool(vals[grid == 0.0].size and np.all(vals[grid == 0.0] == 0.0)) and bool(
-        np.all(vals >= 0.0)
-    )
+    a1 = bool(vals[0] == 0.0 and np.all(vals >= 0.0))  # grid[0] == 0
     a3 = bool(np.all(np.isfinite(derivs)))
 
     # oscillation count: derivative values below the resolution floor are
     # numerical dust (e.g. spline noise where the true slope underflows),
     # not local extrema
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(derivs))) if derivs.size else 1.0)
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(derivs))))
     signs = np.sign(derivs)
     signs = signs[np.abs(derivs) > floor]
-    changes = int(np.count_nonzero(np.diff(signs) != 0.0)) if signs.size else 0
+    changes = int(np.count_nonzero(np.diff(signs) != 0.0))
     a2 = changes <= _MAX_EXTREMA
 
     tail = grid >= _TAIL_FROM
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = grid[tail] * derivs[tail] / vals[tail]
     ratios = np.where(vals[tail] == 0.0, 0.0, ratios)  # phi == 0 convention
-    if ratios.size:
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
-    else:
-        lo = hi = 0.0
+    lo, hi = float(np.min(ratios)), float(np.max(ratios))
     a4 = bool(np.isfinite(lo) and np.isfinite(hi) and lo >= -_A4_EPS and hi <= 1.0 + _A4_EPS)
 
     return AssumptionReport(
@@ -259,18 +250,20 @@ def _profile(phi: ShrinkageFunction, dims: ProblemDims) -> TailProfile:
     return phi.tail or tail_profile(phi, dims, np.geomspace(1e3, 1e8, 48))
 
 
-def _tail_threshold(grid: np.ndarray, ok: np.ndarray, min_span: float) -> float | None:
-    """Smallest grid value from which ok holds through the end, spanning
-    at least min_span multiplicatively; None if there is no such point."""
-    if not ok[-1]:
+def _tail_start(grid: np.ndarray, vals: np.ndarray, dims: ProblemDims, b: float) -> float | None:
+    """Smallest grid point from which phi stays on the b side of the critical
+    tail c_pn - b beta_star / log w through the end of the grid: at or below
+    it when b > 1, at or above it when b < 1.  None unless that stretch
+    covers at least the last two decades of the grid.
+    """
+    k = constants(dims)
+    tail = k.c_pn - b * k.beta_star / np.log(grid)
+    ok = vals <= tail if b > 1.0 else vals >= tail
+    fails = np.flatnonzero(~ok)
+    start = fails[-1] + 1 if fails.size else 0
+    if start == len(grid) or grid[-1] / grid[start] < 100.0:
         return None
-    idx = len(ok)
-    while idx > 0 and ok[idx - 1]:
-        idx -= 1
-    w_star = float(grid[idx])
-    if grid[-1] / w_star < min_span:
-        return None
-    return w_star
+    return float(grid[start])
 
 
 def classify(
@@ -288,40 +281,26 @@ def classify(
     """
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
-    k = constants(dims)
+    if 1.0 + margin == 1.0:  # the witness b = 1 +/- margin must pick a side
+        raise ValueError(f"margin {margin!r} leaves 1 + margin equal to 1")
     grid = np.geomspace(2.0, 1e8, 700) if w_grid is None else np.asarray(w_grid, float)
     if grid.min() <= 1.0:
         raise ValueError("classification grid must lie in (1, inf)")
-    profile = _profile(phi, dims)
-
-    min_span = 100.0  # the deciding tail must cover >= two decades
+    # unbounded phi shrinks past every critical tail eventually
+    unbounded = math.isinf(_profile(phi, dims).phi_limit)
     vals = np.asarray(phi.eval(grid), dtype=float)
-    log_w = np.log(grid)
 
-    if math.isinf(profile.phi_limit):
-        # unbounded phi shrinks past every critical tail eventually
-        b_adm = 1.0 - margin
-        ok = vals >= k.c_pn - b_adm * k.beta_star / log_w
-        w_star = _tail_threshold(grid, ok, min_span)
+    for b in (1.0 - margin,) if unbounded else (1.0 + margin, 1.0 - margin):
+        w_star = _tail_start(grid, vals, dims, b)
         if w_star is not None:
-            return QuasiClass.admissible(b_adm, w_star)
+            verdict = QuasiClass.inadmissible if b > 1.0 else QuasiClass.admissible
+            return verdict(b, w_star)
+
+    if unbounded:
         return QuasiClass.indeterminate(
             "phi unbounded but the admissible-side inequality did not "
             "stabilize on the grid"
         )
-
-    b_inad = 1.0 + margin
-    ok_inad = vals <= k.c_pn - b_inad * k.beta_star / log_w
-    w_star = _tail_threshold(grid, ok_inad, min_span)
-    if w_star is not None:
-        return QuasiClass.inadmissible(b_inad, w_star)
-
-    b_adm = 1.0 - margin
-    ok_adm = vals >= k.c_pn - b_adm * k.beta_star / log_w
-    w_star = _tail_threshold(grid, ok_adm, min_span)
-    if w_star is not None:
-        return QuasiClass.admissible(b_adm, w_star)
-
     return QuasiClass.indeterminate(
         f"neither tail inequality holds for b outside 1 +/- {margin} "
         f"over the final two decades of the grid"
@@ -360,17 +339,13 @@ def construct_dominator(
     """
     if not b > 1.0:
         raise ValueError("construction requires a witness b > 1")
-    k = constants(dims)
-    profile = _profile(phi, dims)
-    if math.isinf(profile.phi_limit):
+    phi_star = _profile(phi, dims).phi_limit
+    if math.isinf(phi_star):
         raise ConstructionError("phi_star must be finite to construct a dominator")
-    phi_star = profile.phi_limit
 
-    grid = default_w_grid(lo=1e-4, hi=1e8, points=1400)
+    grid = default_w_grid(lo=1e-4, points=1400)
     pos = grid[grid > 1.0]
-    vals = np.asarray(phi.eval(pos), dtype=float)
-    ok = vals <= k.c_pn - b * k.beta_star / np.log(pos)
-    w_star = _tail_threshold(pos, ok, min_span=100.0)
+    w_star = _tail_start(pos, np.asarray(phi.eval(pos), dtype=float), dims, b)
     if w_star is None:
         raise ConstructionError(
             f"the quasi-inadmissible inequality with b={b} does not hold on "

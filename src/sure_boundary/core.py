@@ -70,6 +70,7 @@ __all__ = [
     "EvaluationError",
     "ZeroPerturbationError",
     "constants",
+    "elementwise",
     "parse_spec",
     "encode_spec",
     "d_phi",
@@ -108,11 +109,21 @@ class ProblemDims:
             raise ValueError(f"require p >= 3 and n >= 3, got p={self.p}, n={self.n}")
 
 
+def require_finite(spec: Any) -> None:
+    """Raise ValueError naming the first numeric field of spec that is not
+    finite; each spec dataclass calls this first in ``__post_init__``."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{type(spec).__name__}: non-finite parameter {f.name!r} = {value!r}")
+
+
 def parse_spec(text: str, kinds: Mapping[str, type]) -> Any:
     """kinds[head](**params) for ``head`` or ``head:key=value,...``.
 
-    Every value is a finite float.  An unknown head, and an unknown,
-    repeated, missing or non-finite parameter, raise ValueError naming it.
+    Every value is a float.  An unknown head, and an unknown, repeated or
+    missing parameter, raise ValueError naming it; the dataclass itself
+    rejects a non-finite one (see require_finite).
     """
     head, _, rest = text.strip().partition(":")
     if head not in kinds:
@@ -131,8 +142,6 @@ def parse_spec(text: str, kinds: Mapping[str, type]) -> Any:
             params[key] = float(value)
         except ValueError:
             raise ValueError(f"spec {text!r} has non-numeric parameter {key!r}") from None
-        if not math.isfinite(params[key]):
-            raise ValueError(f"spec {text!r} has non-finite parameter {key!r}")
     for key, default in defaults.items():
         if key not in params and default is MISSING:
             raise ValueError(f"spec {text!r} is missing parameter {key!r}")
@@ -174,8 +183,10 @@ def constants(dims: ProblemDims) -> Constants:
 class ShrinkageFunction:
     """An evaluatable shrinkage multiplier phi with derivative and tail hints.
 
-    ``eval`` and ``deriv`` must be pure and accept scalar or ndarray w >= 0.
-    Instances are immutable and safe to share across threads.
+    ``eval`` and ``deriv`` must be pure and accept scalar or ndarray w >= 0:
+    a scalar w gives a float, an array gives an array.  ``elementwise``
+    lifts a body written for a float ndarray to that convention.  Instances
+    are immutable and safe to share across threads.
     """
 
     eval: Callable[[ArrayLike], ArrayLike]
@@ -183,14 +194,24 @@ class ShrinkageFunction:
     label: str
     tail: Optional["TailProfile"] = None
 
-    def plus(self, g: "ShrinkageFunction", label: str | None = None) -> "ShrinkageFunction":
+    def plus(self, g: "ShrinkageFunction") -> "ShrinkageFunction":
         """The pointwise sum phi + g (the competing estimator's multiplier)."""
         return ShrinkageFunction(
             eval=lambda w, _p=self.eval, _g=g.eval: _p(w) + _g(w),
             deriv=lambda w, _p=self.deriv, _g=g.deriv: _p(w) + _g(w),
-            label=label or f"({self.label})+({g.label})",
+            label=f"({self.label})+({g.label})",
             tail=None,
         )
+
+
+def elementwise(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[ArrayLike], ArrayLike]:
+    """Lift f, written for a float ndarray, to the ShrinkageFunction convention."""
+
+    def lifted(w: ArrayLike) -> ArrayLike:
+        out = f(np.asarray(w, dtype=float))
+        return float(out) if np.ndim(w) == 0 else out
+
+    return lifted
 
 
 @dataclass(frozen=True)

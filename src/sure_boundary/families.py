@@ -40,7 +40,8 @@ the integral sign (d/dw (1+w l)^{-m} = -m l (1+w l)^{-m-1}), giving a
 quotient-rule combination of four integrals; a finite-difference cross-check
 is part of the test suite.
 
-``make_shrinkage`` compiles a spec into a vectorized ShrinkageFunction.  The
+``make_shrinkage`` compiles a spec into a vectorized ShrinkageFunction whose
+eval and deriv are ndarray bodies lifted by core.elementwise.  The
 generalized Bayes member is tabulated once on a dense log-spaced grid and
 interpolated with a cubic spline in log w (linear below the grid, constant
 above), which keeps Monte Carlo evaluation cheap; the spline and its exact
@@ -63,7 +64,7 @@ from typing import Union
 import numpy as np
 
 from .core import EvaluationError, ProblemDims, ShrinkageFunction, constants
-from .core import encode_spec, parse_spec
+from .core import elementwise, encode_spec, parse_spec, require_finite
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
 
 __all__ = [
@@ -101,6 +102,7 @@ class Linear:
     alpha: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("linear: alpha must lie in [0, 1]")
 
@@ -110,6 +112,7 @@ class PositivePartJS:
     a: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.a > 0.0:
             raise ValueError("jsplus: a must be > 0")
 
@@ -120,6 +123,7 @@ class BoundaryPhi:
     w_floor: float | None = None  # None: dims-aware default, see make_shrinkage
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.b > 0.0:
             raise ValueError("boundary: b must be > 0")
         if self.w_floor is not None and not self.w_floor > 1.0:
@@ -132,6 +136,7 @@ class GBUnknown:
     b: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.b >= 0.0:
             raise ValueError("gb: b must be >= 0")
 
@@ -238,7 +243,7 @@ def _gb_num_den(a: float, b: float, w, dims: ProblemDims, cfg: QuadratureConfig)
     q = dims.p / 2 + a
     num, den = _gb_integrals(w, (q + 1.0, q), b, m, cfg)
     if not np.all(den):
-        raise _d_underflow(a, b, w if np.ndim(w) == 0 else float(w[np.argmin(den != 0.0)]), dims)
+        raise _d_underflow(a, b, np.ravel(w)[np.argmin(np.ravel(den) != 0.0)].item(), dims)
     return m, q, num, den
 
 
@@ -350,10 +355,6 @@ def psi_cross_inequality(
 # compiled (vectorized) shrinkage functions
 # ---------------------------------------------------------------------------
 
-def _scalar_or_array(w, out):
-    return float(out) if np.ndim(w) == 0 else out
-
-
 # tabulation window for the generalized Bayes spline, in log w
 _GB_LOG_LO = math.log(1e-9)
 _GB_LOG_HI = math.log(1e13)
@@ -392,22 +393,20 @@ def _make_gb(spec: GBUnknown, dims: ProblemDims, cfg: QuadratureConfig) -> Shrin
     w_lo = math.exp(x_lo)
     slope0 = v_lo / w_lo  # phi is asymptotically linear at the origin
 
+    @elementwise
     def ev(w):
-        arr = np.asarray(w, dtype=float)
-        x = np.log(np.maximum(arr, w_lo))
+        x = np.log(np.maximum(w, w_lo))
         out = spline(np.clip(x, x_lo, x_hi))
         out = np.where(x > x_hi, v_hi, out)
-        out = np.where(arr < w_lo, slope0 * arr, out)
-        return _scalar_or_array(w, out)
+        return np.where(w < w_lo, slope0 * w, out)
 
+    @elementwise
     def dv(w):
-        arr = np.asarray(w, dtype=float)
-        x = np.log(np.maximum(arr, w_lo))
+        x = np.log(np.maximum(w, w_lo))
         with np.errstate(divide="ignore"):
-            out = dspline(np.clip(x, x_lo, x_hi)) / arr
+            out = dspline(np.clip(x, x_lo, x_hi)) / w
         out = np.where(x > x_hi, 0.0, out)
-        out = np.where(arr < w_lo, slope0, out)
-        return _scalar_or_array(w, out)
+        return np.where(w < w_lo, slope0, out)
 
     limit = phi_gb_limit(spec.a, dims)
     tail = TailProfile(
@@ -439,8 +438,8 @@ def make_shrinkage(
 
     if isinstance(spec, Zero):
         return ShrinkageFunction(
-            eval=lambda w: _scalar_or_array(w, np.zeros_like(np.asarray(w, dtype=float))),
-            deriv=lambda w: _scalar_or_array(w, np.zeros_like(np.asarray(w, dtype=float))),
+            eval=elementwise(np.zeros_like),
+            deriv=elementwise(np.zeros_like),
             label=label,
             tail=TailProfile(phi_limit=0.0),
         )
@@ -448,10 +447,8 @@ def make_shrinkage(
     if isinstance(spec, Linear):
         slope = 1.0 - spec.alpha
         return ShrinkageFunction(
-            eval=lambda w: _scalar_or_array(w, slope * np.asarray(w, dtype=float)),
-            deriv=lambda w: _scalar_or_array(
-                w, np.full_like(np.asarray(w, dtype=float), slope)
-            ),
+            eval=elementwise(lambda w: slope * w),
+            deriv=elementwise(lambda w: np.full_like(w, slope)),
             label=label,
             tail=TailProfile(phi_limit=math.inf if slope > 0.0 else 0.0),
         )
@@ -459,10 +456,8 @@ def make_shrinkage(
     if isinstance(spec, PositivePartJS):
         a = spec.a
         return ShrinkageFunction(
-            eval=lambda w: _scalar_or_array(w, np.minimum(np.asarray(w, dtype=float), a)),
-            deriv=lambda w: _scalar_or_array(
-                w, np.where(np.asarray(w, dtype=float) < a, 1.0, 0.0)
-            ),
+            eval=elementwise(lambda w: np.minimum(w, a)),
+            deriv=elementwise(lambda w: np.where(w < a, 1.0, 0.0)),
             label=label,
             tail=TailProfile(phi_limit=a),
         )
@@ -474,18 +469,18 @@ def make_shrinkage(
         # exp/log round trip alone would leave it at ~1e-17 below the floor
         zero_to = floor if spec.w_floor is None else -math.inf
 
+        @elementwise
         def ev(w):
-            arr = np.asarray(w, dtype=float)
-            out = np.maximum(0.0, k.c_pn - coeff / np.log(np.maximum(arr, floor)))
-            return _scalar_or_array(w, np.where(arr <= zero_to, 0.0, out))
+            out = np.maximum(0.0, k.c_pn - coeff / np.log(np.maximum(w, floor)))
+            return np.where(w <= zero_to, 0.0, out)
 
+        @elementwise
         def dv(w):
-            arr = np.asarray(w, dtype=float)
-            lw = np.log(np.maximum(arr, floor))
-            active = (arr > floor) & (k.c_pn - coeff / lw > 0.0)
+            lw = np.log(np.maximum(w, floor))
+            active = (w > floor) & (k.c_pn - coeff / lw > 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                slope = coeff / (arr * lw**2)
-            return _scalar_or_array(w, np.where(active, slope, 0.0))
+                slope = coeff / (w * lw**2)
+            return np.where(active, slope, 0.0)
 
         return ShrinkageFunction(
             eval=ev,

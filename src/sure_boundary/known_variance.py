@@ -59,7 +59,7 @@ from typing import Union
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .core import EvaluationError, encode_spec, parse_spec
+from .core import EvaluationError, encode_spec, parse_spec, require_finite
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -103,6 +103,7 @@ class LogPow:
     b: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.b > 0.0:
             raise ValueError("LogPow requires b > 0")
 
@@ -125,6 +126,9 @@ class PriorSpec:
 
     a: float
     L: LFamily = One()
+
+    def __post_init__(self) -> None:
+        require_finite(self)
 
     def validate_for(self, p: int) -> None:
         if not p / 2 + self.a + 1 > 0:

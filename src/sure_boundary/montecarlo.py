@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .boundary import DominatorSpec, dominator_g
-from .core import ProblemDims, ShrinkageFunction, d_phi, encode_spec, parse_spec
+from .core import ProblemDims, ShrinkageFunction, d_phi, encode_spec, parse_spec, require_finite
 
 __all__ = [
     "Normal",
@@ -75,6 +75,7 @@ class StudentT:
     df: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.df > 2.0:
             raise ValueError("StudentT requires df > 2")
 

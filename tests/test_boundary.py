@@ -23,7 +23,7 @@ from sure_boundary.boundary import (
     nu_from_witness,
     verify_domination,
 )
-from sure_boundary.core import ProblemDims, ShrinkageFunction, constants, delta
+from sure_boundary.core import ProblemDims, ShrinkageFunction, constants, delta, elementwise
 from sure_boundary.families import (
     BoundaryPhi,
     GBUnknown,
@@ -40,15 +40,7 @@ K = constants(DIMS)
 
 
 def fn(ev, dv, label):
-    return ShrinkageFunction(
-        eval=lambda w: ev(np.asarray(w, dtype=float)) if np.ndim(w) else float(
-            ev(np.asarray(w, dtype=float))
-        ),
-        deriv=lambda w: dv(np.asarray(w, dtype=float)) if np.ndim(w) else float(
-            dv(np.asarray(w, dtype=float))
-        ),
-        label=label,
-    )
+    return ShrinkageFunction(eval=elementwise(ev), deriv=elementwise(dv), label=label)
 
 
 class TestAssumptions:
@@ -87,10 +79,6 @@ class TestAssumptions:
         )
         rep = check_assumptions(wiggly)
         assert not rep.a2_ok
-
-    def test_grid_precondition(self):
-        with pytest.raises(ValueError):
-            check_assumptions(make_shrinkage(Zero(), DIMS), np.geomspace(1.0, 1e8, 50))
 
 
 EXPECTED_MATRIX = [
@@ -141,6 +129,11 @@ class TestClassify:
             "phi unbounded but the admissible-side inequality did not "
             "stabilize on the grid"
         )
+
+    def test_margin_below_float_resolution_rejected(self):
+        # 1 + 1e-17 == 1.0, so neither witness would lie off b = 1
+        with pytest.raises(ValueError, match="leaves 1 \\+ margin equal to 1"):
+            classify(make_shrinkage(Zero(), DIMS), DIMS, margin=1e-17)
 
     def test_constructor_invariants(self):
         with pytest.raises(ValueError):

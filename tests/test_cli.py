@@ -215,6 +215,13 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert "non-finite parameter 'df'" in captured.err and "NaN" not in captured.err
 
+    def test_non_finite_prior_exponent_is_1(self, capsys):
+        code = main(["known-variance", "--p", "5", "--a", "inf"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "non-finite parameter 'a'" in captured.err
+        assert "tanh-sinh" not in captured.err
+
     def test_gb_d_underflow_is_typed_error(self, capsys):
         code = main(["classify", "--p", "60", "--n", "60", "--phi", "gb:a=-2,b=2.0"])
         err = capsys.readouterr().err

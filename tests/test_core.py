@@ -18,6 +18,7 @@ from sure_boundary.core import (
     delta,
     delta1,
     delta2,
+    elementwise,
     sure_risk_estimate,
 )
 from sure_boundary.families import Linear, PositivePartJS, Zero, make_shrinkage
@@ -27,10 +28,8 @@ DIMS = ProblemDims(5, 6)
 
 def const_fn(value: float, label: str = "const") -> ShrinkageFunction:
     return ShrinkageFunction(
-        eval=lambda w: np.full_like(np.asarray(w, dtype=float), value)
-        if np.ndim(w) else float(value),
-        deriv=lambda w: np.zeros_like(np.asarray(w, dtype=float))
-        if np.ndim(w) else 0.0,
+        eval=elementwise(lambda w: np.full_like(w, value)),
+        deriv=elementwise(np.zeros_like),
         label=label,
     )
 
@@ -112,6 +111,15 @@ class TestDPhi:
         with pytest.raises(EvaluationError) as err:
             d_phi(bad, 2.0, DIMS)
         assert err.value.w == 2.0
+
+
+class TestElementwise:
+    def test_scalar_gives_float_array_gives_array(self):
+        square = elementwise(lambda w: w * w)
+        for w in (3, 3.0, np.float64(3.0), np.array(3.0)):
+            assert type(square(w)) is float and square(w) == 9.0
+        out = square([1.0, 2.0])
+        assert isinstance(out, np.ndarray) and out.tolist() == [1.0, 4.0]
 
 
 class TestSure:

@@ -28,7 +28,7 @@ from sure_boundary.families import (
     resolve_w_floor,
     tail_profile,
 )
-from sure_boundary.known_variance import LogPow, encode_l_family, parse_l_family
+from sure_boundary.known_variance import LogPow, PriorSpec, encode_l_family, parse_l_family
 from sure_boundary.montecarlo import StudentT, encode_model, parse_model
 from sure_boundary.quadrature import QuadratureConfig
 
@@ -109,6 +109,22 @@ class TestSpecEncoding:
             BoundaryPhi(b=-1.0)
         with pytest.raises(ValueError):
             GBUnknown(a=-5.0, b=1.0).validate_for(DIMS)
+
+    @pytest.mark.parametrize(
+        "kind,params,key",
+        [(StudentT, {"df": math.inf}, "df"),
+         (GBUnknown, {"a": math.inf}, "a"),
+         (GBUnknown, {"a": -2.0, "b": math.nan}, "b"),
+         (BoundaryPhi, {"b": 1.0, "w_floor": math.inf}, "w_floor"),
+         (PriorSpec, {"a": math.inf}, "a"),
+         (Linear, {"alpha": math.nan}, "alpha"),
+         (PositivePartJS, {"a": math.inf}, "a"),
+         (LogPow, {"b": math.inf}, "b")],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_non_finite_parameter_built_in_code_named(self, kind, params, key):
+        with pytest.raises(ValueError, match=f"non-finite parameter '{key}'"):
+            kind(**params)
 
 
 ALL_SPECS = [
