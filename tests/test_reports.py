@@ -3,14 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sure_boundary.reports import (
-    canonical_csv,
-    canonical_json,
-    format_real,
-    to_jsonable,
-)
+from sure_boundary.boundary import QuasiClass
+from sure_boundary.families import Ordering
+from sure_boundary.reports import canonical_csv, canonical_json, format_real
 
 
 def test_keys_sorted_and_stable():
@@ -52,16 +50,52 @@ def test_json_parses_back():
 
 
 def test_dataclass_conversion():
-    from sure_boundary.boundary import QuasiClass
-
     verdict = QuasiClass.admissible(0.95, 2.0)
-    data = to_jsonable(verdict)
+    data = json.loads(canonical_json(verdict))
     assert data == {
         "variant": "QuasiAdmissible",
         "b_witness": 0.95,
         "w_star": 2.0,
         "reason": None,
     }
+
+
+def test_numpy_scalars_and_arrays():
+    obj = {
+        "f": np.float64(0.1),
+        "i": np.int64(-7),
+        "b": np.bool_(True),
+        "nb": np.bool_(False),
+        "a": np.array([[1.5, -0.0], [2.0, np.inf]]),
+    }
+    assert canonical_json(obj) == (
+        '{"a":[[1.5,0],[2,"inf"]],"b":true,"f":0.10000000000000001,"i":-7,"nb":false}\n'
+    )
+    assert canonical_json(np.arange(3)) == "[0,1,2]\n"
+
+
+def test_enum_and_tuple_of_dataclasses():
+    obj = {
+        "order": Ordering.LESS,
+        "verdicts": (QuasiClass.admissible(0.95, 2.0), QuasiClass.indeterminate("r")),
+    }
+    assert canonical_json(obj) == (
+        '{"order":"less","verdicts":['
+        '{"b_witness":0.94999999999999996,"reason":null,'
+        '"variant":"QuasiAdmissible","w_star":2},'
+        '{"b_witness":null,"reason":"r","variant":"Indeterminate","w_star":null}]}\n'
+    )
+
+
+def test_int_keys_sort_as_text_and_nested_negative_zero_normalized():
+    obj = {10: {"x": -0.0}, 2: [-0.0, (1, -0.0)]}
+    assert canonical_json(obj) == '{"10":{"x":0},"2":[0,[1,0]]}\n'
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}], ids=["object", "set"])
+def test_unsupported_object_rejected(value):
+    with pytest.raises(TypeError, match="not canonically serializable"):
+        canonical_json({"x": value})
 
 
 def test_csv_layout():
@@ -71,6 +105,12 @@ def test_csv_layout():
     assert lines[1] == "1.5,x"
     assert lines[2] == '2,"has,""comma"'
     assert text.endswith("\n")
+
+
+def test_csv_scalars():
+    row = (True, False, 3, -math.inf, -0.0, None, "two\nlines")
+    text = canonical_csv(tuple("abcdefg"), [row])
+    assert text == 'a,b,c,d,e,f,g\ntrue,false,3,-inf,0,None,"two\nlines"\n'
 
 
 def test_csv_row_length_checked():
