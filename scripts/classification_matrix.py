@@ -46,12 +46,7 @@ def main() -> None:
         phi = make_shrinkage(parse_phi_spec(label), dims)
         verdict = classify(phi, dims)
         rep = check_assumptions(phi)
-        rows[label] = {
-            "variant": verdict.variant,
-            "b_witness": verdict.b_witness,
-            "w_star": verdict.w_star,
-            "reason": verdict.reason,
-        }
+        rows[label] = verdict
         bw = f"{verdict.b_witness:.2f}" if verdict.b_witness is not None else "-"
         ws = f"{verdict.w_star:.4g}" if verdict.w_star is not None else "-"
         flags = "ok" if rep.all_ok else "CHECK"

@@ -17,7 +17,6 @@ from typing import Any, Mapping, Sequence
 
 __all__ = [
     "format_real",
-    "to_jsonable",
     "canonical_json",
     "canonical_csv",
     "write_text",
@@ -35,77 +34,62 @@ def format_real(x: float) -> str:
     return format(x, ".17g")
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert dataclasses/enums/sequences to plain containers."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, Mapping):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):  # ndarray / numpy scalars
-        return to_jsonable(obj.tolist())
-    return obj
+def _token(x: bool | int | float) -> str:
+    """A bool, int or float as JSON and CSV both print it."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return format_real(x) if isinstance(x, float) else str(x)
 
 
 def _emit(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
+    """Append the canonical JSON text of obj to out, in one walk of the tree.
+
+    Enums become their value, dataclasses their fields, numpy arrays and
+    scalars their ``tolist()``, and mapping keys ``str(k)``, sorted.
+    """
+    if isinstance(obj, Enum):
+        obj = obj.value
+    if isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isinf(obj):
-            out.append(json.dumps(format_real(obj)))
-        else:
-            out.append(format_real(obj))
-    elif isinstance(obj, Mapping):
-        out.append("{")
-        first = True
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {key!r}")
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, Sequence):
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, int, float)):
+        text = _token(obj)
+        out.append(f'"{text}"' if text.endswith("inf") else text)
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
             _emit(item, out)
         out.append("]")
+    elif isinstance(obj, Mapping):
+        items = {str(k): v for k, v in obj.items()}
+        out.append("{")
+        for i, key in enumerate(sorted(items)):
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(":")
+            _emit(items[key], out)
+        out.append("}")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
+    elif hasattr(obj, "tolist"):  # ndarray / numpy scalars
+        _emit(obj.tolist(), out)
     else:
         raise TypeError(f"not canonically serializable: {type(obj)!r}")
 
 
 def canonical_json(obj: Any) -> str:
     out: list[str] = []
-    _emit(to_jsonable(obj), out)
+    _emit(obj, out)
     return "".join(out) + "\n"
 
 
 def _csv_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_real(value)
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (bool, int, float)):
+        return _token(value)
     text = str(value)
     if any(c in text for c in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
