@@ -8,7 +8,8 @@ columns (SIMULATE_CSV_HEADER), which leaves out p, n, phi and rel_tol.
 Identical configs produce byte-identical reports.
 
 Exit status: 0 success, 2 classification came back Indeterminate, 1 runtime
-error, 64 usage error.  ``SURE_BOUNDARY_THREADS`` caps worker threads for
+error, a certificate whose verdict is false (the report is still written) or
+a crosscheck outside --tol, 64 usage error.  ``SURE_BOUNDARY_THREADS`` caps worker threads for
 Monte Carlo chunks; each chunk samples its own block of the counter-based
 stream, so the cap never changes results.
 """
@@ -242,8 +243,9 @@ def _cmd_classify(args) -> int:
 def _cmd_dominate(args) -> int:
     dims, phi = _problem(args)
     spec = construct_dominator(phi, dims, args.b, w_sharp_cap=args.w_sharp_cap)
-    _emit(args, {"certificate": verify_domination(phi, spec, dims)})
-    return 0
+    cert = verify_domination(phi, spec, dims)
+    _emit(args, {"certificate": cert})
+    return 0 if cert.verdict else 1
 
 
 def _cmd_verify(args) -> int:
@@ -252,9 +254,9 @@ def _cmd_verify(args) -> int:
         nu=args.nu, w_sharp=args.w_sharp, ramp_width=args.ramp_width,
         b=args.b, w_star=args.w_star,
     )
-    grid = default_w_grid(points=args.grid_points)
-    _emit(args, {"certificate": verify_domination(phi, spec, dims, grid)})
-    return 0
+    cert = verify_domination(phi, spec, dims, default_w_grid(points=args.grid_points))
+    _emit(args, {"certificate": cert})
+    return 0 if cert.verdict else 1
 
 
 def _sim_config(args, dims: ProblemDims) -> SimConfig:

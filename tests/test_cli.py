@@ -91,6 +91,22 @@ class TestDominateAndVerify:
         assert code == 0
         assert json.loads(out)["certificate"]["verdict"] is True
 
+    # construct_dominator verifies this spec on its 1401-point grid, but the
+    # report's 801-point grid holds a point where Delta is about -2.1e-10
+    GB_FALSE = ["--p", "19", "--n", "16", "--phi", "gb:a=-2,b=3.0", "--b", "1.5"]
+    GB_FALSE_SPEC = ["--nu", "0.12323943661971831", "--w-sharp", "4663.673023454806",
+                     "--ramp-width", "4663.673023454806", "--w-star", "2.277184093483792"]
+
+    @pytest.mark.parametrize("argv", [["dominate", *GB_FALSE],
+                                      ["verify", *GB_FALSE, *GB_FALSE_SPEC]],
+                             ids=["dominate", "verify"])
+    def test_false_certificate_exits_1_and_is_reported(self, capsys, argv):
+        code, out = run_cli(argv, capsys)
+        assert code == 1
+        cert = json.loads(out)["certificate"]
+        assert cert["verdict"] is False and cert["min_delta_above_sharp"] < 0.0
+        jsonschema.validate(cert, load_schema("domination_certificate.schema.json"))
+
 
 class TestSimulateCommand:
     ARGS = [
