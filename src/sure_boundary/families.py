@@ -269,9 +269,11 @@ def phi_gb_unknown(
     return w * num / den
 
 
-def _d_underflow(a: float, b: float, w: float, dims: ProblemDims) -> EvaluationError:
+def _d_underflow(
+    a: float, b: float, w: float, dims: ProblemDims, what: str = "gb: D(w)"
+) -> EvaluationError:
     return EvaluationError(
-        f"gb: D(w) underflowed to 0 at w={w!r} for (p, n, a, b) = "
+        f"{what} underflowed to 0 at w={w!r} for (p, n, a, b) = "
         f"({dims.p}, {dims.n}, {a!r}, {b!r})",
         w,
     )
@@ -290,6 +292,8 @@ def phi_gb_unknown_deriv(
         raise ValueError("derivative route requires w > 0")
     m, q, num, den = _gb_num_den(a, b, w, dims, cfg)
     dnum, dden = (-m * i for i in _gb_integrals(w, (q + 2.0, q + 1.0), b, m + 1.0, cfg))
+    if den**2 == 0.0:
+        raise _d_underflow(a, b, w, dims, "gb derivative route: D(w)**2")
     return num / den + w * (dnum * den - num * dden) / den**2
 
 

@@ -308,6 +308,13 @@ def brown_classify(prior: PriorSpec) -> AdmissClass:
     return AdmissClass("inadmissible")
 
 
+def _j_underflow(route: str, v: float, p: int, b: float) -> EvaluationError:
+    v = float(v)
+    return EvaluationError(
+        f"{route}: J_b(v) underflowed to 0 at v={v!r} for (p, b) = ({p}, {b!r})", v
+    )
+
+
 def psi_known(
     b: float, v: float, p: int, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
@@ -317,6 +324,8 @@ def psi_known(
     if v == 0.0:
         return 0.0
     num, den = _exp_integrals(v / 2.0, (p / 2 - 1.0, p / 2 - 2.0), b, cfg)
+    if den == 0.0:
+        raise _j_underflow("psi_known", v, p, b)
     return v * num / den
 
 
@@ -334,6 +343,8 @@ def psi_known_via_identity(
         return 0.0
     c = v / 2.0
     (den,) = _exp_integrals(c, (p / 2 - 2.0,), b, cfg)
+    if den == 0.0:
+        raise _j_underflow("psi_known_via_identity", v, p, b)
     out = p - 2.0
     if b > 0.0:
         (num,) = _exp_integrals(c, (p / 2 - 2.0,), b - 1.0, cfg)
@@ -363,6 +374,8 @@ def _psi_tail(b: float, p: int, v: np.ndarray, cfg: QuadratureConfig) -> PsiTail
     if b < 0 or p < 3:
         raise ValueError("need b >= 0, v >= 0, p >= 3")
     num, den = _exp_integrals(v / 2.0, (p / 2 - 1.0, p / 2 - 2.0), b, cfg)
+    if not np.all(den):
+        raise _j_underflow("psi_tail_fit", v[np.argmin(den != 0.0)], p, b)
     gaps = np.array([math.log(vi) * (p - 2.0 - si) for vi, si in zip(v, v * num / den)])
     log_v = np.log(v)
     fit = log_v >= 0.5 * (log_v[0] + log_v[-1])

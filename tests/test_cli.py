@@ -245,6 +245,15 @@ class TestExitCodes:
         assert "D(w) underflowed" in err and "(60, 60, -2.0, 2.0)" in err
         assert "division by zero" not in err
 
+    def test_crosscheck_psi_underflow_is_typed_error(self, capsys):
+        code = main(["crosscheck", "--p", "300", "--n", "6", "--identity", "psi",
+                     "--b", "1", "--v", "1e8"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "psi_known: J_b(v) underflowed to 0 at v=100000000.0" in captured.err
+        assert "(p, b) = (300, 1.0)" in captured.err
+        assert "division by zero" not in captured.err
+
     @pytest.mark.parametrize(
         "p,fault",
         [(41, "a marginal integral underflowed to 0"), (300, "underflowed to 0"),

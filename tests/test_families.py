@@ -291,6 +291,16 @@ class TestGBTable:
             with pytest.raises(EvaluationError, match=r"D\(w\) underflowed"):
                 route()
 
+    def test_derivative_den_squared_underflow_is_typed(self):
+        # D(w) is tiny but not 0, so phi itself is fine while D(w)**2 is 0
+        dims = ProblemDims(41, 10)
+        assert phi_gb_unknown(-2.0, 0.0, 1e8, dims) == 3.2499999999999996
+        message = r"derivative route: D\(w\)\*\*2 underflowed"
+        with pytest.raises(EvaluationError, match=message) as err:
+            phi_gb_unknown_deriv(-2.0, 0.0, 1e8, dims)
+        assert "at w=100000000.0 for (p, n, a, b) = (41, 10, -2.0, 0.0)" in str(err.value)
+        assert err.value.w == 1e8
+
     def test_largest_square_dims_still_build(self):
         phi = make_shrinkage(GBUnknown(a=-2.0, b=2.0), ProblemDims(48, 48))
         assert np.all(np.isfinite(phi.eval(np.geomspace(1e-9, 1e13, 50))))

@@ -168,6 +168,22 @@ class TestPsi:
         assert abs(rep.limit_estimate - 2.0) <= 0.15 * 2.0
 
 
+    @pytest.mark.parametrize("route", [psi_known, psi_known_via_identity])
+    def test_underflow_is_typed_error(self, route):
+        with pytest.raises(EvaluationError) as err:
+            route(1.0, 1e4, 400)
+        assert str(err.value) == (
+            f"{route.__name__}: J_b(v) underflowed to 0 at v=10000.0 for (p, b) = (400, 1.0)"
+        )
+        assert err.value.w == 1e4
+
+    def test_tail_fit_underflow_is_typed_error(self):
+        with pytest.raises(EvaluationError, match=r"psi_tail_fit: J_b\(v\) underflowed") as err:
+            psi_tail_fit(1.0, 300)
+        assert "for (p, b) = (300, 1.0)" in str(err.value)
+        assert type(err.value.w) is float and 1e4 < err.value.w < 1e5
+
+
 class TestBrownNumeric:
     def test_divergent_prior_grows(self):
         rep = brown_integral_numeric(PriorSpec(a=-1.0), P)
