@@ -9,9 +9,9 @@ Identical configs produce byte-identical reports.
 
 Exit status: 0 success, 2 classification came back Indeterminate, 1 runtime
 error, a certificate whose verdict is false (the report is still written) or
-a crosscheck outside --tol, 64 usage error.  ``SURE_BOUNDARY_THREADS`` caps worker threads for
-Monte Carlo chunks; each chunk samples its own block of the counter-based
-stream, so the cap never changes results.
+a crosscheck outside --tol, 64 usage error.  ``SURE_BOUNDARY_THREADS`` caps
+worker threads for Monte Carlo chunks; each chunk samples its own block of
+the counter-based stream, so the cap never changes results.
 """
 
 from __future__ import annotations

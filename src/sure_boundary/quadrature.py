@@ -22,15 +22,11 @@ estimate.
 power_log_integrals is the one primitive for the generalized-Bayes and known-
 variance integrals; a grid of kernel points runs in one batched pass.
 
-The two adaptive loops, tanh_sinh_unit for one integrand and _tanh_sinh_batch
-for a family of rows, share their levels and stopping rule (_refine,
-_stop_rule) but are kept apart on purpose.  A single point routed through the
-batched loop as a one-row batch gives the same bits at about half the speed,
-because per call the batch's masks, row slices and state arrays cost more than
-the integrand: on a 2-core x86-64 machine, power_log_integrals with two
-exponents at one point takes 169 us on the scalar loop and 324 us as a
-one-row batch, and the benchmark's exact_routes ops_per_s falls from 12.6 to
-6.8.  Do not merge the loops.
+tanh_sinh_unit (one integrand) and _tanh_sinh_batch (a family of rows) share
+their levels and stopping rule but stay two loops on purpose: a point run as a
+one-row batch gives the same bits at half the speed, because the batch's
+per-call bookkeeping outweighs one integrand (2-core x86-64: 169 against 324 us
+for two exponents at one point; exact_routes ops_per_s 12.6 against 6.8).
 """
 
 from __future__ import annotations

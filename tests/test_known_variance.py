@@ -167,7 +167,6 @@ class TestPsi:
         assert rep.target == 2.0
         assert abs(rep.limit_estimate - 2.0) <= 0.15 * 2.0
 
-
     @pytest.mark.parametrize("route", [psi_known, psi_known_via_identity])
     def test_underflow_is_typed_error(self, route):
         with pytest.raises(EvaluationError) as err:
@@ -178,7 +177,8 @@ class TestPsi:
         assert err.value.w == 1e4
 
     def test_tail_fit_underflow_is_typed_error(self):
-        with pytest.raises(EvaluationError, match=r"psi_tail_fit: J_b\(v\) underflowed") as err:
+        message = r"psi_tail_fit: J_b\(v\) underflowed"
+        with pytest.raises(EvaluationError, match=message) as err:
             psi_tail_fit(1.0, 300)
         assert "for (p, b) = (300, 1.0)" in str(err.value)
         assert type(err.value.w) is float and 1e4 < err.value.w < 1e5
