@@ -1,6 +1,7 @@
 """Shrinkage catalog: encodings, generalized Bayes routes, tail fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,93 @@ class TestGBTable:
     def test_largest_square_dims_still_build(self):
         phi = make_shrinkage(GBUnknown(a=-2.0, b=2.0), ProblemDims(48, 48))
         assert np.all(np.isfinite(phi.eval(np.geomspace(1e-9, 1e13, 50))))
+
+
+def _reference_gb(a, b, dims):
+    """eval and deriv of a gb member built on scipy's CubicSpline.
+
+    The reference the compiled member must equal bit for bit: linear below
+    the table, the not-a-knot spline in log w on it, constant above.
+    """
+    from scipy.interpolate import CubicSpline
+
+    x, vals = families._gb_grid_values(a, b, dims, QuadratureConfig())
+    spline = CubicSpline(x, vals)
+    dspline = spline.derivative()
+    x_lo, x_hi = x[0], x[-1]
+    w_lo = math.exp(x_lo)
+    slope0 = vals[0] / w_lo
+
+    def ev(w):
+        x = np.log(np.maximum(w, w_lo))
+        out = spline(np.clip(x, x_lo, x_hi))
+        out = np.where(x > x_hi, vals[-1], out)
+        return np.where(w < w_lo, slope0 * w, out)
+
+    def dv(w):
+        x = np.log(np.maximum(w, w_lo))
+        with np.errstate(divide="ignore"):
+            out = dspline(np.clip(x, x_lo, x_hi)) / w
+        out = np.where(x > x_hi, 0.0, out)
+        return np.where(w < w_lo, slope0, out)
+
+    return x, ev, dv
+
+
+class TestGBSpline:
+    """The compiled gb member equals the CubicSpline reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "a,b,p,n",
+        [
+            (-2.0, 0.0, 5, 6),
+            (-2.0, 1.0, 5, 6),
+            (-2.0, 2.5, 5, 6),
+            (-1.0, 1.3, 12, 19),
+            (0.0, 0.0, 3, 3),
+            (-2.0, 2.0, 46, 46),
+        ],
+    )
+    def test_equals_cubic_spline_reference(self, a, b, p, n):
+        dims = ProblemDims(p, n)
+        nodes, ref_eval, ref_deriv = _reference_gb(a, b, dims)
+        w_nodes = np.exp(nodes)
+        neighbours = [w_nodes]
+        for _ in range(2):
+            neighbours = [np.nextafter(neighbours[0], 0.0), *neighbours,
+                          np.nextafter(neighbours[-1], np.inf)]
+        rng = np.random.default_rng(20161109)
+        w = np.concatenate([
+            *neighbours,
+            np.exp(0.5 * (nodes[:-1] + nodes[1:])),
+            np.exp(rng.uniform(nodes[0] - 2.0, nodes[-1] + 2.0, 4000)),
+            rng.permutation(w_nodes),
+            [0.0, 5e-324, 1e-300, w_nodes[0], w_nodes[-1], 1e300, np.inf],
+        ])
+        # one of its neighbours hits a node exactly in log w, except near
+        # log w = 0, where doubles in log w are finer than those in w
+        assert np.isin(nodes, np.log(w[w > 0.0])).sum() >= 495
+        phi = make_shrinkage(GBUnknown(a=a, b=b), dims)
+        for got, want in ((phi.eval, ref_eval), (phi.deriv, ref_deriv)):
+            # the same values and the same warnings (deriv overflows at
+            # subnormal w before the linear branch replaces it)
+            assert _with_warnings(got, w) == _with_warnings(want, w)
+            for wi in w[::97]:
+                assert _with_warnings(got, float(wi)) == _with_warnings(want, np.float64(wi))
+            nan = np.array([np.nan, 1.0, np.nan])
+            out, caught = _with_warnings(got, nan)
+            assert caught == [] and np.isnan(out[0]) and np.isnan(out[2])
+            assert out[1] == want(nan)[1]
+            out, caught = _with_warnings(got, math.nan)
+            assert caught == [] and isinstance(out, float) and math.isnan(out)
+
+
+def _with_warnings(f, w):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(w)
+    messages = [f"{c.category.__name__}: {c.message}" for c in caught]
+    return (out.tolist() if isinstance(out, np.ndarray) else out), messages
 
 
 class TestSaigo4Identity:
