@@ -7,6 +7,12 @@ reproduce it, or, for ``simulate --format csv``, one row of the simulation
 columns (SIMULATE_CSV_HEADER), which leaves out p, n, phi and rel_tol.
 Identical configs produce byte-identical reports.
 
+scipy is needed only by the Monte Carlo layer (ndtri, gammaincinv) and the
+known-variance layer (gammainc, gammaln), so only the commands that compute
+with them import them: simulate and sure-check the first, known-variance
+and ``crosscheck --identity psi`` the second.  Every other command, gb
+members included, runs without loading scipy.
+
 Exit status: 0 success, 2 classification came back Indeterminate, 1 runtime
 error, a certificate whose verdict is false (the report is still written) or
 a crosscheck outside --tol, 64 usage error.  ``SURE_BOUNDARY_THREADS`` caps
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -39,26 +45,11 @@ from .families import (
     phi_gb_unknown,
     tail_profile,
 )
-from .known_variance import (
-    PriorSpec,
-    brown_classify,
-    brown_integral_numeric,
-    encode_l_family,
-    gradient_bound_check,
-    parse_l_family,
-    psi_known,
-    psi_known_via_identity,
-    tauberian_check,
-)
-from .montecarlo import (
-    SimConfig,
-    encode_model,
-    estimate_risk,
-    parse_model,
-    sure_unbiasedness_test,
-)
 from .quadrature import QuadratureConfig
 from .reports import canonical_csv, canonical_json, write_text
+
+if TYPE_CHECKING:
+    from .montecarlo import SimConfig
 
 USAGE_EXIT = 64
 
@@ -260,6 +251,8 @@ def _cmd_verify(args) -> int:
 
 
 def _sim_config(args, dims: ProblemDims) -> SimConfig:
+    from .montecarlo import SimConfig, parse_model
+
     return SimConfig(
         dims=dims,
         theta_norm=args.theta_norm,
@@ -271,6 +264,8 @@ def _sim_config(args, dims: ProblemDims) -> SimConfig:
 
 
 def _cmd_simulate(args) -> int:
+    from .montecarlo import encode_model, estimate_risk
+
     dims, phi = _problem(args)
     config = _sim_config(args, dims)
     risk = estimate_risk(phi, config)
@@ -287,6 +282,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sure_check(args) -> int:
+    from .montecarlo import sure_unbiasedness_test
+
     dims, phi = _problem(args)
     _emit(args, {"check": sure_unbiasedness_test(phi, _sim_config(args, dims))})
     return 0
@@ -300,6 +297,16 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_known_variance(args) -> int:
+    from .known_variance import (
+        PriorSpec,
+        brown_classify,
+        brown_integral_numeric,
+        encode_l_family,
+        gradient_bound_check,
+        parse_l_family,
+        tauberian_check,
+    )
+
     prior = PriorSpec(a=args.a, L=parse_l_family(args.L))
     prior.validate_for(args.p)
     cfg = _quad_cfg(args)
@@ -329,6 +336,8 @@ def _cmd_crosscheck(args) -> int:
         routes = (lambda w: phi_gb_unknown(-2.0, args.b, w, dims, cfg),
                   lambda w: phi_gb_identity_saigo4(args.b, w, dims, cfg))
     else:
+        from .known_variance import psi_known, psi_known_via_identity
+
         at = [args.v] if args.v is not None else [1.0, 10.0, 100.0]
         routes = (lambda v: psi_known(args.b, v, args.p, cfg),
                   lambda v: psi_known_via_identity(args.b, v, args.p, cfg))

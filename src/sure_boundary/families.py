@@ -43,11 +43,14 @@ is part of the test suite.
 ``make_shrinkage`` compiles a spec into a vectorized ShrinkageFunction whose
 eval and deriv are ndarray bodies lifted by core.elementwise.  The
 generalized Bayes member is tabulated once on a dense log-spaced grid and
-interpolated with a cubic spline in log w (linear below the grid, constant
-above), which keeps Monte Carlo evaluation cheap; the spline and its exact
-derivative are used consistently so SURE identities hold for the compiled
-function itself.  Every integral above is quadrature.power_log_integrals with
-kernel (1 + w lambda)^-m; N(w) and D(w) at all 508 grid nodes run in one
+interpolated with a not-a-knot cubic spline in log w (linear below the grid,
+constant above), which keeps Monte Carlo evaluation cheap; the spline and its
+exact derivative are used consistently so SURE identities hold for the
+compiled function itself.  The spline is the module's own, so families
+imports no scipy; its coefficients and values equal those of
+scipy.interpolate.CubicSpline bit for bit, which the tests check against
+CubicSpline itself.  Every integral above is quadrature.power_log_integrals
+with kernel (1 + w lambda)^-m; N(w) and D(w) at all 508 grid nodes run in one
 batched pass, bit-identical to phi_gb_unknown at every node.  When D(w)
 underflows to 0 (large p + n near the top of the grid) both routes raise
 EvaluationError.
@@ -380,27 +383,107 @@ def _gb_grid_values(
     return x, w * num / den
 
 
+def _tridiagonal_solve(dl, d, du, b) -> np.ndarray:
+    """x with A x = b, A tridiagonal with sub-, main and superdiagonal dl, d, du.
+
+    Gaussian elimination with partial pivoting, then back substitution, in
+    the operation order of LAPACK dgtsv for one right-hand side: rows i and
+    i+1 swap when |dl[i]| > |d[i]|, dl[i] then holds the swap's fill-in on
+    the second superdiagonal, and is 0 where no swap occurs.  The result
+    equals scipy.linalg.solve_banded((1, 1), ...), which calls dgtsv, bit for
+    bit.
+    """
+    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, len(x) - 1) of the not-a-knot cubic spline through (x, y).
+
+    Row k multiplies (x - x[i])**(3 - k) on [x[i], x[i+1]].  The node slopes
+    solve the tridiagonal system whose interior rows ask for a continuous
+    second derivative and whose end rows ask for a continuous third
+    derivative at x[1] and x[-2] (de Boor, A Practical Guide to Splines,
+    1978); the Hermite form on each interval follows.  Every expression is
+    the one scipy.interpolate.CubicSpline(x, y) evaluates, so the
+    coefficients equal its ``c`` bit for bit; len(x) >= 4.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    dl, d, du, rhs = np.empty(n - 1), np.empty(n), np.empty(n - 1), np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d[0], du[0] = dx[1], x[2] - x[0]
+    rhs[0] = ((dx[0] + 2 * du[0]) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / du[0]
+    d[-1], dl[-1] = dx[-2], x[-1] - x[-3]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * dl[-1] + dx[-1]) * dx[-2] * slope[-1]) / dl[-1]
+    s = _tridiagonal_solve(dl, d, du, rhs)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _gb_spline(c: np.ndarray, nodes: np.ndarray, x):
+    """The piecewise polynomial c on the gb grid at x in [nodes[0], nodes[-1]].
+
+    Each x falls in [nodes[i], nodes[i+1]), the top node in the last
+    interval, and nan gives nan.  The sum runs as scipy's PPoly runs it,
+    0.0 + c[-1], then rising powers of s = x - nodes[i], so a spline from
+    _not_a_knot evaluates as CubicSpline does, bit for bit.
+    """
+    last = len(nodes) - 2
+    # the step locates x to within one interval; fmin/fmax send nan to a
+    # valid index, which keeps the cast quiet
+    i = np.fmax(np.fmin(np.floor((x - nodes[0]) / _GB_STEP), last), 0.0).astype(np.intp)
+    i = i - (x < nodes[i])
+    i = np.minimum(i + (x >= nodes[i + 1]), last)
+    s = x - nodes[i]
+    out, z = 0.0 + c[-1][i], s
+    for k in range(len(c) - 2, -1, -1):
+        out = out + c[k][i] * z
+        z = z * s
+    return out
+
+
 @lru_cache(maxsize=None)
 def _gb_table(a: float, b: float, p: int, n: int, cfg: QuadratureConfig):
-    from scipy.interpolate import CubicSpline  # slow import, needed only here
-
     x, vals = _gb_grid_values(a, b, ProblemDims(p, n), cfg)
-    spline = CubicSpline(x, vals)
-    return spline, spline.derivative(), float(x[0]), float(x[-1]), float(vals[0]), float(vals[-1])
+    c = _not_a_knot(x, vals)
+    dc = np.array([3.0, 2.0, 1.0])[:, None] * c[:-1]
+    return x, c, dc, float(vals[0]), float(vals[-1])
 
 
 def _make_gb(spec: GBUnknown, dims: ProblemDims, cfg: QuadratureConfig) -> ShrinkageFunction:
     spec.validate_for(dims)
-    spline, dspline, x_lo, x_hi, v_lo, v_hi = _gb_table(
-        float(spec.a), float(spec.b), dims.p, dims.n, cfg
-    )
+    nodes, c, dc, v_lo, v_hi = _gb_table(float(spec.a), float(spec.b), dims.p, dims.n, cfg)
+    x_lo, x_hi = float(nodes[0]), float(nodes[-1])
     w_lo = math.exp(x_lo)
     slope0 = v_lo / w_lo  # phi is asymptotically linear at the origin
 
     @elementwise
     def ev(w):
         x = np.log(np.maximum(w, w_lo))
-        out = spline(np.clip(x, x_lo, x_hi))
+        out = _gb_spline(c, nodes, np.clip(x, x_lo, x_hi))
         out = np.where(x > x_hi, v_hi, out)
         return np.where(w < w_lo, slope0 * w, out)
 
@@ -408,7 +491,7 @@ def _make_gb(spec: GBUnknown, dims: ProblemDims, cfg: QuadratureConfig) -> Shrin
     def dv(w):
         x = np.log(np.maximum(w, w_lo))
         with np.errstate(divide="ignore"):
-            out = dspline(np.clip(x, x_lo, x_hi)) / w
+            out = _gb_spline(dc, nodes, np.clip(x, x_lo, x_hi)) / w
         out = np.where(x > x_hi, 0.0, out)
         return np.where(w < w_lo, slope0, out)
 

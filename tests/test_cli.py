@@ -345,3 +345,57 @@ class TestAsymptoticsCommand:
         )
         assert code == 0
         assert json.loads(out)["tail_profile"]["phi_limit"] == "inf"
+
+
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+from sure_boundary import cli
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded[" ".join(argv)] = scipy_modules()
+import sure_boundary.montecarlo
+loaded["montecarlo"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+class TestStartUp:
+    """Commands that do not compute with scipy run without importing it."""
+
+    ARGVS = [
+        ["classify", *D56, "--phi", "gb:a=-2,b=2.0"],
+        ["dominate", *D56, "--phi", "zero", "--b", "1.5"],
+        ["verify", *TestDominateAndVerify.GB_FALSE, *TestDominateAndVerify.GB_FALSE_SPEC],
+        ["asymptotics", *D56, "--phi", "gb:a=-2,b=1.0"],
+        ["crosscheck", *D56, "--identity", "saigo4", "--b", "1.0"],
+    ]
+
+    def test_no_scipy_at_start_up(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT, json.dumps(self.ARGVS)],
+            capture_output=True, text=True, check=True,
+        )
+        loaded = json.loads(proc.stdout)
+        # the check itself sees scipy once a layer that needs it is imported
+        assert "scipy.special" in loaded.pop("montecarlo")
+        assert len(loaded) == 1 + len(self.ARGVS)
+        assert all(modules == [] for modules in loaded.values()), loaded
+
+    def test_families_imports_no_scipy(self):
+        import ast
+        import inspect
+
+        from sure_boundary import families
+
+        tree = ast.parse(inspect.getsource(families))
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert imported and not any(m.partition(".")[0] == "scipy" for m in imported)

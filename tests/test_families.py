@@ -386,6 +386,31 @@ class TestGBSpline:
             assert caught == [] and isinstance(out, float) and math.isnan(out)
 
 
+    def test_tridiagonal_solve_equals_solve_banded(self):
+        # the gb grid never pivots; these systems swap rows in about half
+        # the steps, the last one included
+        from scipy.linalg import solve_banded
+
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 4, 9, 40):
+            for _ in range(25):
+                dl, du = rng.normal(size=n - 1), rng.normal(size=n - 1)
+                d, b = rng.normal(size=n), rng.normal(size=n)
+                ab = np.zeros((3, n))
+                ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+                want = solve_banded((1, 1), ab, b)
+                assert np.array_equal(families._tridiagonal_solve(dl, d, du, b), want)
+
+    def test_coefficients_equal_cubic_spline(self):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(4)
+        for n in (4, 5, 30):
+            x = np.cumsum(rng.uniform(0.01, 1.0, n))
+            y = rng.normal(size=n)
+            assert np.array_equal(families._not_a_knot(x, y), CubicSpline(x, y).c)
+
+
 def _with_warnings(f, w):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
