@@ -53,7 +53,7 @@ CubicSpline itself.  Every integral above is quadrature.power_log_integrals
 with kernel (1 + w lambda)^-m; N(w) and D(w) at all 508 grid nodes run in one
 batched pass, bit-identical to phi_gb_unknown at every node.  When D(w)
 underflows to 0 (large p + n near the top of the grid) both routes raise
-EvaluationError.
+EvaluationError; so do the defining routes where N(w) does.
 """
 
 from __future__ import annotations
@@ -241,12 +241,16 @@ def _gb_integrals(w, qs, b: float, m: float, cfg: QuadratureConfig):
 
 
 def _gb_num_den(a: float, b: float, w, dims: ProblemDims, cfg: QuadratureConfig):
-    """(m, q, N(w), D(w)); raises EvaluationError at the first w where D is 0."""
+    """(m, q, N(w), D(w)); raises EvaluationError at the first w where D, then
+    at the first w where N, is 0 (phi = w N / D would read 0 there, far below
+    its limit)."""
     m = (dims.p + dims.n) / 2 + 1
     q = dims.p / 2 + a
     num, den = _gb_integrals(w, (q + 1.0, q), b, m, cfg)
-    if not np.all(den):
-        raise _d_underflow(a, b, np.ravel(w)[np.argmin(np.ravel(den) != 0.0)].item(), dims)
+    for what, vals in (("gb: D(w)", den), ("gb: N(w)", num)):
+        if not np.all(vals):
+            w_zero = np.ravel(w)[np.argmin(np.ravel(vals) != 0.0)].item()
+            raise _underflow(a, b, w_zero, dims, what)
     return m, q, num, den
 
 
@@ -272,7 +276,7 @@ def phi_gb_unknown(
     return w * num / den
 
 
-def _d_underflow(
+def _underflow(
     a: float, b: float, w: float, dims: ProblemDims, what: str = "gb: D(w)"
 ) -> EvaluationError:
     return EvaluationError(
@@ -296,7 +300,7 @@ def phi_gb_unknown_deriv(
     m, q, num, den = _gb_num_den(a, b, w, dims, cfg)
     dnum, dden = (-m * i for i in _gb_integrals(w, (q + 2.0, q + 1.0), b, m + 1.0, cfg))
     if den**2 == 0.0:
-        raise _d_underflow(a, b, w, dims, "gb derivative route: D(w)**2")
+        raise _underflow(a, b, w, dims, "gb derivative route: D(w)**2")
     return num / den + w * (dnum * den - num * dden) / den**2
 
 
@@ -320,7 +324,7 @@ def phi_gb_identity_saigo4(
     q = dims.p / 2 - 2.0
     (den,) = _gb_integrals(w, (q,), b, m0 + 1.0, cfg)
     if den == 0.0:
-        raise _d_underflow(-2.0, b, w, dims)
+        raise _underflow(-2.0, b, w, dims)
     out = k.c_pn
     if b > 0.0:
         (num,) = _gb_integrals(w, (q,), b - 1.0, m0, cfg)

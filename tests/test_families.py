@@ -303,8 +303,24 @@ class TestGBTable:
         assert err.value.w == 1e8
 
     def test_largest_square_dims_still_build(self):
-        phi = make_shrinkage(GBUnknown(a=-2.0, b=2.0), ProblemDims(48, 48))
+        # (46, 46) is the largest square that builds; at (48, 48) N(w)
+        # underflows at the top of the table, where phi would read 0
+        dims = ProblemDims(46, 46)
+        phi = make_shrinkage(GBUnknown(a=-2.0, b=2.0), dims)
         assert np.all(np.isfinite(phi.eval(np.geomspace(1e-9, 1e13, 50))))
+        _, vals = families._gb_grid_values(-2.0, 2.0, dims, QuadratureConfig())
+        top = vals[-100:]
+        assert np.all(np.diff(top) > 0.0) and top[-1] < phi_gb_limit(-2.0, dims)
+        with pytest.raises(EvaluationError, match=r"N\(w\) underflowed") as err:
+            make_shrinkage(GBUnknown(a=-2.0, b=2.0), ProblemDims(48, 48))
+        assert "(48, 48, -2.0, 2.0)" in str(err.value)
+        assert 1.27e12 < err.value.w < 1.29e12
+
+    @pytest.mark.parametrize("a,b,w,p", [(-2.0, 2.0, 400.0, 200), (-1.0, 1.3, 1e30, 20)])
+    def test_n_underflow_is_typed(self, a, b, w, p):
+        with pytest.raises(EvaluationError, match=r"N\(w\) underflowed") as err:
+            phi_gb_unknown(a, b, w, ProblemDims(p, p))
+        assert err.value.w == w
 
 
 def _reference_gb(a, b, dims):
