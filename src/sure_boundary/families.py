@@ -462,10 +462,10 @@ def _gb_spline(c: np.ndarray, nodes: np.ndarray, x):
     i = i - (x < nodes[i])
     i = np.minimum(i + (x >= nodes[i + 1]), last)
     s = x - nodes[i]
-    out, z = 0.0 + c[-1][i], s
-    for k in range(len(c) - 2, -1, -1):
-        out = out + c[k][i] * z
+    out, z = 0.0 + c[-1][i], 1.0
+    for row in c[-2::-1]:
         z = z * s
+        out = out + row[i] * z
     return out
 
 
