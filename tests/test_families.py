@@ -401,7 +401,6 @@ class TestGBSpline:
             out, caught = _with_warnings(got, math.nan)
             assert caught == [] and isinstance(out, float) and math.isnan(out)
 
-
     def test_tridiagonal_solve_equals_solve_banded(self):
         # the gb grid never pivots; these systems swap rows in about half
         # the steps, the last one included
