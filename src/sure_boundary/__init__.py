@@ -3,7 +3,7 @@
 Subpackages by role:
 
 * ``core``: problem dimensions and the exact unbiased-risk formulas
-  (D_phi, Delta1, Delta2, Delta).
+  (D_phi and the risk difference Delta).
 * ``quadrature``: adaptive tanh-sinh integration on (0, 1) used by every
   integral representation in the package.
 * ``families``: concrete shrinkage functions (zero, linear, positive-part
@@ -23,19 +23,14 @@ from .core import (
     Constants,
     ProblemDims,
     ShrinkageFunction,
-    SurePoint,
     constants,
     d_phi,
     delta,
-    delta1,
-    delta2,
-    sure_risk_estimate,
 )
 from .families import (
     BoundaryPhi,
     GBUnknown,
     Linear,
-    Ordering,
     PhiSpec,
     PositivePartJS,
     TailProfile,
@@ -47,7 +42,6 @@ from .families import (
     phi_gb_limit,
     phi_gb_unknown,
     phi_gb_unknown_deriv,
-    psi_cross_inequality,
     tail_profile,
 )
 from .quadrature import QuadratureConfig

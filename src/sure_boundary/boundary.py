@@ -31,20 +31,12 @@ threshold and doubles until the risk-difference Delta(w) = D_phi - D_{phi+g}
 is nonnegative at every grid point above w_sharp (and exactly zero below,
 where g vanishes identically).  Existence is a theorem; the search is capped
 because the theory provides no constructive bound.
-
-Necessary-condition diagnostics: a perturbation g solving Delta >= 0
-everywhere must satisfy g(0) >= 0, g >= 0, and positivity persistence (once
-strictly positive, never zero again); ``lemma_gg_witness`` searches for an
-explicit Delta < 0 witness when one of these is violated.  Risk finiteness of
-a shrinkage function requires liminf |phi(t)|^{d_n} / t = 0, which
-``cc0_diagnostic`` probes on a log grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -56,7 +48,6 @@ __all__ = [
     "DominatorSpec",
     "DominationCertificate",
     "AssumptionReport",
-    "Cc0Report",
     "ConstructionError",
     "MARGIN_DEFAULT",
     "nu_from_witness",
@@ -65,8 +56,6 @@ __all__ = [
     "construct_dominator",
     "dominator_g",
     "verify_domination",
-    "lemma_gg_witness",
-    "cc0_diagnostic",
     "default_w_grid",
 ]
 
@@ -405,65 +394,3 @@ def verify_domination(
         zero_below_sharp=zero_below,
         verdict=verdict,
     )
-
-
-# ---------------------------------------------------------------------------
-# necessary-condition witnesses and growth diagnostics
-# ---------------------------------------------------------------------------
-
-def lemma_gg_witness(
-    phi: ShrinkageFunction, g: ShrinkageFunction, dims: ProblemDims
-) -> Optional[float]:
-    """Search for a w with Delta(w; phi, g) < 0 when g violates a necessary
-    condition (g(0) >= 0, g >= 0, or positivity persistence).
-
-    Returns the most violating grid point, or None either when g satisfies
-    all three conditions on the grid (no search performed) or when the grid
-    search finds no negative Delta; a None is "none found", never a proof.
-    """
-    grid = default_w_grid(points=900)
-    gv = np.asarray(g.eval(grid), dtype=float)
-
-    b1_violated = bool(gv[grid == 0.0].size and np.any(gv[grid == 0.0] < 0.0))
-    b2_violated = bool(np.any(gv[grid > 0.0] < 0.0))
-    pos_seen = np.maximum.accumulate(gv > 0.0)
-    b3_violated = bool(np.any(pos_seen & (gv <= 0.0)))
-    if not (b1_violated or b2_violated or b3_violated):
-        return None
-
-    pos = grid[grid > 0.0]
-    deltas = np.asarray(delta(phi, g, pos, dims), dtype=float)
-    i = int(np.argmin(deltas))
-    if deltas[i] < 0.0:
-        return float(pos[i])
-    return None
-
-
-@dataclass(frozen=True)
-class Cc0Report:
-    """Liminf proxy for |phi(t)|^{d_n} / t -> 0 (risk-finiteness necessity)."""
-
-    min_proxy: float
-    loglog_slope: float | None
-    compliant: bool
-
-
-def cc0_diagnostic(phi: ShrinkageFunction, dims: ProblemDims) -> Cc0Report:
-    """Minimum of |phi(t)|^{d_n}/t over the top decade plus a log-log slope.
-
-    Compliance requires either clear decay (negative slope) or a proxy that
-    already sits at zero; a proxy bounded away from zero with slope >= 0 is
-    flagged as violating the growth condition.
-    """
-    grid = np.geomspace(1e2, 1e12, 240)
-    k = constants(dims)
-    vals = np.abs(np.asarray(phi.eval(grid), dtype=float))
-    proxy = vals**k.d_n / grid
-    top = grid >= grid[-1] / 10.0
-    min_proxy = float(np.min(proxy[top]))
-    if np.all(proxy[top] > 0.0):
-        slope = float(np.polyfit(np.log(grid[top]), np.log(proxy[top]), 1)[0])
-    else:
-        slope = None
-    compliant = (slope is not None and slope < -0.01) or min_proxy < 1e-6
-    return Cc0Report(min_proxy=min_proxy, loglog_slope=slope, compliant=compliant)

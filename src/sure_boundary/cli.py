@@ -8,7 +8,7 @@ columns (SIMULATE_CSV_HEADER), which leaves out p, n, phi and rel_tol.
 Identical configs produce byte-identical reports.
 
 scipy is needed only by the Monte Carlo layer (ndtri, gammaincinv) and the
-known-variance layer (gammainc, gammaln), so only the commands that compute
+known-variance layer (gammaln), so only the commands that compute
 with them import them: simulate and sure-check the first, known-variance
 and ``crosscheck --identity psi`` the second.  Every other command, gb
 members included, runs without loading scipy.

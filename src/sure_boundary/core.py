@@ -27,7 +27,8 @@ delta_{phi+g} is (n+2) Delta(w) with
     Delta2(w; phi,g) = -g(w)/w + d_n g'(w) + d_n (g'(w)/g(w)) {1 + phi(w)}.
 
 Delta2 needs g(w) != 0; Delta itself does not, so ``delta`` is always computed
-as the difference of two D_phi evaluations and never divides by g.
+as the difference of two D_phi evaluations and never divides by g.  The
+factored form serves only as a test oracle (tests/oracles.py).
 
 The sharp-boundary constant used throughout classification is
 
@@ -66,17 +67,12 @@ __all__ = [
     "ProblemDims",
     "Constants",
     "ShrinkageFunction",
-    "SurePoint",
     "EvaluationError",
-    "ZeroPerturbationError",
     "constants",
     "elementwise",
     "parse_spec",
     "encode_spec",
     "d_phi",
-    "sure_risk_estimate",
-    "delta1",
-    "delta2",
     "delta",
 ]
 
@@ -89,10 +85,6 @@ class EvaluationError(ValueError):
     def __init__(self, message: str, w: float):
         super().__init__(message)
         self.w = w
-
-
-class ZeroPerturbationError(ValueError):
-    """Delta2 requested at a zero of g; the caller should use delta() instead."""
 
 
 @dataclass(frozen=True)
@@ -214,15 +206,6 @@ def elementwise(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[ArrayLike], 
     return lifted
 
 
-@dataclass(frozen=True)
-class SurePoint:
-    """Pointwise SURE decomposition: risk_estimate = p + (n+2) d_phi."""
-
-    w: float
-    d_phi: float
-    risk_estimate: float
-
-
 def _eval_pair(phi: ShrinkageFunction, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pv = np.asarray(phi.eval(w), dtype=float)
     dv = np.asarray(phi.deriv(w), dtype=float)
@@ -260,41 +243,6 @@ def d_phi(phi: ShrinkageFunction, w: ArrayLike, dims: ProblemDims) -> ArrayLike:
     with np.errstate(divide="ignore", invalid="ignore"):
         quad_term = (pv - 2.0 * k.c_pn) * pv / arr
     out = np.where(zero, 0.0, quad_term) - k.d_n * dv * (1.0 + pv)
-    return float(out) if scalar else out
-
-
-def sure_risk_estimate(phi: ShrinkageFunction, w: float, dims: ProblemDims) -> SurePoint:
-    """Pointwise SURE value p + (n+2) D_phi(w) (may be negative pointwise)."""
-    d = d_phi(phi, w, dims)
-    return SurePoint(w=float(w), d_phi=float(d), risk_estimate=dims.p + (dims.n + 2) * float(d))
-
-
-def delta1(phi: ShrinkageFunction, w: ArrayLike, dims: ProblemDims) -> ArrayLike:
-    """Delta1(w; phi) = 2 (c_pn - phi(w))/w + d_n phi'(w), for w > 0."""
-    k = constants(dims)
-    arr, scalar = _as_w_array(w)
-    if np.any(arr == 0.0):
-        raise ValueError("delta1 requires w > 0")
-    pv, dv = _eval_pair(phi, arr)
-    out = 2.0 * (k.c_pn - pv) / arr + k.d_n * dv
-    return float(out) if scalar else out
-
-
-def delta2(
-    phi: ShrinkageFunction, g: ShrinkageFunction, w: ArrayLike, dims: ProblemDims
-) -> ArrayLike:
-    """Delta2(w; phi, g) = -g/w + d_n g' + d_n (g'/g)(1 + phi), for w > 0, g(w) != 0."""
-    k = constants(dims)
-    arr, scalar = _as_w_array(w)
-    if np.any(arr == 0.0):
-        raise ValueError("delta2 requires w > 0")
-    pv, _ = _eval_pair(phi, arr)
-    gv, gd = _eval_pair(g, arr)
-    if np.any(gv == 0.0):
-        raise ZeroPerturbationError(
-            "Delta2 is undefined where g(w) = 0; use delta() which is"
-        )
-    out = -gv / arr + k.d_n * gd + k.d_n * (gd / gv) * (1.0 + pv)
     return float(out) if scalar else out
 
 

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Union
 
@@ -78,7 +77,6 @@ __all__ = [
     "GBUnknown",
     "PhiSpec",
     "TailProfile",
-    "Ordering",
     "parse_phi_spec",
     "encode_phi_spec",
     "make_shrinkage",
@@ -87,7 +85,6 @@ __all__ = [
     "phi_gb_identity_saigo4",
     "phi_gb_limit",
     "tail_profile",
-    "psi_cross_inequality",
 ]
 
 
@@ -334,34 +331,6 @@ def phi_gb_identity_saigo4(
     return out
 
 
-class Ordering(Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-
-
-def psi_cross_inequality(
-    b: float,
-    b_ref: float,
-    w: float,
-    dims: ProblemDims,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> Ordering:
-    """Order phi_{-2,b}(w) against phi_{-2,b_ref}(w).
-
-    Reweighting the defining integrals by (log 1/lambda)^{b - b_ref} shifts
-    posterior mass toward smaller lambda when b > b_ref, so the monotone
-    comparison gives phi_{-2,b} <= phi_{-2,b_ref}; the ordering is reversed
-    for b < b_ref and is an equality at b = b_ref.
-    """
-    lhs = phi_gb_unknown(-2.0, b, w, dims, cfg)
-    rhs = phi_gb_unknown(-2.0, b_ref, w, dims, cfg)
-    tol = 1e-10 * (1.0 + max(abs(lhs), abs(rhs)))
-    if abs(lhs - rhs) <= tol:
-        return Ordering.EQUAL
-    return Ordering.LESS if lhs < rhs else Ordering.GREATER
-
-
 # ---------------------------------------------------------------------------
 # compiled (vectorized) shrinkage functions
 # ---------------------------------------------------------------------------
@@ -493,9 +462,9 @@ def _make_gb(spec: GBUnknown, dims: ProblemDims, cfg: QuadratureConfig) -> Shrin
 
     @elementwise
     def dv(w):
-        x = np.log(np.maximum(w, w_lo))
-        with np.errstate(divide="ignore"):
-            out = _gb_spline(dc, nodes, np.clip(x, x_lo, x_hi)) / w
+        wc = np.maximum(w, w_lo)
+        x = np.log(wc)
+        out = _gb_spline(dc, nodes, np.clip(x, x_lo, x_hi)) / wc
         out = np.where(x > x_hi, 0.0, out)
         return np.where(w < w_lo, slope0, out)
 

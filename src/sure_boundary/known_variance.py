@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammaln
 
 from .core import EvaluationError, encode_spec, parse_spec, require_finite
 from .quadrature import (
@@ -78,7 +78,6 @@ __all__ = [
     "PsiTailReport",
     "BrownIntegralReport",
     "marginal_m",
-    "marginal_m_closed_one",
     "tauberian_check",
     "gradient_bound_check",
     "brown_classify",
@@ -177,15 +176,6 @@ def marginal_m(
     return m
 
 
-def marginal_m_closed_one(z_norm: float, a: float, p: int) -> float:
-    """Closed form for L = One via the lower incomplete gamma function."""
-    s1 = p / 2 + a + 1.0
-    c = z_norm**2 / 2.0
-    if c == 0.0:
-        return 1.0 / s1
-    return math.exp(gammaln(s1)) * float(gammainc(s1, c)) / c**s1
-
-
 def _range_error(what: str, z: float, prior: PriorSpec, p: int) -> EvaluationError:
     return EvaluationError(
         f"known-variance: {what} at z={float(z)!r} for (p, a, L) = "
@@ -209,6 +199,16 @@ def _tauberian_ratio(z: float, m: float, prior: PriorSpec, p: int) -> float:
     return m / out
 
 
+def _z_grid(z_grid: np.ndarray | None) -> np.ndarray:
+    """The z grid of a limit check: the default, or z_grid after validation."""
+    z = np.geomspace(10.0, 1e8, 15) if z_grid is None else np.asarray(z_grid, float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"z_grid must be finite, got {float(z[~np.isfinite(z)][0])!r}")
+    if np.any(np.diff(z) <= 0) or z[-1] < 1e4:
+        raise ValueError("z_grid must be ascending and reach at least 1e4")
+    return z
+
+
 @dataclass(frozen=True)
 class TauberianReport:
     z_grid: tuple[float, ...]
@@ -228,9 +228,7 @@ def tauberian_check(
     The trend flag records whether |ratio - 1| is non-increasing over the top
     decade of the grid.
     """
-    z = np.geomspace(10.0, 1e8, 15) if z_grid is None else np.asarray(z_grid, float)
-    if np.any(np.diff(z) <= 0) or z[-1] < 1e4:
-        raise ValueError("z_grid must be ascending and reach at least 1e4")
+    z = _z_grid(z_grid)
     prior.validate_for(p)
     if z[0] < 0:
         raise ValueError("z_norm must be >= 0")
@@ -267,9 +265,7 @@ def gradient_bound_check(
     The quantity is ||z|| times the log-marginal gradient norm; its limit
     p + 2a + 2 is what makes the Brown condition applicable.
     """
-    z = np.geomspace(10.0, 1e8, 15) if z_grid is None else np.asarray(z_grid, float)
-    if np.any(np.diff(z) <= 0) or z[-1] < 1e4:
-        raise ValueError("z_grid must be ascending and reach at least 1e4")
+    z = _z_grid(z_grid)
     prior.validate_for(p)
     q = p / 2 + prior.a
     z2 = _squares(z)
@@ -410,14 +406,19 @@ def brown_integral_numeric(
 ) -> BrownIntegralReport:
     """Partial Brown integrals int_1^R dr/(r^{p-1} m(r)) at decade checkpoints.
 
-    The slope is log10 of the ratio of the last two decade increments:
-    nonnegative (up to the documented cut) indicates divergence, i.e. the
-    admissible direction.
+    The checkpoints are R = 10, 100, ... up to the largest power of ten that
+    does not exceed r_max.  The slope is log10 of the ratio of the last two
+    decade increments: nonnegative (up to the documented cut) indicates
+    divergence, i.e. the admissible direction.
     """
     prior.validate_for(p)
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max!r}")
     if r_max < 1e3:
         raise ValueError("r_max must be >= 1e3")
-    decades = int(round(math.log10(r_max)))
+    decades = math.floor(math.log10(r_max))
+    if 10.0**decades > r_max:  # log10 rounds up just below a power of ten
+        decades -= 1
 
     def integrand(u: np.ndarray) -> np.ndarray:
         r = np.exp(u)

@@ -329,6 +329,24 @@ class TestKnownVarianceCommand:
         ):
             assert key in report
 
+    def test_brown_checkpoints_stay_within_r_max(self, capsys):
+        code, out = run_cli(
+            ["known-variance", "--p", "5", "--a", "-2", "--r-max", "5000"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["brown_partial_integrals"][-1][0] == 1000
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--r-max", "inf", "r_max must be finite, got inf"),
+        ("--r-max", "nan", "r_max must be finite, got nan"),
+        ("--z-max", "nan", "z_grid must be finite, got nan"),
+    ])
+    def test_non_finite_grid_option_named(self, option, value, message, capsys):
+        code = main(["known-variance", "--p", "5", "--a", "-2", option, value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"sure-boundary: error: {message}\n"
+
 
 class TestAsymptoticsCommand:
     def test_gb_profile(self, capsys):

@@ -8,18 +8,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ZeroPerturbationError, delta1, delta2
 from sure_boundary.core import (
     EvaluationError,
     ProblemDims,
     ShrinkageFunction,
-    ZeroPerturbationError,
     constants,
     d_phi,
     delta,
-    delta1,
-    delta2,
     elementwise,
-    sure_risk_estimate,
 )
 from sure_boundary.families import Linear, PositivePartJS, Zero, make_shrinkage
 
@@ -123,25 +120,30 @@ class TestElementwise:
 
 
 class TestSure:
+    """The pointwise SURE value p + (n+2) D_phi(w)."""
+
+    @staticmethod
+    def sure(phi, w):
+        return DIMS.p + (DIMS.n + 2) * d_phi(phi, w, DIMS)
+
     def test_zero_phi_gives_p_exactly(self):
         zero = make_shrinkage(Zero(), DIMS)
         for w in (0.0, 0.3, 5.0, 2e7):
-            assert sure_risk_estimate(zero, w, DIMS).risk_estimate == 5.0
+            assert self.sure(zero, w) == 5.0
 
     def test_jsplus_values(self):
         js = make_shrinkage(PositivePartJS(a=0.375), DIMS)
-        assert sure_risk_estimate(js, 2.0, DIMS).risk_estimate == pytest.approx(
-            4.4375, abs=1e-13
-        )
+        assert self.sure(js, 2.0) == pytest.approx(4.4375, abs=1e-13)
         # pointwise SURE may be negative
-        assert sure_risk_estimate(js, 0.2, DIMS).risk_estimate == pytest.approx(
-            -4.2, abs=1e-13
-        )
+        assert self.sure(js, 0.2) == pytest.approx(-4.2, abs=1e-13)
 
     def test_decomposition_identity(self):
+        # above a, phi = a and phi' = 0, so D_phi(w) = (a - 2 c_pn) a / w
         js = make_shrinkage(PositivePartJS(a=0.2), DIMS)
-        pt = sure_risk_estimate(js, 1.7, DIMS)
-        assert pt.risk_estimate == DIMS.p + (DIMS.n + 2) * pt.d_phi
+        c = constants(DIMS).c_pn
+        assert self.sure(js, 1.7) == pytest.approx(
+            DIMS.p + (DIMS.n + 2) * (0.2 - 2.0 * c) * 0.2 / 1.7, rel=1e-15
+        )
 
 
 class TestDelta1:

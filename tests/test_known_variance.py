@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import marginal_m_closed_one
 from sure_boundary.core import EvaluationError
 from sure_boundary.known_variance import (
     AdmissClass,
@@ -16,7 +17,6 @@ from sure_boundary.known_variance import (
     encode_l_family,
     gradient_bound_check,
     marginal_m,
-    marginal_m_closed_one,
     parse_l_family,
     psi_known,
     psi_known_via_identity,
@@ -205,3 +205,25 @@ class TestBrownNumeric:
     def test_precondition(self):
         with pytest.raises(ValueError):
             brown_integral_numeric(PriorSpec(a=-1.0), P, r_max=100.0)
+
+    @pytest.mark.parametrize("r_max,last", [
+        (1e4, 1e4), (5000.0, 1e3), (math.nextafter(1e4, 0.0), 1e3), (2.5e5, 1e5),
+    ])
+    def test_checkpoints_stay_within_r_max(self, r_max, last):
+        rep = brown_integral_numeric(PriorSpec(a=-1.0), P, r_max=r_max)
+        decades = round(math.log10(last))
+        assert [r for r, _ in rep.checkpoints] == [10.0**k for k in range(1, decades + 1)]
+
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan])
+    def test_non_finite_r_max_named(self, r_max):
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            brown_integral_numeric(PriorSpec(a=-1.0), P, r_max=r_max)
+
+
+@pytest.mark.parametrize("check", [tauberian_check, gradient_bound_check])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_z_grid_named(check, bad):
+    z = np.geomspace(10.0, 1e8, 15)
+    z[-1] = bad
+    with pytest.raises(ValueError, match="z_grid must be finite"):
+        check(PriorSpec(a=-2.0), P, z)
