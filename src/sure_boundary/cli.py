@@ -23,6 +23,7 @@ the counter-based stream, so the cap never changes results.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -289,7 +290,17 @@ def _cmd_sure_check(args) -> int:
     return 0
 
 
+def _require_finite(args, *dests: str) -> None:
+    """Reject a non-finite grid option, naming it, before a grid is built."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if not math.isfinite(value):
+            option = "--" + dest.replace("_", "-")
+            raise ValueError(f"argument {option}: must be finite, got {value!r}")
+
+
 def _cmd_asymptotics(args) -> int:
+    _require_finite(args, "w_lo", "w_hi")
     dims, phi = _problem(args)
     grid = np.geomspace(args.w_lo, args.w_hi, args.points)
     _emit(args, {"tail_profile": tail_profile(phi, dims, grid)})
@@ -307,6 +318,7 @@ def _cmd_known_variance(args) -> int:
         tauberian_check,
     )
 
+    _require_finite(args, "z_max")
     prior = PriorSpec(a=args.a, L=parse_l_family(args.L))
     prior.validate_for(args.p)
     cfg = _quad_cfg(args)

@@ -197,6 +197,8 @@ def tail_profile(
     w = np.asarray(w_grid, dtype=float)
     if w.ndim != 1 or len(w) < 20:
         raise ValueError("w_grid must be 1-d with at least 20 points")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"w_grid must be finite, got {float(w[~np.isfinite(w)][0])!r}")
     if np.any(np.diff(w) <= 0):
         raise ValueError("w_grid must be strictly ascending")
     if w[0] > 1e3 or w[-1] < 1e8:

@@ -20,17 +20,21 @@ difference between consecutive levels serves as the (conservative) error
 estimate.
 
 power_log_integrals is the one primitive for the generalized-Bayes and known-
-variance integrals; a grid of kernel points runs in one batched pass.
+variance integrals.  A single kernel point runs all its exponents in one
+tanh_sinh_unit pass, and a grid of kernel points runs in one batched pass.
+Both evaluate the kernel and the log power once per level for all exponents,
+and log(1/lambda) is computed once per level and kept with the nodes.
 
-tanh_sinh_unit (one integrand) and _tanh_sinh_batch (a family of rows) share
-their levels and stopping rule but stay two loops on purpose: a point run as a
-one-row batch gives the same bits at half the speed, because the batch's
-per-call bookkeeping outweighs one integrand (2-core x86-64: 169 against 324 us
-for two exponents at one point; exact_routes ops_per_s 12.6 against 6.8).
+tanh_sinh_unit (the integrands of one point) and _tanh_sinh_batch (a family of
+rows) share their levels and stopping rule but stay two loops on purpose: a
+point run as a one-row batch gives the same bits at under half the speed,
+because the batch's per-call bookkeeping outweighs one point (2-core x86-64,
+two exponents of the unknown-scale kernel at one point: 145 against 530 us).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -121,12 +125,14 @@ def _level_abscissae(level: int) -> np.ndarray:
     return np.concatenate([-odd[::-1], odd]) * h
 
 
-_NODE_CACHE: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+_NODE_CACHE: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
 
-def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, 1-lambda, dlambda/dt, log(1/lambda)) at a level's new nodes."""
     while len(_NODE_CACHE) <= level:
-        _NODE_CACHE.append(_make_nodes(_level_abscissae(len(_NODE_CACHE))))
+        lam, lam_c, weight = _make_nodes(_level_abscissae(len(_NODE_CACHE)))
+        _NODE_CACHE.append((lam, lam_c, weight, log_recip(lam, lam_c)))
     return _NODE_CACHE[level]
 
 
@@ -172,13 +178,26 @@ def _not_converged(cfg: QuadratureConfig, value: float, err: float):
     )
 
 
+def _level_sums(vals: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
+    """(sum, L1 sum) of one level's weighted integrand values.
+
+    A non-finite value makes the L1 sum non-finite, so the values are only
+    scanned when that sum is.
+    """
+    l1 = float(np.add.reduce(np.abs(vals)))
+    if not math.isfinite(l1) and not np.isfinite(vals).all():
+        bad = lam[~np.isfinite(vals)]
+        raise QuadratureError(f"integrand non-finite near lambda={bad[0]!r}")
+    return float(np.add.reduce(vals)), l1
+
+
 def tanh_sinh_unit(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     singular_exponent: float = 0.0,
     log_power: float = 0.0,
-) -> float:
+) -> float | list[float]:
     """Integrate f over (0, 1) where f(lam, lam_c) receives lam and 1-lam.
 
     The two-argument form lets integrands with structure at lambda -> 1
@@ -188,42 +207,81 @@ def tanh_sinh_unit(
     singular_exponent and log_power declare the lambda -> 0 behaviour
     f ~ lambda**s (log 1/lambda)**b; they are validated against the fixed
     truncation horizon, not used to transform the integrand.
+
+    Several integrands that share work at each level integrate in one pass:
+    f(lam, lam_c) does the shared work and returns terms, and terms(log_l),
+    given log_recip(lam, lam_c) (computed once per level and kept), returns
+    one function per integrand that evaluates it at the level's nodes.  The
+    result is then the list of their integrals.  Every integrand keeps its
+    own error estimate and stopping rule, stops at its own level (its
+    function is not called after that) and gets the float it gets alone.
+    Errors are raised as runs of the integrands one after another would
+    raise them: an error of integrand k wins over any of a later one.
     """
     _check_endpoint(singular_exponent, log_power)
+    several = None
 
-    def level_sum(level: int) -> tuple[float, float]:
-        lam, lam_c, weight = _nodes(level)
-        vals = f(lam, lam_c) * weight
-        if not np.all(np.isfinite(vals)):
-            bad = lam[~np.isfinite(vals)]
-            raise QuadratureError(
-                f"integrand non-finite near lambda={bad[0]!r}"
-            )
-        return float(np.sum(vals)), float(np.sum(np.abs(vals)))
+    def level_terms(level: int):
+        nonlocal several
+        lam, lam_c, weight, log_l = _nodes(level)
+        out = f(lam, lam_c)
+        if several is None:
+            several = callable(out)
+        return lam, weight, out(log_l) if several else (lambda: out,)
 
     # abs_tol is measured against the L1 mass of the transformed integrand,
     # not against 1.0: the integrals here can be legitimately tiny (e.g. the
     # generalized Bayes numerators at w ~ 1e8 have total mass ~ 1e-12) and a
     # raw absolute floor would accept them long before the peak is resolved.
     h = _H0
-    s0, l1 = level_sum(0)
-    value = h * s0
-    scale = h * l1
-    err = math.inf
-    hit = 0
-    for level in range(1, cfg.max_refinement_levels + 1):
-        h *= 0.5
-        s, l1 = level_sum(level)
-        value, scale, err = _refine(value, scale, h, s, l1)
-        hit, done = _stop_rule(err, value, scale, hit, cfg)
-        if done:
-            return value
-    raise _not_converged(cfg, value, err)
+    lam, weight, terms = level_terms(0)
+    n = len(terms)
+    value, scale = [0.0] * n, [0.0] * n
+    err, hit = [math.inf] * n, [0] * n
+    errors: list[Exception | None] = [None] * n
+    running = [True] * n
+    for level in range(cfg.max_refinement_levels + 1):
+        if level:
+            h *= 0.5
+            lam, weight, terms = level_terms(level)
+        for k in range(n):
+            if not running[k]:
+                continue
+            try:
+                s, l1 = _level_sums(terms[k]() * weight, lam)
+            except QuadratureError as exc:
+                errors[k], running[k] = exc, False
+                continue
+            if level == 0:
+                value[k], scale[k] = h * s, h * l1
+                continue
+            value[k], scale[k], err[k] = _refine(value[k], scale[k], h, s, l1)
+            hit[k], done = _stop_rule(err[k], value[k], scale[k], hit[k], cfg)
+            running[k] = not done
+        _raise_first(errors, running)
+        if not any(running):
+            return value if several else value[0]
+    for k in range(n):
+        if running[k]:
+            errors[k], running[k] = _not_converged(cfg, value[k], err[k]), False
+    _raise_first(errors, running)
+
+
+def _raise_first(errors, running) -> None:
+    """Raise the error of integrand k once no integrand before k still runs.
+
+    Run one after another, those integrands would all have finished first.
+    """
+    for exc, still in zip(errors, running):
+        if exc is not None:
+            raise exc
+        if still:
+            return
 
 
 def _tanh_sinh_batch(
     level_integrand: Callable[
-        [np.ndarray, np.ndarray], Callable[[np.ndarray], Sequence[np.ndarray]]
+        [np.ndarray, np.ndarray, np.ndarray], Callable[[np.ndarray], Sequence[np.ndarray]]
     ],
     n_rows: int,
     n_out: int,
@@ -234,8 +292,9 @@ def _tanh_sinh_batch(
 ) -> np.ndarray:
     """Integrate an (n_out, n_rows) family of integrands over (0, 1) at once.
 
-    level_integrand(lam, lam_c) is called once per level with that level's
-    nodes, so work shared by every row can be done there; it returns
+    level_integrand(lam, lam_c, log_l) is called once per level with that
+    level's nodes and log_l = log_recip(lam, lam_c), computed once per level
+    and kept, so work shared by every row can be done there; it returns
     rows_fn(rows), which gives n_out arrays of shape (len(rows), len(lam)):
     integrand k at the rows indexed by the int array ``rows``.
 
@@ -278,8 +337,8 @@ def _tanh_sinh_batch(
 
 def _batch_level_sums(level_integrand, level, rows, live):
     """Node sums and L1 sums, shape (n_out, len(rows)), of one batched level."""
-    lam, lam_c, weight = _nodes(level)
-    rows_fn = level_integrand(lam, lam_c)
+    lam, lam_c, weight, log_l = _nodes(level)
+    rows_fn = level_integrand(lam, lam_c, log_l)
     s = np.empty(live.shape)
     l1 = np.empty(live.shape)
     step = max(1, _BATCH_ELEMENTS // lam.size)
@@ -287,14 +346,15 @@ def _batch_level_sums(level_integrand, level, rows, live):
         cut = slice(start, start + step)
         for k, f in enumerate(rows_fn(rows[cut])):
             vals = f * weight
-            bad = ~np.isfinite(vals).all(axis=1) & live[k, cut]
-            if bad.any():
-                row = vals[np.argmax(bad)]
-                raise QuadratureError(
-                    f"integrand non-finite near lambda={lam[~np.isfinite(row)][0]!r}"
-                )
-            s[k, cut] = np.sum(vals, axis=1)
-            l1[k, cut] = np.sum(np.abs(vals), axis=1)
+            l1[k, cut] = np.add.reduce(np.abs(vals), axis=1)
+            if not np.isfinite(l1[k, cut]).all():  # as _level_sums, per row
+                bad = ~np.isfinite(vals).all(axis=1) & live[k, cut]
+                if bad.any():
+                    row = vals[np.argmax(bad)]
+                    raise QuadratureError(
+                        f"integrand non-finite near lambda={lam[~np.isfinite(row)][0]!r}"
+                    )
+            s[k, cut] = np.add.reduce(vals, axis=1)
     return s, l1
 
 
@@ -314,42 +374,59 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
 
     qs are floats; kernel(x, lam) is elementwise; b may lie in (-1, 0), an
     integrable singularity at lambda -> 1.  A scalar x gives the list of
-    len(qs) floats of tanh_sinh_unit, run once per exponent in order.  A 1-d x
-    gives an array (len(qs), len(x)) from one _tanh_sinh_batch pass that
-    evaluates the kernel and the log power once per level and slice for all
-    exponents.  The two paths do the same elementwise operations and agree
-    bit for bit.
+    len(qs) floats from one tanh_sinh_unit pass, and a 1-d x an array
+    (len(qs), len(x)) from one _tanh_sinh_batch pass.  Either pass evaluates
+    the kernel and the log power once per level (and slice) for all
+    exponents, and lambda**q once per level for each exponent still running.
+    The two paths do the same elementwise operations and agree bit for bit;
+    each exponent gets the bits it gets integrated on its own.
     """
     x = np.asarray(x, dtype=float)
+    log_power = max(b, 0.0)
 
-    def level(lam, lam_c, exps):  # kernel points -> the integrand of each exponent
-        lam_qs = [lam**q for q in exps]
-        log_b = log_recip(lam, lam_c) ** b if b != 0.0 else None
+    def times(lam_q, k, log_b):
+        return lam_q * k if log_b is None else lam_q * k * log_b
 
-        def terms(points):
-            k = kernel(points, lam)
-            return [lq * k if log_b is None else lq * k * log_b for lq in lam_qs]
-
-        return terms
+    def log_b_of(log_l):
+        return log_l**b if b != 0.0 else None
 
     if x.ndim == 0:
-        return [
-            tanh_sinh_unit(lambda lam, lam_c: level(lam, lam_c, [q])(float(x))[0], cfg,
-                           singular_exponent=q, log_power=max(b, 0.0))
-            for q in qs
-        ]
+        for q in qs:  # the error a run of each exponent in turn raises first
+            _check_endpoint(q, log_power)
 
-    def batch_level(lam, lam_c):
-        terms = level(lam, lam_c, qs)
-        return lambda rows: terms(x[rows, None])
+        def point(lam, lam_c):
+            k = kernel(float(x), lam)
+
+            def terms(log_l):
+                log_b = log_b_of(log_l)
+                return [lambda q=q: times(lam**q, k, log_b) for q in qs]
+
+            return terms
+
+        return tanh_sinh_unit(point, cfg, singular_exponent=min(qs), log_power=log_power)
+
+    def batch_level(lam, lam_c, log_l):
+        lam_qs = [lam**q for q in qs]
+        log_b = log_b_of(log_l)
+
+        def rows_fn(rows):
+            k = kernel(x[rows, None], lam)
+            return [times(lam_q, k, log_b) for lam_q in lam_qs]
+
+        return rows_fn
 
     return _tanh_sinh_batch(batch_level, x.size, len(qs), cfg,
-                            singular_exponent=min(qs), log_power=max(b, 0.0))
+                            singular_exponent=min(qs), log_power=log_power)
+
+
+@functools.cache
+def _gauss_legendre_24() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(24)
 
 
 def gauss_legendre_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """24-point Gauss-Legendre integral of a smooth f over [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(24)
+    x, w = _gauss_legendre_24()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return float(half * np.sum(w * f(mid + half * x)))

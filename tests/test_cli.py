@@ -339,13 +339,36 @@ class TestKnownVarianceCommand:
     @pytest.mark.parametrize("option,value,message", [
         ("--r-max", "inf", "r_max must be finite, got inf"),
         ("--r-max", "nan", "r_max must be finite, got nan"),
-        ("--z-max", "nan", "z_grid must be finite, got nan"),
+        ("--z-max", "nan", "argument --z-max: must be finite, got nan"),
     ])
     def test_non_finite_grid_option_named(self, option, value, message, capsys):
         code = main(["known-variance", "--p", "5", "--a", "-2", option, value])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"sure-boundary: error: {message}\n"
+
+
+class TestNonFiniteGridOption:
+    """A non-finite grid bound stops the run before any grid is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["asymptotics", *D56, "--phi", "zero", "--w-hi", "inf"],
+        ["asymptotics", *D56, "--phi", "gb:a=-2,b=2.0", "--w-hi", "inf"],
+        ["asymptotics", *D56, "--phi", "gb:a=-2,b=2.0", "--w-hi", "nan"],
+        ["asymptotics", *D56, "--phi", "zero", "--w-lo", "nan"],
+        ["known-variance", "--p", "5", "--a", "-2", "--z-max", "inf"],
+    ])
+    def test_typed_error_names_option_and_nothing_else(self, argv):
+        # a subprocess, so that LAPACK's own messages would be seen too
+        proc = subprocess.run(
+            [sys.executable, "-m", "sure_boundary.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        option, value = argv[-2:]
+        message = f"argument {option}: must be finite, got {value}"
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"sure-boundary: error: {message}\n"
 
 
 class TestAsymptoticsCommand:

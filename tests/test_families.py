@@ -495,6 +495,14 @@ class TestTailProfile:
         with pytest.raises(ValueError):
             tail_profile(phi, DIMS, np.geomspace(1e3, 1e6, 30))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_point_named(self, bad):
+        # NaN compares False both ways, so the ascending check alone lets it through
+        w = np.geomspace(1e3, 1e8, 30)
+        w[-1] = bad
+        with pytest.raises(ValueError, match=f"w_grid must be finite, got {bad!r}"):
+            tail_profile(make_shrinkage(Zero(), DIMS), DIMS, w)
+
 
 class TestCrossInequality:
     """phi_{-2,b}(w) falls as b grows: reweighting by (log 1/lambda)^(b - b_ref)

@@ -140,7 +140,7 @@ def test_precondition_validation():
 def _batch_of(funcs):
     """_tanh_sinh_batch over one row per f(lam, lam_c) in funcs, one output."""
 
-    def level_integrand(lam, lam_c):
+    def level_integrand(lam, lam_c, log_l):
         return lambda rows: [np.stack([funcs[i](lam, lam_c) for i in rows])]
 
     return level_integrand
@@ -222,3 +222,76 @@ class TestPowerLogIntegrals:
         (val,) = power_log_integrals(c, (q,), b, KERNELS["known variance"])
         ref, _ = quad(lambda x: x**q * math.log(1.0 / x) ** b * math.exp(-c * x), 0.0, 1.0)
         assert abs(val - ref) <= 1e-9 * ref
+
+
+class TestSharedPass:
+    """A single point runs all its exponents in one tanh_sinh_unit pass."""
+
+    @staticmethod
+    def alone(x, q, b, kernel, cfg=DEFAULT_CONFIG):
+        """(integral, levels run) of one exponent's explicit integrand."""
+        levels = []
+
+        def f(lam, lam_c):
+            levels.append(lam.size)
+            return lam**q * kernel(x, lam) * log_recip(lam, lam_c) ** b
+
+        return tanh_sinh_unit(f, cfg, singular_exponent=q, log_power=max(b, 0.0)), len(levels)
+
+    def test_each_exponent_gets_its_own_bits(self):
+        qs = (1.5, 0.5)
+        stop_levels = set()
+        for kernel in KERNELS.values():
+            for b in (-0.6, 0.0, 0.4, 1.7):
+                for x in (1e-3, 0.7, 30.0, 1e4, 1e8):
+                    shared = power_log_integrals(x, qs, b, kernel)
+                    runs = [self.alone(x, q, b, kernel) for q in qs]
+                    assert shared == [value for value, _ in runs]
+                    stop_levels.add(tuple(levels for _, levels in runs))
+        # the exponents of some point stop at different levels
+        assert any(len(set(levels)) > 1 for levels in stop_levels)
+
+    def test_stopped_integrand_is_not_evaluated(self):
+        calls = [0, 0]
+        easy = lambda lam: lam  # noqa: E731
+        hard = lambda lam: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
+
+        def f(lam, lam_c):
+            def terms(log_l):
+                def term(k, g):
+                    calls[k] += 1
+                    return g(lam)
+
+                return [lambda: term(0, easy), lambda: term(1, hard)]
+
+            return terms
+
+        assert tanh_sinh_unit(f) == [
+            tanh_sinh_unit(lambda lam, lam_c: easy(lam)),
+            tanh_sinh_unit(lambda lam, lam_c: hard(lam)),
+        ]
+        assert calls[0] < calls[1]
+
+    def test_earlier_exponent_error_wins(self):
+        cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16, max_refinement_levels=2)
+        slow = lambda lam: np.cos(40.0 * lam) * lam**-0.5  # noqa: E731
+        bad = lambda lam: 1.0 / (lam - lam)  # noqa: E731
+
+        def pair(first, second):
+            return lambda lam, lam_c: lambda log_l: [lambda: first(lam), lambda: second(lam)]
+
+        with pytest.raises(QuadratureConvergenceError) as alone:
+            tanh_sinh_unit(lambda lam, lam_c: slow(lam), cfg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureConvergenceError) as shared:
+                tanh_sinh_unit(pair(slow, bad), cfg)
+            with pytest.raises(QuadratureError) as first_bad:
+                tanh_sinh_unit(pair(bad, slow), cfg)
+        assert shared.value.best_estimate == alone.value.best_estimate
+        assert shared.value.error_estimate == alone.value.error_estimate
+        assert type(first_bad.value) is QuadratureError
+
+    def test_cached_log_is_log_recip(self):
+        for level in range(DEFAULT_CONFIG.max_refinement_levels + 1):
+            lam, lam_c, _, log_l = _nodes(level)
+            assert np.array_equal(log_l, log_recip(lam, lam_c))
