@@ -7,11 +7,10 @@ reproduce it, or, for ``simulate --format csv``, one row of the simulation
 columns (SIMULATE_CSV_HEADER), which leaves out p, n, phi and rel_tol.
 Identical configs produce byte-identical reports.
 
-scipy is needed only by the Monte Carlo layer (ndtri, gammaincinv) and the
-known-variance layer (gammaln), so only the commands that compute
-with them import them: simulate and sure-check the first, known-variance
-and ``crosscheck --identity psi`` the second.  Every other command, gb
-members included, runs without loading scipy.
+scipy is needed only by the Monte Carlo layer (ndtri, gammaincinv), so
+only the commands that compute with it import it: simulate and sure-check.
+Every other command, gb members and the known-variance layer included,
+runs without loading scipy.
 
 Exit status: 0 success, 2 classification came back Indeterminate, 1 runtime
 error, a certificate whose verdict is false (the report is still written) or
@@ -67,9 +66,28 @@ SIMULATE_CSV_HEADER = (
 )
 
 
+class _NegativeNumber:
+    """argparse's test for a token that is a value, not an option, though it
+    starts with "-": any such token float() reads.  argparse's own test reads
+    only forms like -2 and -2.5, so it would take -2e0 or -inf for an option
+    and leave the option before it without a value."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
     Indeterminate verdicts and use 64 (EX_USAGE) instead."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
 
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
         self.print_usage(sys.stderr)

@@ -440,7 +440,11 @@ def _gb_spline(c: np.ndarray, nodes: np.ndarray, x):
     return out
 
 
-@lru_cache(maxsize=None)
+# A table holds about 31 KB; sweeps over many (a, b, p, n) keep at most this many.
+_GB_TABLES_KEPT = 64
+
+
+@lru_cache(maxsize=_GB_TABLES_KEPT)
 def _gb_table(a: float, b: float, p: int, n: int, cfg: QuadratureConfig):
     x, vals = _gb_grid_values(a, b, ProblemDims(p, n), cfg)
     c = _not_a_knot(x, vals)

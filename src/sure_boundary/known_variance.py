@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import EvaluationError, encode_spec, parse_spec, require_finite
 from .quadrature import (
@@ -184,12 +183,70 @@ def _range_error(what: str, z: float, prior: PriorSpec, p: int) -> EvaluationErr
     )
 
 
+# cephes lgam: the A terms of Stirling's series above 13, and the rational
+# function B / C on [2, 3) below it (C with its leading 1)
+_LGAM_A = (
+    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+    -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+    -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6,
+)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
+
+
+def _polevl(x: float, coef) -> float:
+    """coef[0] x**n + ... + coef[n], in Horner's order as cephes polevl."""
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) for x > 0, the same float as scipy.special.gammaln.
+
+    A port of cephes lgam, which scipy's gammaln runs: shift x into [2, 3)
+    by the recurrence below 13, Stirling's series with the A terms above.
+    """
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
 def _tauberian_ratio(z: float, m: float, prior: PriorSpec, p: int) -> float:
     if m == 0.0:
         raise _range_error("m(z) underflowed to 0", z, prior, p)
     s1 = p / 2 + prior.a + 1.0
     try:
-        out = math.exp(gammaln(s1)) * (2.0 / z**2) ** s1
+        out = math.exp(_lgam(s1)) * (2.0 / z**2) ** s1
     except OverflowError:
         raise _range_error("the Tauberian form of m(z) overflowed", z, prior, p) from None
     if out == 0.0:

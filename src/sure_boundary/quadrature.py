@@ -22,14 +22,17 @@ estimate.
 power_log_integrals is the one primitive for the generalized-Bayes and known-
 variance integrals.  A single kernel point runs all its exponents in one
 tanh_sinh_unit pass, and a grid of kernel points runs in one batched pass.
-Both evaluate the kernel and the log power once per level for all exponents,
-and log(1/lambda) is computed once per level and kept with the nodes.
+Both evaluate the kernel once per level for all exponents, and log(1/lambda)
+is computed once per level and kept with the nodes.  A point's lambda**q and
+(log 1/lambda)**b depend only on the level and the exponent, so they are
+kept too (_kept_power), and the passes of many points share them.
 
 tanh_sinh_unit (the integrands of one point) and _tanh_sinh_batch (a family of
 rows) share their levels and stopping rule but stay two loops on purpose: a
-point run as a one-row batch gives the same bits at under half the speed,
-because the batch's per-call bookkeeping outweighs one point (2-core x86-64,
-two exponents of the unknown-scale kernel at one point: 145 against 530 us).
+point run as a one-row batch gives the same bits at about a quarter of the
+speed, because the batch's per-call bookkeeping outweighs one point (2-core
+x86-64, two exponents of the unknown-scale kernel at one point: 200 against
+870 us).
 """
 
 from __future__ import annotations
@@ -136,6 +139,32 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return _NODE_CACHE[level]
 
 
+# Exponent-only powers are kept for levels up to _KEPT_LEVEL, which hold at
+# most 12 * 2**_KEPT_LEVEL = 768 nodes each; most passes stop there.
+_KEPT_LEVEL = 6
+
+
+def _power(level: int, log: bool, exponent: float) -> np.ndarray:
+    """lambda**exponent, or (log 1/lambda)**exponent if log, at a level's new nodes.
+
+    exponent is a Python float, so numpy's scalar fast paths apply as in
+    lam**q (q = 0.5 goes through sqrt).
+    """
+    lam, _, _, log_l = _nodes(level)
+    return (log_l if log else lam) ** exponent
+
+
+@functools.lru_cache(maxsize=512)
+def _kept_power(level: int, log: bool, exponent: float) -> np.ndarray:
+    """_power at a level up to _KEPT_LEVEL, computed once and kept read-only.
+
+    At most 512 arrays of at most 768 floats: 3.1 MB in the worst case.
+    """
+    out = _power(level, log, exponent)
+    out.flags.writeable = False
+    return out
+
+
 def _refine(value, scale, h, s, l1):
     """Fold one level's node sums into (value, L1 mass); also return the error.
 
@@ -195,7 +224,7 @@ def tanh_sinh_unit(
     f: Callable,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
-    singular_exponent: float = 0.0,
+    singular_exponent: float | Sequence[float] = 0.0,
     log_power: float = 0.0,
 ) -> float | list[float]:
     """Integrate f over (0, 1) where f(lam, lam_c) receives lam and 1-lam.
@@ -208,49 +237,43 @@ def tanh_sinh_unit(
     f ~ lambda**s (log 1/lambda)**b; they are validated against the fixed
     truncation horizon, not used to transform the integrand.
 
-    Several integrands that share work at each level integrate in one pass:
-    f(lam, lam_c) does the shared work and returns terms, and terms(log_l),
-    given log_recip(lam, lam_c) (computed once per level and kept), returns
-    one function per integrand that evaluates it at the level's nodes.  The
-    result is then the list of their integrals.  Every integrand keeps its
-    own error estimate and stopping rule, stops at its own level (its
-    function is not called after that) and gets the float it gets alone.
-    Errors are raised as runs of the integrands one after another would
-    raise them: an error of integrand k wins over any of a later one.
+    Several integrands that share work at each level integrate in one pass
+    when singular_exponent is a tuple or list, one exponent per integrand
+    (each is checked in turn): f(lam, lam_c) does the level's shared work
+    and returns term, and term(k, level) evaluates integrand k at that
+    level's nodes, so it can look up what is kept per level.  The result is
+    then the list of their integrals.  Every integrand keeps its own error
+    estimate and stopping rule, stops at its own level (term is not called
+    for it after that) and gets the float it gets alone.  Errors are raised
+    as runs of the integrands one after another would raise them: an error
+    of integrand k wins over any of a later one.
     """
-    _check_endpoint(singular_exponent, log_power)
-    several = None
-
-    def level_terms(level: int):
-        nonlocal several
-        lam, lam_c, weight, log_l = _nodes(level)
-        out = f(lam, lam_c)
-        if several is None:
-            several = callable(out)
-        return lam, weight, out(log_l) if several else (lambda: out,)
+    several = isinstance(singular_exponent, (tuple, list))
+    exponents = singular_exponent if several else (singular_exponent,)
+    for s in exponents:
+        _check_endpoint(s, log_power)
 
     # abs_tol is measured against the L1 mass of the transformed integrand,
     # not against 1.0: the integrals here can be legitimately tiny (e.g. the
     # generalized Bayes numerators at w ~ 1e8 have total mass ~ 1e-12) and a
     # raw absolute floor would accept them long before the peak is resolved.
-    h = _H0
-    lam, weight, terms = level_terms(0)
-    n = len(terms)
+    n = len(exponents)
     value, scale = [0.0] * n, [0.0] * n
     err, hit = [math.inf] * n, [0] * n
     errors: list[Exception | None] = [None] * n
     running = [True] * n
+    failed = False
     for level in range(cfg.max_refinement_levels + 1):
-        if level:
-            h *= 0.5
-            lam, weight, terms = level_terms(level)
+        h = _H0 / 2**level
+        lam, lam_c, weight, _ = _nodes(level)
+        out = f(lam, lam_c)
         for k in range(n):
             if not running[k]:
                 continue
             try:
-                s, l1 = _level_sums(terms[k]() * weight, lam)
+                s, l1 = _level_sums((out(k, level) if several else out) * weight, lam)
             except QuadratureError as exc:
-                errors[k], running[k] = exc, False
+                errors[k], running[k], failed = exc, False, True
                 continue
             if level == 0:
                 value[k], scale[k] = h * s, h * l1
@@ -258,7 +281,8 @@ def tanh_sinh_unit(
             value[k], scale[k], err[k] = _refine(value[k], scale[k], h, s, l1)
             hit[k], done = _stop_rule(err[k], value[k], scale[k], hit[k], cfg)
             running[k] = not done
-        _raise_first(errors, running)
+        if failed:
+            _raise_first(errors, running)
         if not any(running):
             return value if several else value[0]
     for k in range(n):
@@ -376,42 +400,40 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
     integrable singularity at lambda -> 1.  A scalar x gives the list of
     len(qs) floats from one tanh_sinh_unit pass, and a 1-d x an array
     (len(qs), len(x)) from one _tanh_sinh_batch pass.  Either pass evaluates
-    the kernel and the log power once per level (and slice) for all
-    exponents, and lambda**q once per level for each exponent still running.
-    The two paths do the same elementwise operations and agree bit for bit;
-    each exponent gets the bits it gets integrated on its own.
+    the kernel once per level (and slice) for all exponents.  A point takes
+    lambda**q and (log 1/lambda)**b from _kept_power, so the passes of many
+    points with the same exponents compute them once per level; a grid
+    computes them once per level of its pass.  The two paths do the same
+    elementwise operations and agree bit for bit; each exponent gets the
+    bits it gets integrated on its own.
     """
     x = np.asarray(x, dtype=float)
+    qs = tuple(float(q) for q in qs)
+    b = float(b)
     log_power = max(b, 0.0)
 
-    def times(lam_q, k, log_b):
-        return lam_q * k if log_b is None else lam_q * k * log_b
-
-    def log_b_of(log_l):
-        return log_l**b if b != 0.0 else None
-
     if x.ndim == 0:
-        for q in qs:  # the error a run of each exponent in turn raises first
-            _check_endpoint(q, log_power)
+        x = float(x)
 
         def point(lam, lam_c):
-            k = kernel(float(x), lam)
+            k = kernel(x, lam)
 
-            def terms(log_l):
-                log_b = log_b_of(log_l)
-                return [lambda q=q: times(lam**q, k, log_b) for q in qs]
+            def term(i, level):
+                power = _kept_power if level <= _KEPT_LEVEL else _power
+                lam_q_k = power(level, False, qs[i]) * k
+                return lam_q_k if b == 0.0 else lam_q_k * power(level, True, b)
 
-            return terms
+            return term
 
-        return tanh_sinh_unit(point, cfg, singular_exponent=min(qs), log_power=log_power)
+        return tanh_sinh_unit(point, cfg, singular_exponent=qs, log_power=log_power)
 
     def batch_level(lam, lam_c, log_l):
         lam_qs = [lam**q for q in qs]
-        log_b = log_b_of(log_l)
+        log_b = log_l**b if b != 0.0 else None
 
         def rows_fn(rows):
             k = kernel(x[rows, None], lam)
-            return [times(lam_q, k, log_b) for lam_q in lam_qs]
+            return [lam_q * k if log_b is None else lam_q * k * log_b for lam_q in lam_qs]
 
         return rows_fn
 

@@ -357,6 +357,7 @@ class TestNonFiniteGridOption:
         ["asymptotics", *D56, "--phi", "gb:a=-2,b=2.0", "--w-hi", "nan"],
         ["asymptotics", *D56, "--phi", "zero", "--w-lo", "nan"],
         ["known-variance", "--p", "5", "--a", "-2", "--z-max", "inf"],
+        ["asymptotics", *D56, "--phi", "zero", "--w-lo", "-inf"],
     ])
     def test_typed_error_names_option_and_nothing_else(self, argv):
         # a subprocess, so that LAPACK's own messages would be seen too
@@ -369,6 +370,26 @@ class TestNonFiniteGridOption:
         message = f"argument {option}: must be finite, got {value}"
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"sure-boundary: error: {message}\n"
+
+
+class TestNegativeFloatValue:
+    """A value float() reads is a value, also when it starts with "-"."""
+
+    def test_exponent_form_gives_the_same_report(self, capsys):
+        argv = ["known-variance", "--p", "5", "--L", "logpow:b=1.0", "--a"]
+        code, out = run_cli([*argv, "-2e0"], capsys)
+        assert (code, out) == run_cli([*argv, "-2"], capsys)
+        assert code == 0 and json.loads(out)["config"]["a"] == "-2.0"
+
+    def test_spaced_and_joined_values_fail_alike(self, capsys):
+        argv = ["asymptotics", *D56, "--phi", "zero"]
+        runs = []
+        for tail in (["--w-lo", "-inf"], ["--w-lo=-inf"]):
+            runs.append((main([*argv, *tail]), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        code, captured = runs[0]
+        assert code == 1 and captured.out == ""
+        assert captured.err == "sure-boundary: error: argument --w-lo: must be finite, got -inf\n"
 
 
 class TestAsymptoticsCommand:
@@ -415,6 +436,8 @@ class TestStartUp:
         ["verify", *TestDominateAndVerify.GB_FALSE, *TestDominateAndVerify.GB_FALSE_SPEC],
         ["asymptotics", *D56, "--phi", "gb:a=-2,b=1.0"],
         ["crosscheck", *D56, "--identity", "saigo4", "--b", "1.0"],
+        ["known-variance", "--p", "5", "--a", "-2", "--L", "logpow:b=1.0"],
+        ["crosscheck", *D56, "--identity", "psi", "--b", "1.0"],
     ]
 
     def test_no_scipy_at_start_up(self):

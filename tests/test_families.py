@@ -266,6 +266,20 @@ class TestGBTable:
         make_shrinkage(spec, dims, loose)
         assert seen == [loose, tight]
 
+    def test_table_cache_is_bounded(self, monkeypatch):
+        # tables of a short stand-in grid, so that more than the cache holds build fast
+        x = np.arange(8.0)
+        monkeypatch.setattr(families, "_gb_grid_values", lambda a, b, dims, cfg: (x, b * x**2))
+        bound = families._gb_table.cache_info().maxsize
+        assert bound == families._GB_TABLES_KEPT
+        families._gb_table.cache_clear()
+        try:
+            for i in range(bound + 5):
+                families._gb_table(-2.0, 1.0 + i, 5, 6, QuadratureConfig())
+                assert families._gb_table.cache_info().currsize <= bound
+        finally:
+            families._gb_table.cache_clear()
+
     def test_too_singular_endpoint_rejected_like_exact_route(self):
         # q = p/2 + a = -0.999 passes validate_for but not the fixed horizon
         spec, dims = GBUnknown(a=-2.499, b=0.0), ProblemDims(3, 6)

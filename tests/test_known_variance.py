@@ -12,6 +12,7 @@ from sure_boundary.known_variance import (
     LogPow,
     One,
     PriorSpec,
+    _lgam,
     brown_classify,
     brown_integral_numeric,
     encode_l_family,
@@ -83,6 +84,19 @@ class TestTauberian:
     def test_grid_precondition(self):
         with pytest.raises(ValueError):
             tauberian_check(PriorSpec(a=-2.0), P, np.geomspace(10.0, 100.0, 5))
+
+    def test_log_gamma_is_scipys_bit_for_bit(self):
+        from scipy.special import gammaln
+
+        rng = np.random.default_rng(20)
+        x = np.concatenate([
+            np.arange(1, 4001) * 0.5,  # every p/2 + a + 1 of a half-integer a
+            rng.uniform(0.0, 13.0, 20000),  # the recurrence branch
+            rng.uniform(13.0, 2000.0, 10000),  # Stirling with the A series
+            np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 10000)),
+        ])
+        ours = np.array([_lgam(float(xi)) for xi in x])
+        assert np.array_equal(ours, gammaln(x))
 
 
 class TestGradientBound:

@@ -11,10 +11,12 @@ from scipy.special import gammaln
 
 from sure_boundary.quadrature import (
     _BATCH_ELEMENTS,
+    _KEPT_LEVEL,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureConvergenceError,
     QuadratureError,
+    _kept_power,
     _nodes,
     _tanh_sinh_batch,
     log_recip,
@@ -257,16 +259,14 @@ class TestSharedPass:
         hard = lambda lam: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
 
         def f(lam, lam_c):
-            def terms(log_l):
-                def term(k, g):
-                    calls[k] += 1
-                    return g(lam)
+            def term(k, level):
+                assert lam is _nodes(level)[0]
+                calls[k] += 1
+                return (easy, hard)[k](lam)
 
-                return [lambda: term(0, easy), lambda: term(1, hard)]
+            return term
 
-            return terms
-
-        assert tanh_sinh_unit(f) == [
+        assert tanh_sinh_unit(f, singular_exponent=(0.0, 0.0)) == [
             tanh_sinh_unit(lambda lam, lam_c: easy(lam)),
             tanh_sinh_unit(lambda lam, lam_c: hard(lam)),
         ]
@@ -278,15 +278,15 @@ class TestSharedPass:
         bad = lambda lam: 1.0 / (lam - lam)  # noqa: E731
 
         def pair(first, second):
-            return lambda lam, lam_c: lambda log_l: [lambda: first(lam), lambda: second(lam)]
+            return lambda lam, lam_c: lambda k, level: (first, second)[k](lam)
 
         with pytest.raises(QuadratureConvergenceError) as alone:
             tanh_sinh_unit(lambda lam, lam_c: slow(lam), cfg)
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(QuadratureConvergenceError) as shared:
-                tanh_sinh_unit(pair(slow, bad), cfg)
+                tanh_sinh_unit(pair(slow, bad), cfg, singular_exponent=(0.0, 0.0))
             with pytest.raises(QuadratureError) as first_bad:
-                tanh_sinh_unit(pair(bad, slow), cfg)
+                tanh_sinh_unit(pair(bad, slow), cfg, singular_exponent=(0.0, 0.0))
         assert shared.value.best_estimate == alone.value.best_estimate
         assert shared.value.error_estimate == alone.value.error_estimate
         assert type(first_bad.value) is QuadratureError
@@ -295,3 +295,52 @@ class TestSharedPass:
         for level in range(DEFAULT_CONFIG.max_refinement_levels + 1):
             lam, lam_c, _, log_l = _nodes(level)
             assert np.array_equal(log_l, log_recip(lam, lam_c))
+
+
+class TestKeptPowers:
+    """lambda**q and (log 1/lambda)**b are kept per level and exponent."""
+
+    def test_cold_and_warm_passes_agree(self):
+        points = [(x, qs, b) for x in (0.3, 1e4) for qs in ((1.5, 0.5), (0.5, 2.25))
+                  for b in (0.0, 0.4, 1.7)]
+
+        def run(order):
+            return {i: power_log_integrals(*points[i], KERNELS["unknown scale"]) for i in order}
+
+        _kept_power.cache_clear()
+        cold = run(range(len(points)))
+        _kept_power.cache_clear()
+        reverse = run(reversed(range(len(points))))
+        warm = run(range(len(points)))
+        assert cold == reverse == warm
+
+    def test_kept_arrays_are_read_only(self):
+        lam_q = _kept_power(3, False, 1.5)
+        assert _kept_power(3, False, 1.5) is lam_q
+        assert not lam_q.flags.writeable
+        with pytest.raises(ValueError):
+            lam_q[0] = 0.0
+        assert not _kept_power(_KEPT_LEVEL, True, 0.4).flags.writeable
+        assert np.array_equal(lam_q, _nodes(3)[0] ** 1.5)
+
+    def test_cache_stays_within_its_bound(self):
+        info = _kept_power.cache_info()
+        # the documented worst case: every kept array at the largest kept level
+        assert info.maxsize * _nodes(_KEPT_LEVEL)[0].nbytes <= 4 * 2**20
+        for q in np.linspace(0.0, 3.0, info.maxsize + 50):
+            power_log_integrals(1e4, (float(q),), 0.0, KERNELS["unknown scale"])
+        assert _kept_power.cache_info().currsize <= info.maxsize
+
+    def test_levels_above_the_cut_off_are_not_kept(self):
+        qs, b, levels = (1.5, 0.5), 0.4, []
+        kernel = KERNELS["unknown scale"]
+
+        def counted(w, lam):
+            levels.append(lam.size)
+            return kernel(w, lam)
+
+        _kept_power.cache_clear()
+        power_log_integrals(1e8, qs, b, counted)
+        assert len(levels) > _KEPT_LEVEL + 1
+        # one array per exponent and kept level, and one per kept level for b
+        assert _kept_power.cache_info().currsize == (_KEPT_LEVEL + 1) * (len(qs) + 1)
