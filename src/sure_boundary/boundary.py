@@ -40,7 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemDims, ShrinkageFunction, constants, delta, elementwise
+from .core import (
+    ProblemDims,
+    ShrinkageFunction,
+    _eval_pair,
+    constants,
+    d_phi,
+    delta,
+    elementwise,
+)
 from .families import TailProfile, tail_profile
 
 __all__ = [
@@ -343,10 +351,17 @@ def construct_dominator(
 
     nu = nu_from_witness(b, phi_star, dims)
     w_sharp = w_star
+    if w_sharp <= w_sharp_cap:
+        # phi, phi' and D_phi on the grid do not change with w_sharp
+        pv, dv = _eval_pair(phi, grid)
+        kept = ShrinkageFunction(eval=lambda w: pv, deriv=lambda w: dv, label=phi.label)
+        d_kept = d_phi(kept, grid, dims)
     last = None
     while w_sharp <= w_sharp_cap:
         spec = DominatorSpec(nu=nu, w_sharp=w_sharp, ramp_width=w_sharp, b=b, w_star=w_star)
-        cert = verify_domination(phi, spec, dims, grid)
+        # delta(phi, g) on the grid, without evaluating phi again
+        deltas = d_kept - d_phi(kept.plus(dominator_g(spec)), grid, dims)
+        cert = _certificate(spec, grid, deltas)
         if cert.verdict and not cert.trivial:
             return spec
         last = cert
@@ -377,8 +392,11 @@ def verify_domination(
     grid = default_w_grid(points=800) if w_grid is None else np.asarray(w_grid, float)
     if len(grid) < 500 or grid.min() > 0.0 or grid.max() < 1e8:
         raise ValueError("verification grid must span [0, 1e8] with >= 500 points")
-    g = dominator_g(spec)
-    deltas = np.asarray(delta(phi, g, grid, dims), dtype=float)
+    return _certificate(spec, grid, delta(phi, dominator_g(spec), grid, dims))
+
+
+def _certificate(spec: DominatorSpec, grid: np.ndarray, deltas) -> DominationCertificate:
+    deltas = np.asarray(deltas, dtype=float)
     below = grid <= spec.w_sharp
     zero_below = bool(np.all(deltas[below] == 0.0))
     above = ~below

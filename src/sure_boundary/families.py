@@ -247,7 +247,8 @@ def _gb_num_den(a: float, b: float, w, dims: ProblemDims, cfg: QuadratureConfig)
     q = dims.p / 2 + a
     num, den = _gb_integrals(w, (q + 1.0, q), b, m, cfg)
     for what, vals in (("gb: D(w)", den), ("gb: N(w)", num)):
-        if not np.all(vals):
+        # a scalar w gives floats, which need no numpy reduction
+        if vals == 0.0 if isinstance(vals, float) else not np.all(vals):
             w_zero = np.ravel(w)[np.argmin(np.ravel(vals) != 0.0)].item()
             raise _underflow(a, b, w_zero, dims, what)
     return m, q, num, den

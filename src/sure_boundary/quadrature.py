@@ -22,17 +22,19 @@ estimate.
 power_log_integrals is the one primitive for the generalized-Bayes and known-
 variance integrals.  A single kernel point runs all its exponents in one
 tanh_sinh_unit pass, and a grid of kernel points runs in one batched pass.
-Both evaluate the kernel once per level for all exponents, and log(1/lambda)
-is computed once per level and kept with the nodes.  A point's lambda**q and
-(log 1/lambda)**b depend only on the level and the exponent, so they are
-kept too (_kept_power), and the passes of many points share them.
+Each call of the kernel serves all exponents.  A point pass calls it once
+for levels 0 to 4 (385 nodes) and once for each later level, and a grid pass
+once per level and slice of rows.  log(1/lambda) is computed once per level
+and kept with the nodes.  A point's lambda**q and (log 1/lambda)**b depend
+only on the block of levels and the exponent, so they are kept too
+(_kept_power), and the passes of many points share them.
 
 tanh_sinh_unit (the integrands of one point) and _tanh_sinh_batch (a family of
 rows) share their levels and stopping rule but stay two loops on purpose: a
-point run as a one-row batch gives the same bits at about a quarter of the
-speed, because the batch's per-call bookkeeping outweighs one point (2-core
-x86-64, two exponents of the unknown-scale kernel at one point: 200 against
-870 us).
+point run as a one-row batch gives the same bits at about a sixth of the
+speed, because the batch's per-level calls and bookkeeping outweigh one
+point (2-core x86-64, two exponents of the unknown-scale kernel at one
+point, medians of 15: 130 against 790 us).
 """
 
 from __future__ import annotations
@@ -128,39 +130,76 @@ def _level_abscissae(level: int) -> np.ndarray:
     return np.concatenate([-odd[::-1], odd]) * h
 
 
-_NODE_CACHE: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    lam, lam_c, weight = _make_nodes(_level_abscissae(level))
+    return lam, lam_c, weight, log_recip(lam, lam_c)
 
 
+# A scalar pass evaluates levels 0 to _BLOCK_LEVEL (385 nodes) in one call of
+# its integrand, because nine in ten passes of the exact routes reach level 4;
+# each later level is a call of its own.
+_BLOCK_LEVEL = 4
+
+
+@functools.cache
+def _first_block() -> tuple[tuple[np.ndarray, ...], list[int]]:
+    """Node arrays of levels 0 to _BLOCK_LEVEL, concatenated, and level k's
+    slice bounds (bounds[k], bounds[k + 1])."""
+    levels = [_level_nodes(level) for level in range(_BLOCK_LEVEL + 1)]
+    bounds = [0] + np.cumsum([lam.size for lam, *_ in levels]).tolist()
+    return tuple(np.concatenate(arrays) for arrays in zip(*levels)), bounds
+
+
+@functools.cache
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda, 1-lambda, dlambda/dt, log(1/lambda)) at a level's new nodes."""
-    while len(_NODE_CACHE) <= level:
-        lam, lam_c, weight = _make_nodes(_level_abscissae(len(_NODE_CACHE)))
-        _NODE_CACHE.append((lam, lam_c, weight, log_recip(lam, lam_c)))
-    return _NODE_CACHE[level]
+    """(lambda, 1-lambda, dlambda/dt, log(1/lambda)) at a level's new nodes.
+
+    Up to _BLOCK_LEVEL these are views of the first block's arrays.
+    """
+    if level > _BLOCK_LEVEL:
+        return _level_nodes(level)
+    arrays, bounds = _first_block()
+    return tuple(a[bounds[level]:bounds[level + 1]] for a in arrays)
 
 
-# Exponent-only powers are kept for levels up to _KEPT_LEVEL, which hold at
-# most 12 * 2**_KEPT_LEVEL = 768 nodes each; most passes stop there.
+@functools.cache
+def _block(last: int):
+    """(lambda, 1-lambda, dlambda/dt, log(1/lambda), levels) of the block of a
+    scalar pass that ends at level last.
+
+    The block holds levels 0 to last when last <= _BLOCK_LEVEL, else level
+    last alone; levels gives (level, slice of the block's nodes) for each.
+    """
+    if last > _BLOCK_LEVEL:
+        return (*_nodes(last), ((last, slice(None)),))
+    arrays, bounds = _first_block()
+    levels = tuple((level, slice(bounds[level], bounds[level + 1])) for level in range(last + 1))
+    return (*(a[:bounds[last + 1]] for a in arrays), levels)
+
+
+# Exponent-only powers are kept for blocks that end at a level up to
+# _KEPT_LEVEL, which hold at most 12 * 2**_KEPT_LEVEL = 768 nodes each; most
+# passes stop there.
 _KEPT_LEVEL = 6
 
 
-def _power(level: int, log: bool, exponent: float) -> np.ndarray:
-    """lambda**exponent, or (log 1/lambda)**exponent if log, at a level's new nodes.
+def _power(block: int, log: bool, exponent: float) -> np.ndarray:
+    """lambda**exponent, or (log 1/lambda)**exponent if log, at a block's nodes.
 
     exponent is a Python float, so numpy's scalar fast paths apply as in
     lam**q (q = 0.5 goes through sqrt).
     """
-    lam, _, _, log_l = _nodes(level)
+    lam, _, _, log_l, _ = _block(block)
     return (log_l if log else lam) ** exponent
 
 
 @functools.lru_cache(maxsize=512)
-def _kept_power(level: int, log: bool, exponent: float) -> np.ndarray:
-    """_power at a level up to _KEPT_LEVEL, computed once and kept read-only.
+def _kept_power(block: int, log: bool, exponent: float) -> np.ndarray:
+    """_power at a block up to _KEPT_LEVEL, computed once and kept read-only.
 
     At most 512 arrays of at most 768 floats: 3.1 MB in the worst case.
     """
-    out = _power(level, log, exponent)
+    out = _power(block, log, exponent)
     out.flags.writeable = False
     return out
 
@@ -207,15 +246,16 @@ def _not_converged(cfg: QuadratureConfig, value: float, err: float):
     )
 
 
-def _level_sums(vals: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
-    """(sum, L1 sum) of one level's weighted integrand values.
+def _level_sums(vals: np.ndarray, lam: np.ndarray, cut: slice) -> tuple[float, float]:
+    """(sum, L1 sum) of one level's weighted integrand values, vals[cut].
 
     A non-finite value makes the L1 sum non-finite, so the values are only
     scanned when that sum is.
     """
+    vals = vals[cut]
     l1 = float(np.add.reduce(np.abs(vals)))
     if not math.isfinite(l1) and not np.isfinite(vals).all():
-        bad = lam[~np.isfinite(vals)]
+        bad = lam[cut][~np.isfinite(vals)]
         raise QuadratureError(f"integrand non-finite near lambda={bad[0]!r}")
     return float(np.add.reduce(vals)), l1
 
@@ -233,20 +273,30 @@ def tanh_sinh_unit(
     (for instance log(1/lambda) ~ 1-lambda) evaluate stably from the exact
     complement instead of recovering it from a rounded lambda.
 
+    f is called once per block of levels: first for the nodes of levels 0
+    to min(_BLOCK_LEVEL, cfg.max_refinement_levels) as one array (385 nodes
+    in full), then once for each later level.  The levels of a block are
+    folded into the estimate one at a time, over their contiguous slices,
+    and a level after the one where an integrand stops is neither summed
+    nor checked for finite values.  An elementwise f gives each level the
+    bits it gets when called for that level alone, so the result does not
+    depend on the blocks.
+
     singular_exponent and log_power declare the lambda -> 0 behaviour
     f ~ lambda**s (log 1/lambda)**b; they are validated against the fixed
     truncation horizon, not used to transform the integrand.
 
-    Several integrands that share work at each level integrate in one pass
+    Several integrands that share work at each block integrate in one pass
     when singular_exponent is a tuple or list, one exponent per integrand
-    (each is checked in turn): f(lam, lam_c) does the level's shared work
-    and returns term, and term(k, level) evaluates integrand k at that
-    level's nodes, so it can look up what is kept per level.  The result is
-    then the list of their integrals.  Every integrand keeps its own error
-    estimate and stopping rule, stops at its own level (term is not called
-    for it after that) and gets the float it gets alone.  Errors are raised
-    as runs of the integrands one after another would raise them: an error
-    of integrand k wins over any of a later one.
+    (each is checked in turn): f(lam, lam_c) does the block's shared work
+    and returns term, and term(k, block) evaluates integrand k at the
+    block's nodes, where block is the block's last level, so it can look up
+    what is kept per block.  The result is then the list of their
+    integrals.  Every integrand keeps its own error estimate and stopping
+    rule, stops at its own level (term is not called for it after that
+    block) and gets the float it gets alone.  Errors are raised as runs of
+    the integrands one after another would raise them: an error of
+    integrand k wins over any of a later one.
     """
     several = isinstance(singular_exponent, (tuple, list))
     exponents = singular_exponent if several else (singular_exponent,)
@@ -263,24 +313,29 @@ def tanh_sinh_unit(
     errors: list[Exception | None] = [None] * n
     running = [True] * n
     failed = False
-    for level in range(cfg.max_refinement_levels + 1):
-        h = _H0 / 2**level
-        lam, lam_c, weight, _ = _nodes(level)
+    last = cfg.max_refinement_levels
+    for block in range(min(_BLOCK_LEVEL, last), last + 1):
+        lam, lam_c, weight, _, levels = _block(block)
         out = f(lam, lam_c)
         for k in range(n):
             if not running[k]:
                 continue
-            try:
-                s, l1 = _level_sums((out(k, level) if several else out) * weight, lam)
-            except QuadratureError as exc:
-                errors[k], running[k], failed = exc, False, True
-                continue
-            if level == 0:
-                value[k], scale[k] = h * s, h * l1
-                continue
-            value[k], scale[k], err[k] = _refine(value[k], scale[k], h, s, l1)
-            hit[k], done = _stop_rule(err[k], value[k], scale[k], hit[k], cfg)
-            running[k] = not done
+            vals = (out(k, block) if several else out) * weight
+            for level, cut in levels:
+                h = _H0 / 2**level
+                try:
+                    s, l1 = _level_sums(vals, lam, cut)
+                except QuadratureError as exc:
+                    errors[k], running[k], failed = exc, False, True
+                    break
+                if level == 0:
+                    value[k], scale[k] = h * s, h * l1
+                    continue
+                value[k], scale[k], err[k] = _refine(value[k], scale[k], h, s, l1)
+                hit[k], done = _stop_rule(err[k], value[k], scale[k], hit[k], cfg)
+                if done:
+                    running[k] = False
+                    break
         if failed:
             _raise_first(errors, running)
         if not any(running):
@@ -399,13 +454,14 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
     qs are floats; kernel(x, lam) is elementwise; b may lie in (-1, 0), an
     integrable singularity at lambda -> 1.  A scalar x gives the list of
     len(qs) floats from one tanh_sinh_unit pass, and a 1-d x an array
-    (len(qs), len(x)) from one _tanh_sinh_batch pass.  Either pass evaluates
-    the kernel once per level (and slice) for all exponents.  A point takes
-    lambda**q and (log 1/lambda)**b from _kept_power, so the passes of many
-    points with the same exponents compute them once per level; a grid
-    computes them once per level of its pass.  The two paths do the same
-    elementwise operations and agree bit for bit; each exponent gets the
-    bits it gets integrated on its own.
+    (len(qs), len(x)) from one _tanh_sinh_batch pass.  A point pass
+    evaluates the kernel once for levels 0 to 4 and once per later level, a
+    grid pass once per level and slice, each time for all exponents.  A
+    point takes lambda**q and (log 1/lambda)**b from _kept_power, so the
+    passes of many points with the same exponents compute them once per
+    block; a grid computes them once per level of its pass.  The two paths
+    do the same elementwise operations and agree bit for bit; each exponent
+    gets the bits it gets integrated on its own.
     """
     x = np.asarray(x, dtype=float)
     qs = tuple(float(q) for q in qs)
@@ -418,10 +474,10 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
         def point(lam, lam_c):
             k = kernel(x, lam)
 
-            def term(i, level):
-                power = _kept_power if level <= _KEPT_LEVEL else _power
-                lam_q_k = power(level, False, qs[i]) * k
-                return lam_q_k if b == 0.0 else lam_q_k * power(level, True, b)
+            def term(i, block):
+                power = _kept_power if block <= _KEPT_LEVEL else _power
+                lam_q_k = power(block, False, qs[i]) * k
+                return lam_q_k if b == 0.0 else lam_q_k * power(block, True, b)
 
             return term
 

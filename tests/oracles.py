@@ -6,6 +6,9 @@
   values and does not divide by g).
 * ``marginal_m_closed_one``: the known-variance marginal m(z; a, One) in
   closed form, through the lower incomplete gamma function.
+* ``tanh_sinh_per_level``: the scalar tanh-sinh loop that calls its
+  integrand once per level, which ``quadrature.tanh_sinh_unit`` must match
+  bit for bit, errors included.
 """
 
 import math
@@ -14,6 +17,17 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from sure_boundary.core import _as_w_array, _eval_pair, constants
+from sure_boundary.quadrature import (
+    _H0,
+    DEFAULT_CONFIG,
+    QuadratureError,
+    _check_endpoint,
+    _nodes,
+    _not_converged,
+    _raise_first,
+    _refine,
+    _stop_rule,
+)
 
 
 class ZeroPerturbationError(ValueError):
@@ -52,3 +66,50 @@ def marginal_m_closed_one(z_norm, a, p):
     if c == 0.0:
         return 1.0 / s1
     return math.exp(gammaln(s1)) * float(gammainc(s1, c)) / c**s1
+
+
+def tanh_sinh_per_level(f, cfg=DEFAULT_CONFIG, *, singular_exponent=0.0, log_power=0.0):
+    """tanh_sinh_unit with one call of f per level.
+
+    Several integrands (singular_exponent a tuple or list) follow the same
+    protocol, except that term(k, level) receives the level.
+    """
+    several = isinstance(singular_exponent, (tuple, list))
+    exponents = singular_exponent if several else (singular_exponent,)
+    for s in exponents:
+        _check_endpoint(s, log_power)
+    n = len(exponents)
+    value, scale = [0.0] * n, [0.0] * n
+    err, hit = [math.inf] * n, [0] * n
+    errors = [None] * n
+    running = [True] * n
+    failed = False
+    for level in range(cfg.max_refinement_levels + 1):
+        h = _H0 / 2**level
+        lam, lam_c, weight, _ = _nodes(level)
+        out = f(lam, lam_c)
+        for k in range(n):
+            if not running[k]:
+                continue
+            vals = (out(k, level) if several else out) * weight
+            l1 = float(np.add.reduce(np.abs(vals)))
+            if not np.isfinite(vals).all():
+                errors[k], running[k], failed = QuadratureError(
+                    f"integrand non-finite near lambda={lam[~np.isfinite(vals)][0]!r}"
+                ), False, True
+                continue
+            s = float(np.add.reduce(vals))
+            if level == 0:
+                value[k], scale[k] = h * s, h * l1
+                continue
+            value[k], scale[k], err[k] = _refine(value[k], scale[k], h, s, l1)
+            hit[k], done = _stop_rule(err[k], value[k], scale[k], hit[k], cfg)
+            running[k] = not done
+        if failed:
+            _raise_first(errors, running)
+        if not any(running):
+            return value if several else value[0]
+    for k in range(n):
+        if running[k]:
+            errors[k], running[k] = _not_converged(cfg, value[k], err[k]), False
+    _raise_first(errors, running)

@@ -187,6 +187,29 @@ class TestConstruct:
         with pytest.raises(ValueError):
             construct_dominator(make_shrinkage(Zero(), DIMS), DIMS, 0.9)
 
+    def test_phi_is_evaluated_once_per_construction(self):
+        phi = make_shrinkage(GBUnknown(a=-2.0, b=2.0), DIMS)
+        calls = {"eval": 0, "deriv": 0}
+
+        def counted(name):
+            def run(w):
+                calls[name] += 1
+                return getattr(phi, name)(w)
+
+            return run
+
+        spy = dataclasses.replace(phi, eval=counted("eval"), deriv=counted("deriv"))
+        spec = construct_dominator(spy, DIMS, 1.5)
+        # once above w = 1 for w_star, once on the whole grid, for every doubling
+        assert calls == {"eval": 2, "deriv": 1}
+        # the doubling search run through verify_domination finds the same spec
+        grid = default_w_grid(lo=1e-4, points=1400)
+        ref = dataclasses.replace(spec, w_sharp=spec.w_star, ramp_width=spec.w_star)
+        while not (cert := verify_domination(phi, ref, DIMS, grid)).verdict or cert.trivial:
+            ref = dataclasses.replace(ref, w_sharp=2.0 * ref.w_sharp, ramp_width=2.0 * ref.w_sharp)
+        assert ref == spec
+        assert spec.w_sharp >= 8.0 * spec.w_star
+
     def test_unbounded_phi_rejected(self):
         with pytest.raises(ConstructionError):
             construct_dominator(make_shrinkage(Linear(alpha=0.5), DIMS), DIMS, 1.5)

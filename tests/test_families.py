@@ -333,6 +333,9 @@ class TestGBTable:
         with pytest.raises(EvaluationError, match=r"N\(w\) underflowed") as err:
             phi_gb_unknown(a, b, w, ProblemDims(p, p))
         assert err.value.w == w
+        assert str(err.value) == (
+            f"gb: N(w) underflowed to 0 at w={w!r} for (p, n, a, b) = ({p}, {p}, {a!r}, {b!r})"
+        )
 
 
 def _reference_gb(a, b, dims):

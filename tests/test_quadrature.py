@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from oracles import tanh_sinh_per_level
 from scipy.special import gammaln
 
 from sure_boundary.quadrature import (
     _BATCH_ELEMENTS,
+    _BLOCK_LEVEL,
     _KEPT_LEVEL,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureConvergenceError,
     QuadratureError,
+    _block,
     _kept_power,
     _nodes,
     _tanh_sinh_batch,
@@ -254,14 +257,14 @@ class TestSharedPass:
         assert any(len(set(levels)) > 1 for levels in stop_levels)
 
     def test_stopped_integrand_is_not_evaluated(self):
-        calls = [0, 0]
+        blocks = [[], []]
         easy = lambda lam: lam  # noqa: E731
         hard = lambda lam: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
 
         def f(lam, lam_c):
-            def term(k, level):
-                assert lam is _nodes(level)[0]
-                calls[k] += 1
+            def term(k, block):
+                assert lam is _block(block)[0]
+                blocks[k].append(block)
                 return (easy, hard)[k](lam)
 
             return term
@@ -270,7 +273,11 @@ class TestSharedPass:
             tanh_sinh_unit(lambda lam, lam_c: easy(lam)),
             tanh_sinh_unit(lambda lam, lam_c: hard(lam)),
         ]
-        assert calls[0] < calls[1]
+        # easy stops inside the first block (levels 0 to 4), hard goes on
+        # one level per block
+        assert blocks[0] == [_BLOCK_LEVEL]
+        assert blocks[1] == list(range(_BLOCK_LEVEL, _BLOCK_LEVEL + len(blocks[1])))
+        assert len(blocks[1]) > 1
 
     def test_earlier_exponent_error_wins(self):
         cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16, max_refinement_levels=2)
@@ -321,26 +328,138 @@ class TestKeptPowers:
         with pytest.raises(ValueError):
             lam_q[0] = 0.0
         assert not _kept_power(_KEPT_LEVEL, True, 0.4).flags.writeable
-        assert np.array_equal(lam_q, _nodes(3)[0] ** 1.5)
+        assert np.array_equal(lam_q, _block(3)[0] ** 1.5)
 
     def test_cache_stays_within_its_bound(self):
         info = _kept_power.cache_info()
-        # the documented worst case: every kept array at the largest kept level
-        assert info.maxsize * _nodes(_KEPT_LEVEL)[0].nbytes <= 4 * 2**20
+        # the documented worst case: every kept array at the largest kept block
+        largest = max(_block(block)[0].nbytes for block in range(_KEPT_LEVEL + 1))
+        assert info.maxsize * largest <= 4 * 2**20
         for q in np.linspace(0.0, 3.0, info.maxsize + 50):
             power_log_integrals(1e4, (float(q),), 0.0, KERNELS["unknown scale"])
         assert _kept_power.cache_info().currsize <= info.maxsize
 
     def test_levels_above_the_cut_off_are_not_kept(self):
-        qs, b, levels = (1.5, 0.5), 0.4, []
+        qs, b, sizes = (1.5, 0.5), 0.4, []
         kernel = KERNELS["unknown scale"]
 
         def counted(w, lam):
-            levels.append(lam.size)
+            sizes.append(lam.size)
             return kernel(w, lam)
 
         _kept_power.cache_clear()
         power_log_integrals(1e8, qs, b, counted)
-        assert len(levels) > _KEPT_LEVEL + 1
-        # one array per exponent and kept level, and one per kept level for b
-        assert _kept_power.cache_info().currsize == (_KEPT_LEVEL + 1) * (len(qs) + 1)
+        # one kernel call for levels 0 to _BLOCK_LEVEL, then one per level
+        last = _BLOCK_LEVEL + len(sizes) - 1
+        assert sizes[0] == sum(_nodes(level)[0].size for level in range(_BLOCK_LEVEL + 1)) == 385
+        assert sizes[1:] == [_nodes(level)[0].size for level in range(_BLOCK_LEVEL + 1, last + 1)]
+        assert last > _KEPT_LEVEL
+        # one array per exponent and kept block, and one per kept block for b
+        kept_blocks = _KEPT_LEVEL - _BLOCK_LEVEL + 1
+        assert _kept_power.cache_info().currsize == kept_blocks * (len(qs) + 1)
+
+
+def _outcome(run):
+    """run()'s value, or the type, message and estimates of its error."""
+    try:
+        return run()
+    except QuadratureConvergenceError as exc:
+        return "budget", str(exc), exc.best_estimate, exc.error_estimate
+    except QuadratureError as exc:
+        return "non-finite", str(exc)
+
+
+def _marked(g, target):
+    """g with a NaN at the node lambda == target."""
+    return lambda lam: np.where(lam == target, np.nan, g(lam))
+
+
+class TestBlocks:
+    """The first call of f gets levels 0 to 4 at once; the bits are the
+    per-level loop's (tests/oracles.py)."""
+
+    SLOW = staticmethod(lambda lam: np.cos(40.0 * lam) * lam**-0.5)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 6])
+    def test_first_call_holds_the_first_levels(self, levels):
+        cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_refinement_levels=levels)
+        calls = []
+
+        def f(lam, lam_c):
+            calls.append(lam)
+            return self.SLOW(lam)
+
+        with pytest.raises(QuadratureConvergenceError):
+            tanh_sinh_unit(f, cfg, singular_exponent=-0.5)
+        first = min(_BLOCK_LEVEL, levels)
+        assert np.array_equal(calls[0], np.concatenate([_nodes(lv)[0] for lv in range(first + 1)]))
+        assert [lam is _nodes(lv)[0] for lv, lam in enumerate(calls[1:], first + 1)] == [
+            True
+        ] * (levels - first)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kernel=st.sampled_from(sorted(KERNELS)),
+        x=st.floats(min_value=1e-3, max_value=1e8),
+        qs=st.lists(st.floats(min_value=-0.9, max_value=3.0), min_size=1, max_size=2),
+        b=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+        levels=st.integers(min_value=1, max_value=6),
+    )
+    def test_bits_of_the_per_level_loop(self, kernel, x, qs, b, levels):
+        cfg = QuadratureConfig(max_refinement_levels=levels)
+        endpoint = {"singular_exponent": tuple(qs), "log_power": max(b, 0.0)}
+
+        def f(lam, lam_c):
+            k = KERNELS[kernel](x, lam)
+            log_b = log_recip(lam, lam_c) ** b
+            return lambda i, _: lam ** qs[i] * k * log_b
+
+        blocked = _outcome(lambda: tanh_sinh_unit(f, cfg, **endpoint))
+        assert blocked == _outcome(lambda: tanh_sinh_per_level(f, cfg, **endpoint))
+        assert blocked == _outcome(lambda: power_log_integrals(x, qs, b, KERNELS[kernel], cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        level=st.integers(min_value=0, max_value=6),
+        node=st.integers(min_value=0, max_value=10**6),
+        bad=st.sampled_from([0, 1]),
+    )
+    def test_non_finite_value_in_a_folded_level(self, level, node, bad):
+        # the left half of each level's nodes holds lambda values no other
+        # level has; both integrands fold levels 0 to 6 (they stop at 7 and 6)
+        lam = _nodes(level)[0]
+        target = lam[node % (lam.size // 2)]
+        pair = [
+            lambda lam: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5,
+            lambda lam: lam * (1.0 + 1e9 * lam) ** -4.0,
+        ]
+        pair[bad] = _marked(pair[bad], target)
+
+        def f(lam, lam_c):
+            return lambda k, _: pair[k](lam)
+
+        endpoint = {"singular_exponent": (0.0, 0.0)}
+        blocked = _outcome(lambda: tanh_sinh_unit(f, **endpoint))
+        assert blocked == _outcome(lambda: tanh_sinh_per_level(f, **endpoint))
+        alone = _outcome(lambda: tanh_sinh_unit(lambda lam, lam_c: pair[bad](lam)))
+        assert blocked == alone == ("non-finite", f"integrand non-finite near lambda={target!r}")
+
+    @pytest.mark.parametrize("easy", [lambda lam: lam, lambda lam: np.exp(-lam)])
+    def test_non_finite_value_after_the_stop(self, easy):
+        stops = []
+        tanh_sinh_per_level(lambda lam, lam_c: stops.append(lam) or easy(lam))
+        stop = len(stops) - 1
+        assert stop < _BLOCK_LEVEL  # the levels after the stop are in the block
+        hard = lambda lam: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
+        for level in range(stop + 1, _BLOCK_LEVEL + 1):
+            lam = _nodes(level)[0]
+            marked = _marked(easy, lam[lam.size // 4])
+            pair = (marked, hard)
+            assert tanh_sinh_unit(lambda lam, lam_c: marked(lam)) == tanh_sinh_unit(
+                lambda lam, lam_c: easy(lam)
+            )
+            assert tanh_sinh_unit(
+                lambda lam, lam_c: lambda k, _: pair[k](lam), singular_exponent=(0.0, 0.0)
+            ) == tanh_sinh_per_level(
+                lambda lam, lam_c: lambda k, _: pair[k](lam), singular_exponent=(0.0, 0.0)
+            )
