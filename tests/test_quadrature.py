@@ -378,8 +378,6 @@ class TestBlocks:
     """The first call of f gets levels 0 to 4 at once; the bits are the
     per-level loop's (tests/oracles.py)."""
 
-    SLOW = staticmethod(lambda lam: np.cos(40.0 * lam) * lam**-0.5)
-
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 6])
     def test_first_call_holds_the_first_levels(self, levels):
         cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_refinement_levels=levels)
@@ -387,19 +385,21 @@ class TestBlocks:
 
         def f(lam, lam_c):
             calls.append(lam)
-            return self.SLOW(lam)
+            return np.cos(40.0 * lam) * lam**-0.5
 
         with pytest.raises(QuadratureConvergenceError):
             tanh_sinh_unit(f, cfg, singular_exponent=-0.5)
         first = min(_BLOCK_LEVEL, levels)
+        assert len(calls) == 1 + levels - first
         assert np.array_equal(calls[0], np.concatenate([_nodes(lv)[0] for lv in range(first + 1)]))
-        assert [lam is _nodes(lv)[0] for lv, lam in enumerate(calls[1:], first + 1)] == [
-            True
-        ] * (levels - first)
+        assert all(lam is _nodes(lv)[0] for lv, lam in enumerate(calls[1:], first + 1))
 
-    @settings(max_examples=150, deadline=None)
+    # the power-log kernels, and one that changes sign, whose L1 sums are not its sums
+    ALL_KERNELS = {**KERNELS, "signed": lambda x, lam: np.cos(4.0 * np.log1p(x * lam)) - 0.25}
+
+    @settings(max_examples=200, deadline=None)
     @given(
-        kernel=st.sampled_from(sorted(KERNELS)),
+        kernel=st.sampled_from(sorted(ALL_KERNELS)),
         x=st.floats(min_value=1e-3, max_value=1e8),
         qs=st.lists(st.floats(min_value=-0.9, max_value=3.0), min_size=1, max_size=2),
         b=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
@@ -410,13 +410,22 @@ class TestBlocks:
         endpoint = {"singular_exponent": tuple(qs), "log_power": max(b, 0.0)}
 
         def f(lam, lam_c):
-            k = KERNELS[kernel](x, lam)
+            k = self.ALL_KERNELS[kernel](x, lam)
             log_b = log_recip(lam, lam_c) ** b
             return lambda i, _: lam ** qs[i] * k * log_b
 
         blocked = _outcome(lambda: tanh_sinh_unit(f, cfg, **endpoint))
         assert blocked == _outcome(lambda: tanh_sinh_per_level(f, cfg, **endpoint))
-        assert blocked == _outcome(lambda: power_log_integrals(x, qs, b, KERNELS[kernel], cfg))
+        kernel = self.ALL_KERNELS[kernel]
+        assert blocked == _outcome(lambda: power_log_integrals(x, qs, b, kernel, cfg))
+
+    @pytest.mark.parametrize("g", [lambda lam: np.cos(2.0 * np.pi * lam), lambda lam: lam - 0.5])
+    def test_signed_integrand_with_zero_integral(self, g):
+        # the stopping rule then rests on the L1 sums, which are not the sums
+        def f(lam, lam_c):
+            return g(lam)
+
+        assert _outcome(lambda: tanh_sinh_unit(f)) == _outcome(lambda: tanh_sinh_per_level(f))
 
     @settings(max_examples=60, deadline=None)
     @given(
