@@ -40,15 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ProblemDims,
-    ShrinkageFunction,
-    _eval_pair,
-    constants,
-    d_phi,
-    delta,
-    elementwise,
-)
+from .core import ProblemDims, ShrinkageFunction, constants, d_phi, delta, elementwise
 from .families import TailProfile, tail_profile
 
 __all__ = [
@@ -351,9 +343,9 @@ def construct_dominator(
 
     nu = nu_from_witness(b, phi_star, dims)
     w_sharp = w_star
-    if w_sharp <= w_sharp_cap:
+    if w_sharp <= w_sharp_cap:  # else no w_sharp is tried, and nothing evaluated
         # phi, phi' and D_phi on the grid do not change with w_sharp
-        pv, dv = _eval_pair(phi, grid)
+        pv, dv = phi.eval(grid), phi.deriv(grid)
         kept = ShrinkageFunction(eval=lambda w: pv, deriv=lambda w: dv, label=phi.label)
         d_kept = d_phi(kept, grid, dims)
     last = None

@@ -246,7 +246,9 @@ def _not_converged(cfg: QuadratureConfig, value: float, err: float):
     )
 
 
-def _level_sums(vals: np.ndarray, lam: np.ndarray, cut: slice, signed: bool) -> tuple[float, float]:
+def _level_sums(
+    vals: np.ndarray, lam: np.ndarray, cut: slice, signed: bool
+) -> tuple[float, float]:
     """(sum, L1 sum) of one level's weighted integrand values, vals[cut].
 
     Unless signed (some value of vals has its sign bit set), abs() leaves
@@ -259,7 +261,7 @@ def _level_sums(vals: np.ndarray, lam: np.ndarray, cut: slice, signed: bool) -> 
     if not math.isfinite(l1) and not np.isfinite(vals).all():
         bad = lam[cut][~np.isfinite(vals)]
         raise QuadratureError(f"integrand non-finite near lambda={bad[0]!r}")
-    return float(np.add.reduce(vals)) if signed else l1, l1
+    return (float(np.add.reduce(vals)) if signed else l1), l1
 
 
 def tanh_sinh_unit(
