@@ -8,7 +8,7 @@ verdicts as canonical JSON.
 
 import argparse
 
-from sure_boundary.boundary import check_assumptions, classify
+from sure_boundary.boundary import QuasiClass, check_assumptions, classify
 from sure_boundary.core import ProblemDims, constants
 from sure_boundary.families import make_shrinkage, parse_phi_spec
 from sure_boundary.reports import canonical_json, write_text
@@ -28,6 +28,14 @@ CATALOG = [
 ]
 
 
+def verdicts(dims: ProblemDims) -> dict[str, QuasiClass]:
+    """The catalog's verdicts at dims, keyed by phi spec: what --json writes."""
+    c_pn = constants(dims).c_pn
+    labels = (template.format(c_pn=c_pn) for template in CATALOG)
+    return {label: classify(make_shrinkage(parse_phi_spec(label), dims), dims)
+            for label in labels}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=int, default=5)
@@ -40,13 +48,9 @@ def main() -> None:
     print(f"dims p={dims.p} n={dims.n}: c_pn={k.c_pn:.6f} beta_star={k.beta_star:.6f}")
     print(f"{'phi':24s} {'verdict':18s} {'b_witness':>9s} {'w_star':>12s} assumptions")
 
-    rows = {}
-    for template in CATALOG:
-        label = template.format(c_pn=k.c_pn)
-        phi = make_shrinkage(parse_phi_spec(label), dims)
-        verdict = classify(phi, dims)
-        rep = check_assumptions(phi)
-        rows[label] = verdict
+    rows = verdicts(dims)
+    for label, verdict in rows.items():
+        rep = check_assumptions(make_shrinkage(parse_phi_spec(label), dims))
         bw = f"{verdict.b_witness:.2f}" if verdict.b_witness is not None else "-"
         ws = f"{verdict.w_star:.4g}" if verdict.w_star is not None else "-"
         flags = "ok" if rep.all_ok else "CHECK"

@@ -19,6 +19,33 @@ from sure_boundary.reports import canonical_csv, canonical_json, write_text
 CSV_HEADER = ("model", "theta_norm", "reps", "seed", "mean_diff", "se_diff", "se_unpaired")
 
 
+def experiment(dims: ProblemDims, phi_spec: str, b: float, reps: int, t_reps: int, seed: int):
+    """The certificate, the paired rows (CSV_HEADER order) and the text of
+    each output file by name."""
+    phi = make_shrinkage(parse_phi_spec(phi_spec), dims)
+    spec = construct_dominator(phi, dims, b)
+    cert = verify_domination(phi, spec, dims, default_w_grid(points=10**4))
+
+    rows = []
+    thetas = (0.0, 1.0, 5.0, 20.0)
+    for model, model_reps in (("normal", reps), ("student-t:df=5.0", t_reps)):
+        configs = [
+            SimConfig(dims=dims, theta_norm=t, sigma=1.0, reps=model_reps, seed=seed + i,
+                      model=parse_model(model))
+            for i, t in enumerate(thetas)
+        ]
+        for rep in domination_mc(phi, spec, configs):
+            rows.append((
+                model, rep.config.theta_norm, rep.reps, rep.config.seed,
+                rep.mean_diff, rep.se_diff, rep.se_unpaired,
+            ))
+    files = {
+        "domination_paired.csv": canonical_csv(CSV_HEADER, rows),
+        "domination_certificate.json": canonical_json(cert),
+    }
+    return cert, rows, files
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=int, default=5)
@@ -31,40 +58,23 @@ def main() -> None:
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args()
 
-    dims = ProblemDims(args.p, args.n)
-    phi = make_shrinkage(parse_phi_spec(args.phi), dims)
-
-    spec = construct_dominator(phi, dims, args.b)
+    cert, rows, files = experiment(ProblemDims(args.p, args.n), args.phi, args.b,
+                                   args.reps, args.t_reps, args.seed)
+    spec = cert.spec
     print(f"dominator: nu={spec.nu:.6f} w_sharp={spec.w_sharp:.4f} "
           f"ramp={spec.ramp_width:.4f} (witness b={spec.b})")
-
-    cert = verify_domination(phi, spec, dims, default_w_grid(points=10**4))
     print(f"certificate: verdict={cert.verdict} "
           f"min_delta_above_sharp={cert.min_delta_above_sharp:.3e}")
-
-    rows = []
-    thetas = (0.0, 1.0, 5.0, 20.0)
-    for model, reps in (("normal", args.reps), ("student-t:df=5.0", args.t_reps)):
-        configs = [
-            SimConfig(dims=dims, theta_norm=t, sigma=1.0, reps=reps, seed=args.seed + i,
-                      model=parse_model(model))
-            for i, t in enumerate(thetas)
-        ]
-        for rep in domination_mc(phi, spec, configs):
-            rows.append((
-                model, rep.config.theta_norm, rep.reps, rep.config.seed,
-                rep.mean_diff, rep.se_diff, rep.se_unpaired,
-            ))
-            verdict = "ok" if rep.mean_diff >= -3.0 * rep.se_diff else "WORSE"
-            print(f"{model:18s} theta={rep.config.theta_norm:5.1f} "
-                  f"diff={rep.mean_diff:+.6f} +/- {rep.se_diff:.6f} [{verdict}]")
+    for model, theta, _, _, mean_diff, se_diff, _ in rows:
+        verdict = "ok" if mean_diff >= -3.0 * se_diff else "WORSE"
+        print(f"{model:18s} theta={theta:5.1f} "
+              f"diff={mean_diff:+.6f} +/- {se_diff:.6f} [{verdict}]")
 
     os.makedirs(args.outdir, exist_ok=True)
-    csv_path = os.path.join(args.outdir, "domination_paired.csv")
-    write_text(csv_path, canonical_csv(CSV_HEADER, rows))
-    cert_path = os.path.join(args.outdir, "domination_certificate.json")
-    write_text(cert_path, canonical_json(cert))
-    print(f"wrote {csv_path} and {cert_path}")
+    paths = {os.path.join(args.outdir, name): text for name, text in files.items()}
+    for path, text in paths.items():
+        write_text(path, text)
+    print(f"wrote {' and '.join(paths)}")
 
 
 if __name__ == "__main__":

@@ -333,8 +333,10 @@ def construct_dominator(
         raise ConstructionError("phi_star must be finite to construct a dominator")
 
     grid = default_w_grid(lo=1e-4, points=1400)
-    pos = grid[grid > 1.0]
-    w_star = _tail_start(pos, np.asarray(phi.eval(pos), dtype=float), dims, b)
+    # phi on the grid does not change with w_sharp, so it is evaluated once
+    pv = np.asarray(phi.eval(grid), dtype=float)
+    above_one = grid > 1.0
+    w_star = _tail_start(grid[above_one], pv[above_one], dims, b)
     if w_star is None:
         raise ConstructionError(
             f"the quasi-inadmissible inequality with b={b} does not hold on "
@@ -344,8 +346,8 @@ def construct_dominator(
     nu = nu_from_witness(b, phi_star, dims)
     w_sharp = w_star
     if w_sharp <= w_sharp_cap:  # else no w_sharp is tried, and nothing evaluated
-        # phi, phi' and D_phi on the grid do not change with w_sharp
-        pv, dv = phi.eval(grid), phi.deriv(grid)
+        # nor do phi' and D_phi on the grid
+        dv = phi.deriv(grid)
         kept = ShrinkageFunction(eval=lambda w: pv, deriv=lambda w: dv, label=phi.label)
         d_kept = d_phi(kept, grid, dims)
     last = None

@@ -30,11 +30,16 @@ only on the block of levels and the exponent, so they are kept too
 (_kept_power), and the passes of many points share them.
 
 tanh_sinh_unit (the integrands of one point) and _tanh_sinh_batch (a family of
-rows) share their levels and stopping rule but stay two loops on purpose: a
-point run as a one-row batch gives the same bits at about a seventh of the
-speed, because the batch's per-level calls and bookkeeping outweigh one
-point (2-core x86-64, two exponents of the unknown-scale kernel at one
-point, medians of 15: 110 against 770 us).
+rows) share their levels and stopping rule but stay two loops on purpose,
+because each is the faster one for its own use and neither can replace the
+other; both give the same bits.  A point run as a one-row batch is 5 to 7
+times slower, because the batch's per-level calls and bookkeeping outweigh
+one point (two exponents of the unknown-scale kernel at w in {0.7, 30, 1e4},
+medians of 15: 82-172 against 503-915 us).  A 508-node gb table run as
+point passes is about 4 times slower than one batched pass, which pays those
+calls once per level for all rows ((a, b, p, n) in {(-2, 2, 5, 6),
+(-2, 0.5, 3, 3), (-1, 1.3, 12, 19), (-3, 1, 20, 20)}, medians of 7: 51-91
+against 13-23 ms).  Both measured on a shared 2-core x86-64 Xeon.
 """
 
 from __future__ import annotations
@@ -78,8 +83,10 @@ class QuadratureConfig:
     max_refinement_levels: int = 12
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("rel_tol and abs_tol must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):  # also rejects nan
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.max_refinement_levels < 1:
             raise ValueError("max_refinement_levels must be >= 1")
 

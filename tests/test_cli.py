@@ -238,6 +238,14 @@ class TestExitCodes:
         assert "non-finite parameter 'a'" in captured.err
         assert "tanh-sinh" not in captured.err
 
+    def test_non_finite_rel_tol_is_1(self, capsys):
+        # at the default tolerance this member is QuasiInadmissible (exit 0)
+        code = main(["classify", *D56, "--phi", "gb:a=-2,b=2.0", "--rel-tol=inf"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        message = "rel_tol must be positive and finite, got inf"
+        assert captured.err == f"sure-boundary: error: {message}\n"
+
     def test_gb_d_underflow_is_typed_error(self, capsys):
         code = main(["classify", "--p", "60", "--n", "60", "--phi", "gb:a=-2,b=2.0"])
         err = capsys.readouterr().err

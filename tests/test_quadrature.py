@@ -138,6 +138,11 @@ def test_precondition_validation():
         tanh_sinh_unit(lambda lam, lam_c: lam, log_power=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
+    for field in ("rel_tol", "abs_tol"):
+        for value in (math.inf, math.nan):
+            message = f"^{field} must be positive and finite, got {value!r}$"
+            with pytest.raises(ValueError, match=message):
+                QuadratureConfig(**{field: value})
     with pytest.raises(ValueError):
         QuadratureConfig(max_refinement_levels=0)
 
