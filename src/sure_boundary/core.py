@@ -106,7 +106,8 @@ def require_finite(spec: Any) -> None:
     finite; each spec dataclass calls this first in ``__post_init__``."""
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if isinstance(value, (int, float)) and not math.isfinite(value):
+        # an int is always finite (and may be too large for math.isfinite)
+        if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{type(spec).__name__}: non-finite parameter {f.name!r} = {value!r}")
 
 

@@ -19,10 +19,13 @@ S, and p+1 drives the mixing variable (reserved, and burned, under the
 Normal model too, so the two models are coupled by common random numbers).
 Hence (X_r, S_r) is a pure function of (seed, r): samples are bit-identical
 across runs and chunk sizes.  Risk runs split the replications into fixed
-_CHUNK blocks; each chunk seeks its own block of the stream and is sampled
-and reduced to partial sums inside whichever thread runs it.  Partial sums
-are combined with math.fsum in fixed chunk order, so the reduction is exact
-and reports are bit-identical across thread counts.
+_CHUNK blocks; each chunk seeks its own block of the stream and is reduced
+to partial sums inside whichever thread runs it.  A chunk is sampled and
+evaluated in row sub-blocks of about _BLOCK_VALUES uniforms, so per-thread
+memory is one sub-block plus the chunk's per-replication outputs, whatever
+reps and p are.  Partial sums are combined with math.fsum in fixed chunk
+order, so the reduction is exact and reports are bit-identical across
+thread counts and sub-block sizes.
 
 SURE checking: for the Normal model E[p + (n+2) D_phi(W)] equals the risk,
 so the z-score (mean_loss - sure_mean)/sqrt(se_loss^2 + se_sure^2) should be
@@ -63,6 +66,11 @@ __all__ = [
 
 THREADS_ENV_VAR = "SURE_BOUNDARY_THREADS"
 _CHUNK = 1 << 17
+# Uniforms sampled at once within a chunk (1 MB): a chunk is evaluated in row
+# sub-blocks of about this size, which bounds its temporaries independently
+# of p.  Every per-replication value is row-local and the chunk sums still
+# run over whole chunks, so reports do not depend on this value.
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,7 @@ class SimConfig:
     model: ModelSpec = Normal()
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.theta_norm < 0.0:
             raise ValueError("theta_norm must be >= 0")
         if not self.sigma > 0.0:
@@ -208,16 +217,24 @@ def _mean_se(
 ) -> list[tuple[float, float]]:
     """(mean, se) of each per-replication array that per_rep(X, W) returns.
 
-    Each _CHUNK block is sampled and reduced to its sum and sum of squares in
-    the thread that runs it, so memory is O(threads * _CHUNK).  Chunks are
-    combined with math.fsum in chunk order, which keeps reports independent
-    of the thread count.
+    Each _CHUNK block is reduced to its sum and sum of squares in the thread
+    that runs it.  It is sampled and evaluated in row sub-blocks of about
+    _BLOCK_VALUES uniforms whose outputs are joined back to chunk length
+    before the sums, so per-thread memory is one sub-block plus the chunk's
+    per-replication outputs, independent of reps and p.  Chunks are combined
+    with math.fsum in chunk order, which keeps reports independent of the
+    thread count.
     """
+    step = max(1, _BLOCK_VALUES // (config.dims.p + 2))
 
     def chunk_sums(start: int) -> list[tuple[float, float]]:
-        x, s = _block(config, start, min(start + _CHUNK, config.reps))
-        w = np.einsum("ij,ij->i", x, x) / s
-        return [(float(np.sum(a)), float(np.sum(a * a))) for a in per_rep(x, w)]
+        stop = min(start + _CHUNK, config.reps)
+        outputs = []
+        for lo in range(start, stop, step):
+            x, s = _block(config, lo, min(lo + step, stop))
+            outputs.append(per_rep(x, np.einsum("ij,ij->i", x, x) / s))
+        return [(float(np.sum(a)), float(np.sum(a * a)))
+                for a in map(np.concatenate, zip(*outputs))]
 
     starts = range(0, config.reps, _CHUNK)
     workers = thread_cap_from_env() if threads is None else threads

@@ -231,6 +231,14 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert "non-finite parameter 'df'" in captured.err and "NaN" not in captured.err
 
+    def test_non_finite_theta_norm_is_1(self, capsys):
+        code = main(["simulate", *D56, "--phi", "zero", "--theta-norm", "nan",
+                     "--reps", "1000", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        message = "SimConfig: non-finite parameter 'theta_norm' = nan"
+        assert captured.err == f"sure-boundary: error: {message}\n"
+
     def test_non_finite_prior_exponent_is_1(self, capsys):
         code = main(["known-variance", "--p", "5", "--a", "inf"])
         captured = capsys.readouterr()

@@ -11,6 +11,7 @@ from scipy import stats
 from sure_boundary.boundary import DominatorSpec, construct_dominator
 from sure_boundary.core import ProblemDims, constants
 from sure_boundary.families import GBUnknown, PositivePartJS, Zero, make_shrinkage
+from sure_boundary import montecarlo
 from sure_boundary.montecarlo import (
     _CHUNK,
     THREADS_ENV_VAR,
@@ -116,6 +117,14 @@ class TestSampling:
             SimConfig(dims=DIMS, reps=0)
         with pytest.raises(ValueError):
             SimConfig(dims=DIMS, theta_norm=-1.0)
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            SimConfig(dims=DIMS, seed=10**400)
+
+    @pytest.mark.parametrize("field", ["theta_norm", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config_is_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"non-finite parameter '{field}' = {value!r}"):
+            SimConfig(dims=DIMS, **{field: value})
 
 
 class TestRisk:
@@ -152,11 +161,30 @@ class TestRisk:
         with pytest.raises(ValueError, match=f"{THREADS_ENV_VAR}.*'{raw}'"):
             thread_cap_from_env()
 
-    def test_memory_does_not_grow_with_reps(self):
-        phi = make_shrinkage(Zero(), DIMS)
+    @pytest.mark.parametrize("model", [Normal(), StudentT(df=10.0)], ids=encode_model)
+    def test_sub_block_size_does_not_change_reports(self, monkeypatch, model):
+        # two chunks, the last one partial; one sub-block per chunk is the
+        # unblocked evaluation, and 3-row sub-blocks cross every alignment
+        dims = ProblemDims(20, 6)
+        phi = make_shrinkage(PositivePartJS(a=constants(dims).c_pn), dims)
+        zero = make_shrinkage(Zero(), dims)
+        spec = construct_dominator(zero, dims, 1.5)
+        cfg = SimConfig(dims=dims, theta_norm=1.0, sigma=1.0, reps=_CHUNK + 12_345, seed=11,
+                        model=model)
+        reports = []
+        for values in (montecarlo._BLOCK_VALUES, (dims.p + 2) * _CHUNK, 3 * (dims.p + 2)):
+            monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", values)
+            for threads in (1, 2):
+                reports.append((estimate_risk(phi, cfg, threads=threads),
+                                domination_mc(zero, spec, [cfg], threads=threads)))
+        assert all(r == reports[0] for r in reports[1:])
 
-        def peak(chunks: int) -> int:
-            cfg = SimConfig(dims=DIMS, reps=chunks * _CHUNK, seed=4)
+    def test_memory_does_not_grow_with_reps(self):
+        # nor with p: a chunk is evaluated in sub-blocks of bounded size
+        def peak(chunks: int, p: int) -> int:
+            dims = ProblemDims(p, 6)
+            phi = make_shrinkage(Zero(), dims)
+            cfg = SimConfig(dims=dims, reps=chunks * _CHUNK, seed=4)
             tracemalloc.start()
             try:
                 estimate_risk(phi, cfg, threads=1)
@@ -164,7 +192,9 @@ class TestRisk:
             finally:
                 tracemalloc.stop()
 
-        assert peak(8) <= 1.25 * peak(2)
+        at_p5 = peak(2, 5)
+        assert peak(8, 5) <= 1.25 * at_p5
+        assert peak(2, 60) <= 1.25 * at_p5
 
 
 class TestSureCheck:
