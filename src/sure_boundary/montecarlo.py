@@ -66,10 +66,9 @@ __all__ = [
 
 THREADS_ENV_VAR = "SURE_BOUNDARY_THREADS"
 _CHUNK = 1 << 17
-# Uniforms sampled at once within a chunk (1 MB): a chunk is evaluated in row
-# sub-blocks of about this size, which bounds its temporaries independently
-# of p.  Every per-replication value is row-local and the chunk sums still
-# run over whole chunks, so reports do not depend on this value.
+# Uniforms per row sub-block of a chunk (1 MB; see _mean_se).  Reports do not
+# depend on it: every per-replication value is row-local and the sums still
+# run over whole chunks.
 _BLOCK_VALUES = 1 << 17
 
 
