@@ -29,8 +29,9 @@ to the clamped linear ramp clip((w - w_sharp)/ramp_width, 0, 1) so that
 certificates are reproducible.  w_sharp starts at the verified inequality
 threshold and doubles until the risk-difference Delta(w) = D_phi - D_{phi+g}
 is nonnegative at every grid point above w_sharp (and exactly zero below,
-where g vanishes identically).  Existence is a theorem; the search is capped
-because the theory provides no constructive bound.
+where g vanishes identically) on default_w_grid(), the grid the certificate
+is made on.  Existence is a theorem; the search is capped because the theory
+provides no constructive bound.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemDims, ShrinkageFunction, constants, d_phi, delta, elementwise
-from .families import TailProfile, tail_profile
+from .families import TailProfile
 
 __all__ = [
     "QuasiClass",
@@ -164,8 +165,9 @@ def dominator_g(spec: DominatorSpec) -> ShrinkageFunction:
     )
 
 
-def default_w_grid(lo: float = 1e-6, points: int = 600) -> np.ndarray:
-    """w = 0 followed by a geometric grid of points from lo to 1e8."""
+def default_w_grid(lo: float = 1e-6, points: int = 800) -> np.ndarray:
+    """w = 0 followed by a geometric grid of points from lo to 1e8; the
+    defaults give the grid dominators are constructed and certified on."""
     return np.concatenate([[0.0], np.geomspace(lo, 1e8, points)])
 
 
@@ -234,9 +236,11 @@ def check_assumptions(phi: ShrinkageFunction) -> AssumptionReport:
 # classification
 # ---------------------------------------------------------------------------
 
-def _profile(phi: ShrinkageFunction, dims: ProblemDims) -> TailProfile:
-    """phi's own tail hint, else a profile fitted on [1e3, 1e8]."""
-    return phi.tail or tail_profile(phi, dims, np.geomspace(1e3, 1e8, 48))
+def _phi_limit(phi: ShrinkageFunction) -> float:
+    """phi's limit at infinity, from the tail profile its family attached."""
+    if phi.tail is None:
+        raise ValueError(f"{phi.label} has no tail profile to read phi_limit from")
+    return phi.tail.phi_limit
 
 
 def _tail_start(grid: np.ndarray, vals: np.ndarray, dims: ProblemDims, b: float) -> float | None:
@@ -276,7 +280,7 @@ def classify(
     if grid.min() <= 1.0:
         raise ValueError("classification grid must lie in (1, inf)")
     # unbounded phi shrinks past every critical tail eventually
-    unbounded = math.isinf(_profile(phi, dims).phi_limit)
+    unbounded = math.isinf(_phi_limit(phi))
     vals = np.asarray(phi.eval(grid), dtype=float)
 
     for b in (1.0 - margin,) if unbounded else (1.0 + margin, 1.0 - margin):
@@ -323,17 +327,18 @@ def construct_dominator(
 
     Requires b > 1, a finite tail limit, and the quasi-inadmissible
     inequality to hold with this b on the grid tail.  w_sharp starts at the
-    verified threshold and doubles until verify_domination passes
-    (non-vacuously); the doubling is capped at w_sharp_cap.
+    verified threshold and doubles until the certificate on default_w_grid()
+    passes (non-vacuously); the doubling is capped at w_sharp_cap.
     """
     if not b > 1.0:
         raise ValueError("construction requires a witness b > 1")
-    phi_star = _profile(phi, dims).phi_limit
+    phi_star = _phi_limit(phi)
     if math.isinf(phi_star):
         raise ConstructionError("phi_star must be finite to construct a dominator")
 
-    grid = default_w_grid(lo=1e-4, points=1400)
-    # phi on the grid does not change with w_sharp, so it is evaluated once
+    grid = default_w_grid()
+    # phi, phi' and D_phi on the grid do not change with w_sharp, so each is
+    # evaluated once
     pv = np.asarray(phi.eval(grid), dtype=float)
     above_one = grid > 1.0
     w_star = _tail_start(grid[above_one], pv[above_one], dims, b)
@@ -344,13 +349,11 @@ def construct_dominator(
         )
 
     nu = nu_from_witness(b, phi_star, dims)
+    dv = phi.deriv(grid)
+    kept = ShrinkageFunction(eval=lambda w: pv, deriv=lambda w: dv, label=phi.label)
+    d_kept = d_phi(kept, grid, dims)
     w_sharp = w_star
-    if w_sharp <= w_sharp_cap:  # else no w_sharp is tried, and nothing evaluated
-        # nor do phi' and D_phi on the grid
-        dv = phi.deriv(grid)
-        kept = ShrinkageFunction(eval=lambda w: pv, deriv=lambda w: dv, label=phi.label)
-        d_kept = d_phi(kept, grid, dims)
-    last = None
+    diag = {}
     while w_sharp <= w_sharp_cap:
         spec = DominatorSpec(nu=nu, w_sharp=w_sharp, ramp_width=w_sharp, b=b, w_star=w_star)
         # delta(phi, g) on the grid, without evaluating phi again
@@ -358,14 +361,8 @@ def construct_dominator(
         cert = _certificate(spec, grid, deltas)
         if cert.verdict and not cert.trivial:
             return spec
-        last = cert
+        diag = {"min_delta_above_sharp": cert.min_delta_above_sharp, "last_w_sharp": w_sharp}
         w_sharp *= 2.0
-    diag = {}
-    if last is not None:
-        diag = {
-            "min_delta_above_sharp": last.min_delta_above_sharp,
-            "last_w_sharp": last.spec.w_sharp,
-        }
     raise ConstructionError(
         f"no verifying w_sharp found up to cap {w_sharp_cap:g}", diagnostics=diag
     )
@@ -383,7 +380,7 @@ def verify_domination(
     there (bit-exact, asserted); the verdict additionally needs
     min Delta >= 0 over the grid points above w_sharp.
     """
-    grid = default_w_grid(points=800) if w_grid is None else np.asarray(w_grid, float)
+    grid = default_w_grid() if w_grid is None else np.asarray(w_grid, float)
     if len(grid) < 500 or grid.min() > 0.0 or grid.max() < 1e8:
         raise ValueError("verification grid must span [0, 1e8] with >= 500 points")
     return _certificate(spec, grid, delta(phi, dominator_g(spec), grid, dims))

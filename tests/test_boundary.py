@@ -202,13 +202,22 @@ class TestConstruct:
         spec = construct_dominator(spy, DIMS, 1.5)
         # once on the whole grid, for w_star and every doubling
         assert calls == {"eval": 1, "deriv": 1}
-        # the doubling search run through verify_domination finds the same spec
-        grid = default_w_grid(lo=1e-4, points=1400)
+        # the doubling search run through verify_domination's default grid
+        # finds the same spec
         ref = dataclasses.replace(spec, w_sharp=spec.w_star, ramp_width=spec.w_star)
-        while not (cert := verify_domination(phi, ref, DIMS, grid)).verdict or cert.trivial:
+        while not (cert := verify_domination(phi, ref, DIMS)).verdict or cert.trivial:
             ref = dataclasses.replace(ref, w_sharp=2.0 * ref.w_sharp, ramp_width=2.0 * ref.w_sharp)
         assert ref == spec
         assert spec.w_sharp >= 8.0 * spec.w_star
+
+    @pytest.mark.parametrize("run", [lambda phi: classify(phi, DIMS),
+                                     lambda phi: construct_dominator(phi, DIMS, 1.5)],
+                             ids=["classify", "construct_dominator"])
+    def test_phi_without_tail_profile_is_a_typed_error(self, run):
+        # phi_limit comes only from the tail profile a family attaches
+        bare = fn(lambda w: 0.0 * w, lambda w: 0.0 * w, "bare-zero")
+        with pytest.raises(ValueError, match="bare-zero has no tail profile"):
+            run(bare)
 
     def test_unbounded_phi_rejected(self):
         with pytest.raises(ConstructionError):

@@ -91,21 +91,32 @@ class TestDominateAndVerify:
         assert code == 0
         assert json.loads(out)["certificate"]["verdict"] is True
 
-    # construct_dominator verifies this spec on its 1401-point grid, but the
-    # report's 801-point grid holds a point where Delta is about -2.1e-10
+    # dominate builds and certifies GB_FALSE on one grid, default_w_grid();
+    # GB_FALSE_SPEC ramps up from a slightly smaller w_sharp, and on that
+    # grid its Delta dips to about -2.1e-10 above w_sharp
     GB_FALSE = ["--p", "19", "--n", "16", "--phi", "gb:a=-2,b=3.0", "--b", "1.5"]
     GB_FALSE_SPEC = ["--nu", "0.12323943661971831", "--w-sharp", "4663.673023454806",
                      "--ramp-width", "4663.673023454806", "--w-star", "2.277184093483792"]
 
-    @pytest.mark.parametrize("argv", [["dominate", *GB_FALSE],
-                                      ["verify", *GB_FALSE, *GB_FALSE_SPEC]],
-                             ids=["dominate", "verify"])
+    @pytest.mark.parametrize("argv", [["verify", *GB_FALSE, *GB_FALSE_SPEC]], ids=["verify"])
     def test_false_certificate_exits_1_and_is_reported(self, capsys, argv):
         code, out = run_cli(argv, capsys)
         assert code == 1
         cert = json.loads(out)["certificate"]
         assert cert["verdict"] is False and cert["min_delta_above_sharp"] < 0.0
         jsonschema.validate(cert, load_schema("domination_certificate.schema.json"))
+
+    def test_dominate_certifies_on_the_grid_it_built_on(self, capsys):
+        code, out = run_cli(["dominate", *self.GB_FALSE], capsys)
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert cert["verdict"] is True and cert["min_delta_above_sharp"] >= 0.0
+        # verify's default grid is the one the construction searched
+        spec = [f"--{name.replace('_', '-')}={value!r}"
+                for name, value in cert["spec"].items() if name != "b"]
+        code, out = run_cli(["verify", *self.GB_FALSE, *spec], capsys)
+        assert code == 0
+        assert json.loads(out)["certificate"] == cert
 
 
 class TestSimulateCommand:

@@ -161,22 +161,35 @@ class TestRisk:
 
     @pytest.mark.parametrize("model", [Normal(), StudentT(df=10.0)], ids=encode_model)
     def test_sub_block_size_does_not_change_reports(self, monkeypatch, model):
-        # two chunks, the last one partial; one sub-block per chunk is the
-        # unblocked evaluation, and with 3-row sub-blocks the first chunk
-        # (131 072 = 3 * 43 690 + 2 rows) ends in a 2-row one
+        # one sub-block per chunk is the unblocked evaluation; each chunking
+        # has two or more chunks, the last one partial
         dims = ProblemDims(20, 6)
         phi = make_shrinkage(PositivePartJS(a=constants(dims).c_pn), dims)
         zero = make_shrinkage(Zero(), dims)
         spec = construct_dominator(zero, dims, 1.5)
-        cfg = SimConfig(dims=dims, theta_norm=1.0, sigma=1.0, reps=_CHUNK + 12_345, seed=11,
-                        model=model)
-        reports = []
-        for values in (montecarlo._BLOCK_VALUES, (dims.p + 2) * _CHUNK, 3 * (dims.p + 2)):
-            monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", values)
-            for threads in (1, 2):
-                reports.append((estimate_risk(phi, cfg, threads=threads),
+
+        def reports(chunk, reps, block_values):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            cfg = SimConfig(dims=dims, theta_norm=1.0, sigma=1.0, reps=reps, seed=11,
+                            model=model)
+            out = []
+            for values in block_values:
+                monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", values)
+                for threads in (1, 2):
+                    out.append((estimate_risk(phi, cfg, threads=threads),
                                 domination_mc(zero, spec, [cfg], threads=threads)))
-        assert all(r == reports[0] for r in reports[1:])
+            return out
+
+        # the default constants, whose 5957-row sub-blocks end each chunk in
+        # a shorter one
+        runs = reports(_CHUNK, _CHUNK + 12_345, (montecarlo._BLOCK_VALUES, (dims.p + 2) * _CHUNK))
+        assert all(r == runs[0] for r in runs[1:])
+        # 3-row sub-blocks at 1025-row chunks: every full chunk ends in a
+        # 2-row sub-block and the partial chunk (700 = 3 * 233 + 1 rows) in
+        # a 1-row one
+        small = 1025
+        runs = reports(small, 2 * small + 700, ((dims.p + 2) * small, 3 * (dims.p + 2)))
+        assert all(r == runs[0] for r in runs[1:])
 
     def test_memory_does_not_grow_with_reps(self):
         # nor with p: a chunk is evaluated in sub-blocks of bounded size
