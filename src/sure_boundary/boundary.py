@@ -51,6 +51,7 @@ __all__ = [
     "AssumptionReport",
     "ConstructionError",
     "MARGIN_DEFAULT",
+    "GRID_POINTS_DEFAULT",
     "nu_from_witness",
     "check_assumptions",
     "classify",
@@ -61,6 +62,7 @@ __all__ = [
 ]
 
 MARGIN_DEFAULT = 0.05
+GRID_POINTS_DEFAULT = 800
 
 QUASI_ADMISSIBLE = "QuasiAdmissible"
 QUASI_INADMISSIBLE = "QuasiInadmissible"
@@ -165,10 +167,10 @@ def dominator_g(spec: DominatorSpec) -> ShrinkageFunction:
     )
 
 
-def default_w_grid(lo: float = 1e-6, points: int = 800) -> np.ndarray:
-    """w = 0 followed by a geometric grid of points from lo to 1e8; the
-    defaults give the grid dominators are constructed and certified on."""
-    return np.concatenate([[0.0], np.geomspace(lo, 1e8, points)])
+def default_w_grid(points: int = GRID_POINTS_DEFAULT) -> np.ndarray:
+    """w = 0 followed by a geometric grid of points from 1e-6 to 1e8; the
+    default is the grid every verdict and certificate is made on."""
+    return np.concatenate([[0.0], np.geomspace(1e-6, 1e8, points)])
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ _TAIL_FROM = 1e3
 
 
 def check_assumptions(phi: ShrinkageFunction) -> AssumptionReport:
-    grid = default_w_grid(points=400)
+    grid = default_w_grid()
     vals = np.asarray(phi.eval(grid), dtype=float)
     derivs = np.asarray(phi.deriv(grid), dtype=float)
 
@@ -249,6 +251,7 @@ def _tail_start(grid: np.ndarray, vals: np.ndarray, dims: ProblemDims, b: float)
     it when b > 1, at or above it when b < 1.  None unless that stretch
     covers at least the last two decades of the grid.
     """
+    grid, vals = grid[grid > 1.0], vals[grid > 1.0]  # the tail needs log w > 0
     k = constants(dims)
     tail = k.c_pn - b * k.beta_star / np.log(grid)
     ok = vals <= tail if b > 1.0 else vals >= tail
@@ -268,17 +271,14 @@ def classify(
     """Place phi on the quasi-admissible / quasi-inadmissible side of the
     critical tail, or report Indeterminate inside the margin dead zone.
 
-    The grid must live strictly above w = 1 (the critical tail involves
-    1/log w).  A verdict requires its inequality to hold over at least the
-    last two decades of the grid.
+    It scans the grid's points above w = 1, where log w > 0; a verdict needs
+    its inequality over at least the last two decades of the grid.
     """
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     if 1.0 + margin == 1.0:  # the witness b = 1 +/- margin must pick a side
         raise ValueError(f"margin {margin!r} leaves 1 + margin equal to 1")
-    grid = np.geomspace(2.0, 1e8, 700) if w_grid is None else np.asarray(w_grid, float)
-    if grid.min() <= 1.0:
-        raise ValueError("classification grid must lie in (1, inf)")
+    grid = default_w_grid() if w_grid is None else np.asarray(w_grid, float)
     # unbounded phi shrinks past every critical tail eventually
     unbounded = math.isinf(_phi_limit(phi))
     vals = np.asarray(phi.eval(grid), dtype=float)
@@ -340,8 +340,7 @@ def construct_dominator(
     # phi, phi' and D_phi on the grid do not change with w_sharp, so each is
     # evaluated once
     pv = np.asarray(phi.eval(grid), dtype=float)
-    above_one = grid > 1.0
-    w_star = _tail_start(grid[above_one], pv[above_one], dims, b)
+    w_star = _tail_start(grid, pv, dims, b)
     if w_star is None:
         raise ConstructionError(
             f"the quasi-inadmissible inequality with b={b} does not hold on "

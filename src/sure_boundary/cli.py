@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .boundary import (
+    GRID_POINTS_DEFAULT,
     DominatorSpec,
     MARGIN_DEFAULT,
     classify,
@@ -175,7 +176,7 @@ def build_parser() -> _Parser:
     p.add_argument("--w-sharp", dest="w_sharp", type=float, required=True)
     p.add_argument("--ramp-width", dest="ramp_width", type=float, required=True)
     p.add_argument("--w-star", dest="w_star", type=float, required=True)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=800)
+    p.add_argument("--grid-points", dest="grid_points", type=int, default=GRID_POINTS_DEFAULT)
 
     p = sub.add_parser("simulate", help="Monte Carlo risk of one configuration")
     _add_common(p)

@@ -29,6 +29,7 @@ from sure_boundary.families import (
     TailProfile,
     Zero,
     make_shrinkage,
+    parse_phi_spec,
     tail_profile,
 )
 
@@ -105,6 +106,18 @@ class TestClassify:
             dense = classify(phi, dims, w_grid=np.geomspace(2.0, 1e8, 2500))
             flips = {coarse.variant, dense.variant}
             assert flips != {"QuasiAdmissible", "QuasiInadmissible"}
+
+    @pytest.mark.parametrize("spec,dims", [
+        ("zero", ProblemDims(5, 6)),
+        ("boundary:b=2.0", ProblemDims(6, 17)),
+        ("gb:a=-2,b=3.0", ProblemDims(19, 16)),
+    ], ids=["zero", "boundary", "gb"])
+    def test_verdict_threshold_is_where_construction_starts(self, spec, dims):
+        # one scan on one grid: witness 1.5 gives the dominator's own w_star
+        phi = make_shrinkage(parse_phi_spec(spec), dims)
+        verdict = classify(phi, dims, margin=0.5)
+        assert verdict.b_witness == 1.5
+        assert verdict.w_star == construct_dominator(phi, dims, 1.5).w_star
 
     def test_witnesses_sit_at_margin_edges(self):
         v = classify(make_shrinkage(Zero(), DIMS), DIMS)

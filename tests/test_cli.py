@@ -6,9 +6,11 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from sure_boundary.cli import main
+from sure_boundary.boundary import default_w_grid
+from sure_boundary.cli import build_parser, main
 from sure_boundary.montecarlo import THREADS_ENV_VAR
 
 D56 = ["--p", "5", "--n", "6"]
@@ -90,6 +92,13 @@ class TestDominateAndVerify:
         )
         assert code == 0
         assert json.loads(out)["certificate"]["verdict"] is True
+
+    def test_verify_grid_points_default_is_the_certificate_grid(self):
+        args = build_parser().parse_args(
+            ["verify", *D56, "--phi", "zero", "--b", "1.5", "--nu", "0.5",
+             "--w-sharp", "4.0", "--ramp-width", "4.0", "--w-star", "4.0"]
+        )
+        assert np.array_equal(default_w_grid(points=args.grid_points), default_w_grid())
 
     # dominate builds and certifies GB_FALSE on one grid, default_w_grid();
     # GB_FALSE_SPEC ramps up from a slightly smaller w_sharp, and on that
