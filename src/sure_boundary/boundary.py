@@ -173,6 +173,16 @@ def default_w_grid(points: int = GRID_POINTS_DEFAULT) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(1e-6, 1e8, points)])
 
 
+def _w_grid(w_grid: np.ndarray | None) -> np.ndarray:
+    """default_w_grid(), or w_grid once it is 1-d, finite and strictly ascending."""
+    if w_grid is None:
+        return default_w_grid()
+    w = np.asarray(w_grid, float)
+    if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(np.diff(w) <= 0):
+        raise ValueError("w_grid must be 1-d, finite and strictly ascending")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # assumption diagnostics
 # ---------------------------------------------------------------------------
@@ -278,7 +288,9 @@ def classify(
         raise ValueError("margin must lie in (0, 1)")
     if 1.0 + margin == 1.0:  # the witness b = 1 +/- margin must pick a side
         raise ValueError(f"margin {margin!r} leaves 1 + margin equal to 1")
-    grid = default_w_grid() if w_grid is None else np.asarray(w_grid, float)
+    grid = _w_grid(w_grid)
+    if not np.any(grid > 1.0):
+        raise ValueError("w_grid must have a point above 1")
     # unbounded phi shrinks past every critical tail eventually
     unbounded = math.isinf(_phi_limit(phi))
     vals = np.asarray(phi.eval(grid), dtype=float)
@@ -379,7 +391,7 @@ def verify_domination(
     there (bit-exact, asserted); the verdict additionally needs
     min Delta >= 0 over the grid points above w_sharp.
     """
-    grid = default_w_grid() if w_grid is None else np.asarray(w_grid, float)
+    grid = _w_grid(w_grid)
     if len(grid) < 500 or grid.min() > 0.0 or grid.max() < 1e8:
         raise ValueError("verification grid must span [0, 1e8] with >= 500 points")
     return _certificate(spec, grid, delta(phi, dominator_g(spec), grid, dims))

@@ -140,6 +140,20 @@ class TestClassify:
             "stabilize on the grid"
         )
 
+    # the grid classify used before it read default_w_grid()
+    GRID_2_TO_1E8 = np.geomspace(2.0, 1e8, 700)
+
+    @pytest.mark.parametrize("grid", [GRID_2_TO_1E8[::-1], np.append(GRID_2_TO_1E8, np.nan),
+                                      GRID_2_TO_1E8.reshape(7, 100)],
+                             ids=["descending", "nan", "2-d"])
+    def test_malformed_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="w_grid must be 1-d, finite and strictly ascending"):
+            classify(make_shrinkage(Zero(), DIMS), DIMS, w_grid=grid)
+
+    def test_grid_without_a_point_above_one_rejected(self):
+        with pytest.raises(ValueError, match="w_grid must have a point above 1"):
+            classify(make_shrinkage(Zero(), DIMS), DIMS, w_grid=np.linspace(0.0, 1.0, 700))
+
     def test_margin_below_float_resolution_rejected(self):
         # 1 + 1e-17 == 1.0, so neither witness would lie off b = 1
         with pytest.raises(ValueError, match="leaves 1 \\+ margin equal to 1"):
@@ -274,6 +288,16 @@ class TestVerify:
         spec = DominatorSpec(nu=0.5, w_sharp=4.0, ramp_width=4.0, b=1.5, w_star=4.0)
         with pytest.raises(ValueError):
             verify_domination(phi, spec, DIMS, np.geomspace(1.0, 1e8, 100))
+
+
+    @pytest.mark.parametrize("grid", [np.array([0.0] + 600 * [1e8]),
+                                      np.append(default_w_grid(), np.inf)],
+                             ids=["one-point-repeated", "inf"])
+    def test_malformed_grid_rejected(self, grid):
+        phi = make_shrinkage(Zero(), DIMS)
+        spec = DominatorSpec(nu=0.5, w_sharp=4.0, ramp_width=4.0, b=1.5, w_star=4.0)
+        with pytest.raises(ValueError, match="w_grid must be 1-d, finite and strictly ascending"):
+            verify_domination(phi, spec, DIMS, grid)
 
 
 class TestLemmaWitness:
