@@ -14,9 +14,11 @@ Since the inequalities are monotone in b, testing at the edge witnesses
 b = 1 -/+ margin is sufficient: if the quasi-admissible inequality fails at
 b = 1 - margin it fails for every smaller b, and symmetrically.  A verdict
 additionally requires the inequality to hold over at least the last two
-decades of the grid, so a one-point tail can never decide.  One scan,
-``_tail_start``, serves both verdicts and the construction below; b picks
-the side (phi at or below the tail when b > 1, at or above it when b < 1).
+decades of the grid, so a one-point tail can never decide.  Verdicts,
+assumption checks and certificates share one grid, default_w_grid().  One
+scan, ``_tail_start``, on its points above w = 1, gives both verdicts and
+the construction's threshold w_star; b picks the side (phi at or below the
+tail when b > 1, at or above it when b < 1).
 
 The constructive dominator for a quasi-inadmissible phi (with witness b and
 finite limit phi_star) is
@@ -189,7 +191,8 @@ def _w_grid(w_grid: np.ndarray | None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Grid diagnostics for the regularity assumptions on phi.
+    """Diagnostics for the regularity assumptions on phi, sampled on
+    default_w_grid(), the grid its verdict and certificate are made on.
 
     a1: phi(0) = 0 and phi >= 0; a2: at most _MAX_EXTREMA sign changes of
     phi'; a3: phi' finite everywhere sampled; a4: values of w phi'(w)/phi(w)
@@ -215,6 +218,7 @@ _TAIL_FROM = 1e3
 
 
 def check_assumptions(phi: ShrinkageFunction) -> AssumptionReport:
+    """a1-a4 of AssumptionReport for phi on default_w_grid()."""
     grid = default_w_grid()
     vals = np.asarray(phi.eval(grid), dtype=float)
     derivs = np.asarray(phi.deriv(grid), dtype=float)

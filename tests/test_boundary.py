@@ -140,11 +140,10 @@ class TestClassify:
             "stabilize on the grid"
         )
 
-    # the grid classify used before it read default_w_grid()
-    GRID_2_TO_1E8 = np.geomspace(2.0, 1e8, 700)
+    ASCENDING = np.geomspace(2.0, 1e8, 700)
 
-    @pytest.mark.parametrize("grid", [GRID_2_TO_1E8[::-1], np.append(GRID_2_TO_1E8, np.nan),
-                                      GRID_2_TO_1E8.reshape(7, 100)],
+    @pytest.mark.parametrize("grid", [ASCENDING[::-1], np.append(ASCENDING, np.nan),
+                                      ASCENDING.reshape(7, 100)],
                              ids=["descending", "nan", "2-d"])
     def test_malformed_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="w_grid must be 1-d, finite and strictly ascending"):
@@ -288,7 +287,6 @@ class TestVerify:
         spec = DominatorSpec(nu=0.5, w_sharp=4.0, ramp_width=4.0, b=1.5, w_star=4.0)
         with pytest.raises(ValueError):
             verify_domination(phi, spec, DIMS, np.geomspace(1.0, 1e8, 100))
-
 
     @pytest.mark.parametrize("grid", [np.array([0.0] + 600 * [1e8]),
                                       np.append(default_w_grid(), np.inf)],
