@@ -32,8 +32,9 @@ certificates are reproducible.  w_sharp starts at the verified inequality
 threshold and doubles until the risk-difference Delta(w) = D_phi - D_{phi+g}
 is nonnegative at every grid point above w_sharp (and exactly zero below,
 where g vanishes identically) on default_w_grid(), the grid the certificate
-is made on.  Existence is a theorem; the search is capped because the theory
-provides no constructive bound.
+is made on.  Existence is a theorem, but the theory provides no constructive
+bound, so the search stops at the top of the grid: from there g vanishes at
+every grid point and the certificate would be vacuous.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ INDETERMINATE = "Indeterminate"
 
 
 class ConstructionError(RuntimeError):
-    """Dominator construction failed within the configured search window."""
+    """Dominator construction failed: no w_sharp below the grid top verifies."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -336,15 +337,15 @@ def construct_dominator(
     phi: ShrinkageFunction,
     dims: ProblemDims,
     b: float,
-    *,
-    w_sharp_cap: float = 1e10,
 ) -> DominatorSpec:
     """Build a perturbation g whose risk-difference certificate verifies.
 
     Requires b > 1, a finite tail limit, and the quasi-inadmissible
     inequality to hold with this b on the grid tail.  w_sharp starts at the
     verified threshold and doubles until the certificate on default_w_grid()
-    passes (non-vacuously); the doubling is capped at w_sharp_cap.
+    passes (non-vacuously).  It doubles only while some grid point lies
+    above it; ConstructionError reports the last w_sharp tried, below the
+    grid top 1e8.
     """
     if not b > 1.0:
         raise ValueError("construction requires a witness b > 1")
@@ -369,7 +370,7 @@ def construct_dominator(
     d_kept = d_phi(kept, grid, dims)
     w_sharp = w_star
     diag = {}
-    while w_sharp <= w_sharp_cap:
+    while w_sharp < grid[-1]:
         spec = DominatorSpec(nu=nu, w_sharp=w_sharp, ramp_width=w_sharp, b=b, w_star=w_star)
         # delta(phi, g) on the grid, without evaluating phi again
         deltas = d_kept - d_phi(kept.plus(dominator_g(spec)), grid, dims)
@@ -379,7 +380,7 @@ def construct_dominator(
         diag = {"min_delta_above_sharp": cert.min_delta_above_sharp, "last_w_sharp": w_sharp}
         w_sharp *= 2.0
     raise ConstructionError(
-        f"no verifying w_sharp found up to cap {w_sharp_cap:g}", diagnostics=diag
+        f"no verifying w_sharp below the grid top {grid[-1]:g}", diagnostics=diag
     )
 
 

@@ -166,7 +166,6 @@ def build_parser() -> _Parser:
     p.add_argument("--phi", required=True)
     p.add_argument("--b", "--tail-coeff", dest="b", type=float, required=True,
                    help="quasi-inadmissibility witness (> 1)")
-    p.add_argument("--w-sharp-cap", dest="w_sharp_cap", type=float, default=1e10)
 
     p = sub.add_parser("verify", help="verify an explicit dominator spec")
     _add_common(p)
@@ -253,7 +252,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_dominate(args) -> int:
     dims, phi = _problem(args)
-    spec = construct_dominator(phi, dims, args.b, w_sharp_cap=args.w_sharp_cap)
+    spec = construct_dominator(phi, dims, args.b)
     cert = verify_domination(phi, spec, dims)
     _emit(args, {"certificate": cert})
     return 0 if cert.verdict else 1
@@ -309,17 +308,20 @@ def _cmd_sure_check(args) -> int:
     return 0
 
 
-def _require_finite(args, *dests: str) -> None:
-    """Reject a non-finite grid option, naming it, before a grid is built."""
+def _require_bounds(args, *dests: str) -> None:
+    """Reject a non-finite or non-positive bound of a geometric grid, naming
+    its option, before the grid is built."""
     for dest in dests:
         value = getattr(args, dest)
+        option = "--" + dest.replace("_", "-")
         if not math.isfinite(value):
-            option = "--" + dest.replace("_", "-")
             raise ValueError(f"argument {option}: must be finite, got {value!r}")
+        if value <= 0.0:
+            raise ValueError(f"argument {option}: must be positive, got {value!r}")
 
 
 def _cmd_asymptotics(args) -> int:
-    _require_finite(args, "w_lo", "w_hi")
+    _require_bounds(args, "w_lo", "w_hi")
     dims, phi = _problem(args)
     grid = np.geomspace(args.w_lo, args.w_hi, args.points)
     _emit(args, {"tail_profile": tail_profile(phi, dims, grid)})
@@ -337,7 +339,7 @@ def _cmd_known_variance(args) -> int:
         tauberian_check,
     )
 
-    _require_finite(args, "z_max")
+    _require_bounds(args, "z_max")
     prior = PriorSpec(a=args.a, L=parse_l_family(args.L))
     prior.validate_for(args.p)
     cfg = _quad_cfg(args)

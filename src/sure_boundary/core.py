@@ -144,14 +144,12 @@ def parse_spec(text: str, kinds: Mapping[str, type]) -> Any:
 def encode_spec(spec: Any, kinds: Mapping[str, type]) -> str:
     """Canonical text of spec; parse_spec(encode_spec(s, kinds), kinds) == s.
 
-    Fields that are None are left out; every other field is written as
-    name=repr(float(value)).
+    Every field is written as name=repr(float(value)).
     """
     head = next((h for h, kind in kinds.items() if type(spec) is kind), None)
     if head is None:
         raise TypeError(f"not one of {', '.join(kinds)}: {spec!r}")
-    values = ((f.name, getattr(spec, f.name)) for f in fields(spec))
-    params = ",".join(f"{name}={float(v)!r}" for name, v in values if v is not None)
+    params = ",".join(f"{f.name}={float(getattr(spec, f.name))!r}" for f in fields(spec))
     return f"{head}:{params}" if params else head
 
 

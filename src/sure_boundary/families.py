@@ -7,11 +7,11 @@ Catalog (text encodings in parentheses):
 * ``PositivePartJS`` (``jsplus:a=0.375``): phi(w) = min(w, a), the positive-part
   James-Stein multiplier.
 * ``BoundaryPhi`` (``boundary:b=1.0``): phi(w) = max(0, c_pn - b beta_star /
-  log(max(w, w_floor))), a function sitting exactly on the b-scaled critical
-  tail.  The default w_floor is the zero crossing exp(b beta_star / c_pn)
-  capped at e^2, and phi is exactly 0 at and below it, so phi(0) = 0 holds;
-  only the tail shape matters to the classification theory, the near-origin
-  shape is free.
+  log w) above a floor and 0 at and below it, a function sitting exactly on
+  the b-scaled critical tail.  The floor is always derived (boundary_floor):
+  the zero crossing exp(b beta_star / c_pn), capped at e^2, so phi(0) = 0
+  holds (assumption a1); only the tail shape matters to the classification
+  theory.
 * ``GBUnknown`` (``gb:a=-2,b=1.0``): the generalized Bayes multiplier under the
   scale-mixture prior with mixing density lambda^a (log 1/lambda)^b on (0,1),
 
@@ -120,14 +120,11 @@ class PositivePartJS:
 @dataclass(frozen=True)
 class BoundaryPhi:
     b: float
-    w_floor: float | None = None  # None: dims-aware default, see make_shrinkage
 
     def __post_init__(self) -> None:
         require_finite(self)
         if not self.b > 0.0:
             raise ValueError("boundary: b must be > 0")
-        if self.w_floor is not None and not self.w_floor > 1.0:
-            raise ValueError("boundary: w_floor must be > 1")
 
 
 @dataclass(frozen=True)
@@ -482,14 +479,13 @@ def _make_gb(spec: GBUnknown, dims: ProblemDims, cfg: QuadratureConfig) -> Shrin
     return ShrinkageFunction(eval=ev, deriv=dv, label=encode_phi_spec(spec), tail=tail)
 
 
-def resolve_w_floor(spec: BoundaryPhi, dims: ProblemDims) -> float:
-    """Default floor: the zero crossing exp(b beta_star / c_pn), capped at e^2.
+def boundary_floor(spec: BoundaryPhi, dims: ProblemDims) -> float:
+    """The floor of a BoundaryPhi, at and below which phi is 0: the zero
+    crossing exp(b beta_star / c_pn) of its tail, capped at e^2.
 
-    Any floor at or below the crossing leaves phi = 0 near the origin, which
-    is what keeps phi(0) = 0; a fixed floor independent of b would not.
+    The floor is never above the crossing, which is what keeps phi(0) = 0
+    (assumption a1); a fixed floor independent of b would not.
     """
-    if spec.w_floor is not None:
-        return spec.w_floor
     k = constants(dims)
     return min(math.exp(2.0), math.exp(spec.b * k.beta_star / k.c_pn))
 
@@ -530,16 +526,15 @@ def make_shrinkage(
         )
 
     if isinstance(spec, BoundaryPhi):
-        floor = resolve_w_floor(spec, dims)
+        floor = boundary_floor(spec, dims)
         coeff = spec.b * k.beta_star
-        # the default floor is the zero crossing, where phi vanishes; the
-        # exp/log round trip alone would leave it at ~1e-17 below the floor
-        zero_to = floor if spec.w_floor is None else -math.inf
 
+        # phi vanishes at the floor, the zero crossing; the exp/log round trip
+        # alone would leave it at ~1e-17 below the floor
         @elementwise
         def ev(w):
             out = np.maximum(0.0, k.c_pn - coeff / np.log(np.maximum(w, floor)))
-            return np.where(w <= zero_to, 0.0, out)
+            return np.where(w <= floor, 0.0, out)
 
         @elementwise
         def dv(w):

@@ -67,6 +67,10 @@ _T_MAX = 6.0
 _H0 = 0.5
 # Weakest endpoint exponent the fixed horizon supports at full accuracy.
 _MIN_EXPONENT = -0.95
+# A level hits when its error estimate is at most _ABS_TOL times the L1 mass
+# or rel_tol times the estimate; a pass gives up after level _MAX_LEVEL.
+_ABS_TOL = 1e-14
+_MAX_LEVEL = 12
 # Values per integrand evaluated at once by _tanh_sinh_batch: a level is cut
 # into row slices of about this size, which bounds the batch's temporaries
 # (evaluating all 508 rows of a gb table at once adds ~17 MB of peak memory,
@@ -76,19 +80,14 @@ _BATCH_ELEMENTS = 8192
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and refinement budget for the adaptive rule."""
+    """Relative tolerance of the adaptive rule; its absolute tolerance
+    (_ABS_TOL) and refinement budget (_MAX_LEVEL) are fixed."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_refinement_levels: int = 12
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):  # also rejects nan
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.max_refinement_levels < 1:
-            raise ValueError("max_refinement_levels must be >= 1")
+        if not (0.0 < self.rel_tol < math.inf):  # also rejects nan
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -172,16 +171,16 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 @functools.cache
 def _block(last: int):
     """(lambda, 1-lambda, dlambda/dt, log(1/lambda), levels) of the block of a
-    scalar pass that ends at level last.
+    scalar pass that ends at level last >= _BLOCK_LEVEL.
 
-    The block holds levels 0 to last when last <= _BLOCK_LEVEL, else level
-    last alone; levels gives (level, slice of the block's nodes) for each.
+    The block holds levels 0 to _BLOCK_LEVEL when last is _BLOCK_LEVEL, else
+    level last alone; levels gives (level, slice of the block's nodes) for each.
     """
     if last > _BLOCK_LEVEL:
         return (*_nodes(last), ((last, slice(None)),))
     arrays, bounds = _first_block()
-    levels = tuple((level, slice(bounds[level], bounds[level + 1])) for level in range(last + 1))
-    return (*(a[:bounds[last + 1]] for a in arrays), levels)
+    return (*arrays, tuple((level, slice(bounds[level], bounds[level + 1]))
+                           for level in range(_BLOCK_LEVEL + 1)))
 
 
 # Exponent-only powers are kept for blocks that end at a level up to
@@ -223,12 +222,12 @@ def _refine(value, scale, h, s, l1):
 def _stop_rule(err, value, scale, hit, cfg: QuadratureConfig):
     """Advance the consecutive-hit count; return (hit, converged).
 
-    A level hits when err <= max(abs_tol * L1 mass, rel_tol * |value|).  Two
+    A level hits when err <= max(_ABS_TOL * L1 mass, rel_tol * |value|).  Two
     consecutive hits are needed (one suffices when err is exactly 0), which
     guards against sharply peaked integrands whose coarse levels agree before
     seeing the peak.  Works on floats and, elementwise, on arrays.
     """
-    ok = (err <= cfg.abs_tol * scale) | (err <= cfg.rel_tol * abs(value))
+    ok = (err <= _ABS_TOL * scale) | (err <= cfg.rel_tol * abs(value))
     hit = (hit + 1) * ok
     return hit, ok & ((hit >= 2) | (err == 0.0))
 
@@ -244,9 +243,9 @@ def _check_endpoint(singular_exponent: float, log_power: float) -> None:
         raise ValueError("log_power must be >= 0")
 
 
-def _not_converged(cfg: QuadratureConfig, value: float, err: float):
+def _not_converged(value: float, err: float):
     return QuadratureConvergenceError(
-        f"tanh-sinh did not reach tolerance after {cfg.max_refinement_levels} "
+        f"tanh-sinh did not reach tolerance after {_MAX_LEVEL} "
         f"levels (error estimate {err:.3e})",
         best_estimate=value,
         error_estimate=err,
@@ -284,9 +283,13 @@ def tanh_sinh_unit(
     (for instance log(1/lambda) ~ 1-lambda) evaluate stably from the exact
     complement instead of recovering it from a rounded lambda.
 
-    f is called once per block of levels: first for the nodes of levels 0
-    to min(_BLOCK_LEVEL, cfg.max_refinement_levels) as one array (385 nodes
-    in full), then once for each later level.  The levels of a block are
+    cfg sets the relative tolerance; a level also hits when its error
+    estimate is at most _ABS_TOL (1e-14) times the L1 mass of the
+    transformed integrand, and a pass that has not converged after level
+    _MAX_LEVEL (12) raises QuadratureConvergenceError.
+
+    f is called once per block of levels: first for the 385 nodes of levels
+    0 to _BLOCK_LEVEL as one array, then once for each later level.  The levels of a block are
     folded into the estimate one at a time, over their contiguous slices,
     and a level after the one where an integrand stops is neither summed
     nor checked for finite values.  A level's L1 sum is its sum when no
@@ -316,7 +319,7 @@ def tanh_sinh_unit(
     for s in exponents:
         _check_endpoint(s, log_power)
 
-    # abs_tol is measured against the L1 mass of the transformed integrand,
+    # _ABS_TOL is measured against the L1 mass of the transformed integrand,
     # not against 1.0: the integrals here can be legitimately tiny (e.g. the
     # generalized Bayes numerators at w ~ 1e8 have total mass ~ 1e-12) and a
     # raw absolute floor would accept them long before the peak is resolved.
@@ -326,8 +329,7 @@ def tanh_sinh_unit(
     errors: list[Exception | None] = [None] * n
     running = [True] * n
     failed = False
-    last = cfg.max_refinement_levels
-    for block in range(min(_BLOCK_LEVEL, last), last + 1):
+    for block in range(_BLOCK_LEVEL, _MAX_LEVEL + 1):
         lam, lam_c, weight, _, levels = _block(block)
         out = f(lam, lam_c)
         for k in range(n):
@@ -356,7 +358,7 @@ def tanh_sinh_unit(
             return value if several else value[0]
     for k in range(n):
         if running[k]:
-            errors[k], running[k] = _not_converged(cfg, value[k], err[k]), False
+            errors[k], running[k] = _not_converged(value[k], err[k]), False
     _raise_first(errors, running)
 
 
@@ -410,7 +412,7 @@ def _tanh_sinh_batch(
     scale = h * l1
     err = np.full_like(value, math.inf)
     hit = np.zeros(value.shape, dtype=int)
-    for level in range(1, cfg.max_refinement_levels + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         rows = np.flatnonzero(active.any(axis=0))
         if rows.size == 0:
             break
@@ -424,7 +426,7 @@ def _tanh_sinh_batch(
         active[:, rows] = live & ~done
     if active.any():
         row, k = np.argwhere(active.T)[0]
-        raise _not_converged(cfg, value[k, row], err[k, row])
+        raise _not_converged(value[k, row], err[k, row])
     return value
 
 

@@ -19,6 +19,7 @@ from scipy.special import gammainc, gammaln
 from sure_boundary.core import _as_w_array, _eval_pair, constants
 from sure_boundary.quadrature import (
     _H0,
+    _MAX_LEVEL,
     DEFAULT_CONFIG,
     QuadratureError,
     _check_endpoint,
@@ -84,7 +85,7 @@ def tanh_sinh_per_level(f, cfg=DEFAULT_CONFIG, *, singular_exponent=0.0, log_pow
     errors = [None] * n
     running = [True] * n
     failed = False
-    for level in range(cfg.max_refinement_levels + 1):
+    for level in range(_MAX_LEVEL + 1):
         h = _H0 / 2**level
         lam, lam_c, weight, _ = _nodes(level)
         out = f(lam, lam_c)
@@ -111,5 +112,5 @@ def tanh_sinh_per_level(f, cfg=DEFAULT_CONFIG, *, singular_exponent=0.0, log_pow
             return value if several else value[0]
     for k in range(n):
         if running[k]:
-            errors[k], running[k] = _not_converged(cfg, value[k], err[k]), False
+            errors[k], running[k] = _not_converged(value[k], err[k]), False
     _raise_first(errors, running)

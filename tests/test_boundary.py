@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sure_boundary import boundary
 from sure_boundary.boundary import (
     ConstructionError,
     DominatorSpec,
@@ -212,6 +213,25 @@ class TestConstruct:
     def test_requires_witness_above_one(self):
         with pytest.raises(ValueError):
             construct_dominator(make_shrinkage(Zero(), DIMS), DIMS, 0.9)
+
+    def test_search_stops_at_the_grid_top(self, monkeypatch):
+        # from the grid top on, g vanishes at every grid point, so no later
+        # doubling could give a certificate that is not vacuous
+        certificate = boundary._certificate
+        tried = []
+
+        def failing(spec, grid, deltas):
+            tried.append(spec.w_sharp)
+            return dataclasses.replace(certificate(spec, grid, deltas), verdict=False)
+
+        monkeypatch.setattr(boundary, "_certificate", failing)
+        top = default_w_grid()[-1]
+        with pytest.raises(ConstructionError) as err:
+            construct_dominator(make_shrinkage(Zero(), DIMS), DIMS, 1.5)
+        assert str(err.value) == "no verifying w_sharp below the grid top 1e+08"
+        last = err.value.diagnostics["last_w_sharp"]
+        assert last == tried[-1] and last < top <= 2.0 * last
+        assert all(w == tried[0] * 2.0**i for i, w in enumerate(tried))
 
     def test_phi_is_evaluated_once_per_construction(self):
         phi = make_shrinkage(GBUnknown(a=-2.0, b=2.0), DIMS)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, schemas, reproducibility, config round trips."""
 
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -163,7 +164,7 @@ class TestSimulateCommand:
 ROUND_TRIPS = {
     "classify": ["classify", *D56, "--phi", "gb:a=-2,b=2.5", "--margin", "0.1",
                  "--rel-tol", "1e-9"],
-    "dominate": ["dominate", *D56, "--phi", "zero", "--b", "1.5", "--w-sharp-cap", "1e9"],
+    "dominate": ["dominate", *D56, "--phi", "zero", "--b", "1.5"],
     "verify": ["verify", *D56, "--phi", "zero", "--b", "1.5", "--nu", "0.17708333333333334",
                "--w-sharp", "4.0", "--ramp-width", "4.0", "--w-star", "4.0",
                "--grid-points", "500"],
@@ -385,7 +386,8 @@ class TestKnownVarianceCommand:
 
 
 class TestNonFiniteGridOption:
-    """A non-finite grid bound stops the run before any grid is built."""
+    """A non-finite or non-positive bound of a geometric grid stops the run
+    before any grid is built."""
 
     @pytest.mark.parametrize("argv", [
         ["asymptotics", *D56, "--phi", "zero", "--w-hi", "inf"],
@@ -394,6 +396,11 @@ class TestNonFiniteGridOption:
         ["asymptotics", *D56, "--phi", "zero", "--w-lo", "nan"],
         ["known-variance", "--p", "5", "--a", "-2", "--z-max", "inf"],
         ["asymptotics", *D56, "--phi", "zero", "--w-lo", "-inf"],
+        ["asymptotics", *D56, "--phi", "zero", "--w-lo", "-3"],
+        ["asymptotics", *D56, "--phi", "zero", "--w-lo", "0"],
+        ["asymptotics", *D56, "--phi", "zero", "--w-hi", "-1e8"],
+        ["known-variance", "--p", "5", "--a", "-2", "--z-max", "-5"],
+        ["known-variance", "--p", "5", "--a", "-2", "--z-max", "0"],
     ])
     def test_typed_error_names_option_and_nothing_else(self, argv):
         # a subprocess, so that LAPACK's own messages would be seen too
@@ -402,8 +409,9 @@ class TestNonFiniteGridOption:
             capture_output=True,
             text=True,
         )
-        option, value = argv[-2:]
-        message = f"argument {option}: must be finite, got {value}"
+        option, value = argv[-2], float(argv[-1])
+        must = "finite" if not math.isfinite(value) else "positive"
+        message = f"argument {option}: must be {must}, got {value!r}"
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"sure-boundary: error: {message}\n"
 

@@ -24,7 +24,7 @@ from sure_boundary.families import (
     phi_gb_limit,
     phi_gb_unknown,
     phi_gb_unknown_deriv,
-    resolve_w_floor,
+    boundary_floor,
     tail_profile,
 )
 from sure_boundary.known_variance import LogPow, PriorSpec, encode_l_family, parse_l_family
@@ -114,7 +114,7 @@ class TestSpecEncoding:
         [(StudentT, {"df": math.inf}, "df"),
          (GBUnknown, {"a": math.inf}, "a"),
          (GBUnknown, {"a": -2.0, "b": math.nan}, "b"),
-         (BoundaryPhi, {"b": 1.0, "w_floor": math.inf}, "w_floor"),
+         (BoundaryPhi, {"b": math.inf}, "b"),
          (PriorSpec, {"a": math.inf}, "a"),
          (Linear, {"alpha": math.nan}, "alpha"),
          (PositivePartJS, {"a": math.inf}, "a"),
@@ -157,15 +157,10 @@ class TestNonnegativity:
                 dims = ProblemDims(p, n)
                 for b in (0.5, 1.0, 1.5, 2.0):
                     phi = make_shrinkage(BoundaryPhi(b=b), dims)
-                    floor = resolve_w_floor(BoundaryPhi(b=b), dims)
+                    floor = boundary_floor(BoundaryPhi(b=b), dims)
                     assert phi.eval(0.0) == phi.eval(floor) == 0.0
         # the crossing cap: floor never exceeds e^2
-        assert resolve_w_floor(BoundaryPhi(b=10.0), DIMS) == pytest.approx(math.e**2)
-
-    def test_boundary_explicit_floor_above_crossing_breaks_a1(self):
-        # user-chosen floors are honored even when they violate phi(0) = 0
-        phi = make_shrinkage(BoundaryPhi(b=1.0, w_floor=math.e**2), DIMS)
-        assert phi.eval(0.0) > 0.0
+        assert boundary_floor(BoundaryPhi(b=10.0), DIMS) == pytest.approx(math.e**2)
 
 
 class TestGBUnknown:
@@ -249,7 +244,7 @@ class TestGBTable:
         assert len(x) == 508
         assert np.array_equal(vals, exact)
 
-    def test_table_keyed_and_built_on_abs_tol(self, monkeypatch):
+    def test_table_keyed_and_built_on_rel_tol(self, monkeypatch):
         seen = []
         build = families._gb_grid_values
 
@@ -259,8 +254,8 @@ class TestGBTable:
 
         monkeypatch.setattr(families, "_gb_grid_values", spy)
         spec, dims = GBUnknown(a=-2.0, b=0.8125), ProblemDims(4, 7)
-        loose = QuadratureConfig(abs_tol=1e-14)
-        tight = QuadratureConfig(abs_tol=1e-16)
+        loose = QuadratureConfig(rel_tol=1e-8)
+        tight = QuadratureConfig(rel_tol=1e-10)
         make_shrinkage(spec, dims, loose)
         make_shrinkage(spec, dims, tight)
         make_shrinkage(spec, dims, loose)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from oracles import tanh_sinh_per_level
@@ -14,6 +14,7 @@ from sure_boundary.quadrature import (
     _BATCH_ELEMENTS,
     _BLOCK_LEVEL,
     _KEPT_LEVEL,
+    _MAX_LEVEL,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureConvergenceError,
@@ -26,6 +27,11 @@ from sure_boundary.quadrature import (
     power_log_integrals,
     tanh_sinh_unit,
 )
+
+
+def step(lam, lam_c):
+    """A jump at lambda = 1/3, which no pass resolves within its levels."""
+    return (lam > 1.0 / 3.0) * 1.0
 
 
 def gamma_moment(s: float, b: float) -> float:
@@ -116,13 +122,10 @@ def test_complement_form_stable_at_right_endpoint():
 
 
 def test_budget_exhaustion_carries_best_estimate():
-    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16, max_refinement_levels=2)
-    with pytest.raises(QuadratureConvergenceError) as err:
-        tanh_sinh_unit(
-            lambda lam, lam_c: np.cos(40.0 * lam) * lam**-0.5, cfg, singular_exponent=-0.5
-        )
-    assert math.isfinite(err.value.best_estimate)
-    assert err.value.error_estimate > 0.0
+    with pytest.raises(QuadratureConvergenceError, match=f"after {_MAX_LEVEL} levels") as err:
+        tanh_sinh_unit(step)
+    assert abs(err.value.best_estimate - 2.0 / 3.0) < 1e-4
+    assert 0.0 < err.value.error_estimate < 1e-4
 
 
 def test_non_finite_integrand_rejected():
@@ -138,13 +141,10 @@ def test_precondition_validation():
         tanh_sinh_unit(lambda lam, lam_c: lam, log_power=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
-    for field in ("rel_tol", "abs_tol"):
-        for value in (math.inf, math.nan):
-            message = f"^{field} must be positive and finite, got {value!r}$"
-            with pytest.raises(ValueError, match=message):
-                QuadratureConfig(**{field: value})
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_refinement_levels=0)
+    for value in (math.inf, math.nan):
+        message = f"^rel_tol must be positive and finite, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            QuadratureConfig(rel_tol=value)
 
 
 def _batch_of(funcs):
@@ -164,7 +164,7 @@ class TestBatch:
             lambda lam, lam_c, w=w: lam**0.5 * (1.0 + w * lam) ** -6.5
             for w in self.PEAKS
         ] + [lambda lam, lam_c: log_recip(lam, lam_c) ** -0.5 * lam]
-        for cfg in (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)):
+        for cfg in (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-6)):
             batch = _tanh_sinh_batch(_batch_of(funcs), len(funcs), 1, cfg)
             scalar = np.array([tanh_sinh_unit(f, cfg) for f in funcs])
             assert batch.shape == (1, len(funcs))
@@ -179,12 +179,10 @@ class TestBatch:
         assert batch[0, 1] == tanh_sinh_unit(hard)
 
     def test_budget_exhaustion_matches_scalar(self):
-        cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16, max_refinement_levels=2)
-        f = lambda lam, lam_c: np.cos(40.0 * lam) * lam**-0.5  # noqa: E731
         with pytest.raises(QuadratureConvergenceError) as scalar:
-            tanh_sinh_unit(f, cfg)
+            tanh_sinh_unit(step)
         with pytest.raises(QuadratureConvergenceError) as batch:
-            _tanh_sinh_batch(_batch_of([f]), 1, 1, cfg)
+            _tanh_sinh_batch(_batch_of([step]), 1, 1)
         assert batch.value.best_estimate == scalar.value.best_estimate
         assert batch.value.error_estimate == scalar.value.error_estimate
 
@@ -285,26 +283,25 @@ class TestSharedPass:
         assert len(blocks[1]) > 1
 
     def test_earlier_exponent_error_wins(self):
-        cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16, max_refinement_levels=2)
-        slow = lambda lam: np.cos(40.0 * lam) * lam**-0.5  # noqa: E731
+        slow = lambda lam: step(lam, None)  # noqa: E731
         bad = lambda lam: 1.0 / (lam - lam)  # noqa: E731
 
         def pair(first, second):
             return lambda lam, lam_c: lambda k, level: (first, second)[k](lam)
 
         with pytest.raises(QuadratureConvergenceError) as alone:
-            tanh_sinh_unit(lambda lam, lam_c: slow(lam), cfg)
+            tanh_sinh_unit(step)
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(QuadratureConvergenceError) as shared:
-                tanh_sinh_unit(pair(slow, bad), cfg, singular_exponent=(0.0, 0.0))
+                tanh_sinh_unit(pair(slow, bad), singular_exponent=(0.0, 0.0))
             with pytest.raises(QuadratureError) as first_bad:
-                tanh_sinh_unit(pair(bad, slow), cfg, singular_exponent=(0.0, 0.0))
+                tanh_sinh_unit(pair(bad, slow), singular_exponent=(0.0, 0.0))
         assert shared.value.best_estimate == alone.value.best_estimate
         assert shared.value.error_estimate == alone.value.error_estimate
         assert type(first_bad.value) is QuadratureError
 
     def test_cached_log_is_log_recip(self):
-        for level in range(DEFAULT_CONFIG.max_refinement_levels + 1):
+        for level in range(_MAX_LEVEL + 1):
             lam, lam_c, _, log_l = _nodes(level)
             assert np.array_equal(log_l, log_recip(lam, lam_c))
 
@@ -327,18 +324,18 @@ class TestKeptPowers:
         assert cold == reverse == warm
 
     def test_kept_arrays_are_read_only(self):
-        lam_q = _kept_power(3, False, 1.5)
-        assert _kept_power(3, False, 1.5) is lam_q
+        lam_q = _kept_power(_BLOCK_LEVEL, False, 1.5)
+        assert _kept_power(_BLOCK_LEVEL, False, 1.5) is lam_q
         assert not lam_q.flags.writeable
         with pytest.raises(ValueError):
             lam_q[0] = 0.0
         assert not _kept_power(_KEPT_LEVEL, True, 0.4).flags.writeable
-        assert np.array_equal(lam_q, _block(3)[0] ** 1.5)
+        assert np.array_equal(lam_q, _block(_BLOCK_LEVEL)[0] ** 1.5)
 
     def test_cache_stays_within_its_bound(self):
         info = _kept_power.cache_info()
         # the documented worst case: every kept array at the largest kept block
-        largest = max(_block(block)[0].nbytes for block in range(_KEPT_LEVEL + 1))
+        largest = max(_block(block)[0].nbytes for block in range(_BLOCK_LEVEL, _KEPT_LEVEL + 1))
         assert info.maxsize * largest <= 4 * 2**20
         for q in np.linspace(0.0, 3.0, info.maxsize + 50):
             power_log_integrals(1e4, (float(q),), 0.0, KERNELS["unknown scale"])
@@ -385,22 +382,32 @@ class TestBlocks:
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 6])
     def test_first_call_holds_the_first_levels(self, levels):
-        cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_refinement_levels=levels)
+        # the step runs on until a NaN at one of level `levels`'s own nodes
+        # ends the pass there
+        lam = _nodes(levels)[0]
+        target = lam[lam.size // 4]
+        marked = _marked(lambda lam: step(lam, None), target)
         calls = []
 
         def f(lam, lam_c):
             calls.append(lam)
-            return np.cos(40.0 * lam) * lam**-0.5
+            return marked(lam)
 
-        with pytest.raises(QuadratureConvergenceError):
-            tanh_sinh_unit(f, cfg, singular_exponent=-0.5)
-        first = min(_BLOCK_LEVEL, levels)
-        assert len(calls) == 1 + levels - first
-        assert np.array_equal(calls[0], np.concatenate([_nodes(lv)[0] for lv in range(first + 1)]))
-        assert all(lam is _nodes(lv)[0] for lv, lam in enumerate(calls[1:], first + 1))
+        with pytest.raises(QuadratureError) as err:
+            tanh_sinh_unit(f)
+        assert str(err.value) == f"integrand non-finite near lambda={target!r}"
+        assert len(calls) == 1 + max(0, levels - _BLOCK_LEVEL)
+        first = np.concatenate([_nodes(lv)[0] for lv in range(_BLOCK_LEVEL + 1)])
+        assert np.array_equal(calls[0], first)
+        assert all(lam is _nodes(lv)[0] for lv, lam in enumerate(calls[1:], _BLOCK_LEVEL + 1))
 
-    # the power-log kernels, and one that changes sign, whose L1 sums are not its sums
-    ALL_KERNELS = {**KERNELS, "signed": lambda x, lam: np.cos(4.0 * np.log1p(x * lam)) - 0.25}
+    # the power-log kernels, one that changes sign, whose L1 sums are not its
+    # sums, and a step that no pass resolves, which runs through every level
+    ALL_KERNELS = {
+        **KERNELS,
+        "signed": lambda x, lam: np.cos(4.0 * np.log1p(x * lam)) - 0.25,
+        "step": lambda x, lam: (x * lam > 1.0) * 1.0,
+    }
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -408,10 +415,11 @@ class TestBlocks:
         x=st.floats(min_value=1e-3, max_value=1e8),
         qs=st.lists(st.floats(min_value=-0.9, max_value=3.0), min_size=1, max_size=2),
         b=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
-        levels=st.integers(min_value=1, max_value=6),
+        rel_tol=st.sampled_from([1e-10, 1e-6]),
     )
-    def test_bits_of_the_per_level_loop(self, kernel, x, qs, b, levels):
-        cfg = QuadratureConfig(max_refinement_levels=levels)
+    @example(kernel="step", x=3.0, qs=[0.5, 0.0], b=0.0, rel_tol=1e-10)
+    def test_bits_of_the_per_level_loop(self, kernel, x, qs, b, rel_tol):
+        cfg = QuadratureConfig(rel_tol=rel_tol)
         endpoint = {"singular_exponent": tuple(qs), "log_power": max(b, 0.0)}
 
         def f(lam, lam_c):
