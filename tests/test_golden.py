@@ -50,6 +50,9 @@ CASES = {
     "dominate-boundary": ["dominate", "--p", "6", "--n", "17", "--phi", "boundary:b=2.0",
                           "--b", "1.5"],
     "dominate-unbounded": ["dominate", *D56, "--phi", "linear:alpha=0.5", "--b", "1.5"],
+    "dominate-w-sharp-cap": ["dominate", *D56, "--phi", "zero", "--b", "1.5",
+                             "--w-sharp-cap", "1e9"],
+    "classify-boundary-w-floor": ["classify", *D56, "--phi", "boundary:b=1.0,w_floor=3"],
     "verify-zero": ["verify", *D56, "--phi", "zero", "--b", "1.5",
                     "--nu", "0.17708333333333334", "--w-sharp", "4.0",
                     "--ramp-width", "4.0", "--w-star", "4.0", "--grid-points", "500"],
