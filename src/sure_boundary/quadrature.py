@@ -148,15 +148,6 @@ _BLOCK_LEVEL = 4
 
 
 @functools.cache
-def _first_block() -> tuple[tuple[np.ndarray, ...], list[int]]:
-    """Node arrays of levels 0 to _BLOCK_LEVEL, concatenated, and level k's
-    slice bounds (bounds[k], bounds[k + 1])."""
-    levels = [_level_nodes(level) for level in range(_BLOCK_LEVEL + 1)]
-    bounds = [0] + np.cumsum([lam.size for lam, *_ in levels]).tolist()
-    return tuple(np.concatenate(arrays) for arrays in zip(*levels)), bounds
-
-
-@functools.cache
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(lambda, 1-lambda, dlambda/dt, log(1/lambda)) at a level's new nodes.
 
@@ -164,8 +155,8 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """
     if level > _BLOCK_LEVEL:
         return _level_nodes(level)
-    arrays, bounds = _first_block()
-    return tuple(a[bounds[level]:bounds[level + 1]] for a in arrays)
+    *arrays, levels = _block(_BLOCK_LEVEL)
+    return tuple(a[levels[level][1]] for a in arrays)
 
 
 @functools.cache
@@ -173,14 +164,16 @@ def _block(last: int):
     """(lambda, 1-lambda, dlambda/dt, log(1/lambda), levels) of the block of a
     scalar pass that ends at level last >= _BLOCK_LEVEL.
 
-    The block holds levels 0 to _BLOCK_LEVEL when last is _BLOCK_LEVEL, else
-    level last alone; levels gives (level, slice of the block's nodes) for each.
+    The first block holds levels 0 to _BLOCK_LEVEL, concatenated, and every
+    later block level last alone; levels gives (level, slice of the block's
+    nodes) for each.
     """
     if last > _BLOCK_LEVEL:
         return (*_nodes(last), ((last, slice(None)),))
-    arrays, bounds = _first_block()
-    return (*arrays, tuple((level, slice(bounds[level], bounds[level + 1]))
-                           for level in range(_BLOCK_LEVEL + 1)))
+    nodes = [_level_nodes(level) for level in range(_BLOCK_LEVEL + 1)]
+    bounds = np.cumsum([0] + [lam.size for lam, *_ in nodes]).tolist()
+    levels = tuple((level, slice(bounds[level], bounds[level + 1])) for level in range(last + 1))
+    return (*(np.concatenate(arrays) for arrays in zip(*nodes)), levels)
 
 
 # Exponent-only powers are kept for blocks that end at a level up to
@@ -289,10 +282,10 @@ def tanh_sinh_unit(
     _MAX_LEVEL (12) raises QuadratureConvergenceError.
 
     f is called once per block of levels: first for the 385 nodes of levels
-    0 to _BLOCK_LEVEL as one array, then once for each later level.  The levels of a block are
-    folded into the estimate one at a time, over their contiguous slices,
-    and a level after the one where an integrand stops is neither summed
-    nor checked for finite values.  A level's L1 sum is its sum when no
+    0 to _BLOCK_LEVEL as one array, then once for each later level.  The
+    levels of a block are folded into the estimate one at a time, over their
+    contiguous slices, and a level after the one where an integrand stops is
+    neither summed nor checked for finite values.  A level's L1 sum is its sum when no
     value of the block has its sign bit set, as for every power-log
     integrand, and is then not reduced again.  An elementwise f gives each
     level the bits it gets when called for that level alone, so the result
