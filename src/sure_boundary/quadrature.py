@@ -67,8 +67,8 @@ _T_MAX = 6.0
 _H0 = 0.5
 # Weakest endpoint exponent the fixed horizon supports at full accuracy.
 _MIN_EXPONENT = -0.95
-# A level hits when its error estimate is at most _ABS_TOL times the L1 mass
-# or rel_tol times the estimate; a pass gives up after level _MAX_LEVEL.
+# Absolute tolerance of the stopping rule (against the L1 mass, see
+# _stop_rule) and the last level a pass runs.
 _ABS_TOL = 1e-14
 _MAX_LEVEL = 12
 # Values per integrand evaluated at once by _tanh_sinh_batch: a level is cut
@@ -285,11 +285,11 @@ def tanh_sinh_unit(
     0 to _BLOCK_LEVEL as one array, then once for each later level.  The
     levels of a block are folded into the estimate one at a time, over their
     contiguous slices, and a level after the one where an integrand stops is
-    neither summed nor checked for finite values.  A level's L1 sum is its sum when no
-    value of the block has its sign bit set, as for every power-log
-    integrand, and is then not reduced again.  An elementwise f gives each
-    level the bits it gets when called for that level alone, so the result
-    does not depend on the blocks.
+    neither summed nor checked for finite values.  A level's L1 sum is its
+    sum when no value of the block has its sign bit set, as for every
+    power-log integrand, and is then not reduced again.  An elementwise f
+    gives each level the bits it gets when called for that level alone, so
+    the result does not depend on the blocks.
 
     singular_exponent and log_power declare the lambda -> 0 behaviour
     f ~ lambda**s (log 1/lambda)**b; they are validated against the fixed

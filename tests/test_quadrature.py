@@ -384,8 +384,8 @@ class TestBlocks:
     def test_first_call_holds_the_first_levels(self, levels):
         # the step runs on until a NaN at one of level `levels`'s own nodes
         # ends the pass there
-        lam = _nodes(levels)[0]
-        target = lam[lam.size // 4]
+        nodes = _nodes(levels)[0]
+        target = nodes[nodes.size // 4]
         marked = _marked(lambda lam: step(lam, None), target)
         calls = []
 
