@@ -73,7 +73,8 @@ INDETERMINATE = "Indeterminate"
 
 
 class ConstructionError(RuntimeError):
-    """Dominator construction failed: no w_sharp below the grid top verifies."""
+    """Dominator construction failed: phi or the witness does not meet its
+    preconditions, or no w_sharp below the grid top verifies."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
