@@ -232,8 +232,15 @@ def tail_profile(
 # generalized Bayes member: exact quadrature routes
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _gb_kernel(m: float):
+    """(1 + w lambda)**-m, one function object per m, so that the point memo
+    of power_log_integrals finds the integrals of earlier calls."""
+    return lambda w, lam: np.power(1.0 + w * lam, -m)
+
+
 def _gb_integrals(w, qs, b: float, m: float, cfg: QuadratureConfig):
-    return power_log_integrals(w, qs, b, lambda w, lam: np.power(1.0 + w * lam, -m), cfg)
+    return power_log_integrals(w, qs, b, _gb_kernel(m), cfg)
 
 
 def _gb_num_den(a: float, b: float, w, dims: ProblemDims, cfg: QuadratureConfig):

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -457,40 +458,56 @@ def log_recip(lam: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
     return out
 
 
+# Integrals of single points that power_log_integrals keeps, keyed by
+# (kernel, x, q, b, cfg); past this many the oldest is dropped.  An entry
+# holds one float, so the memo stays below about 0.3 MB.
+_POINTS_KEPT = 1024
+_points: dict[tuple, float] = {}
+_points_lock = threading.Lock()
+
+
 def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """I[k, i] = int_0^1 lambda^qs[k] (log 1/lambda)^b kernel(x[i], lambda) dlambda.
 
     qs are floats; kernel(x, lam) is elementwise; b may lie in (-1, 0), an
     integrable singularity at lambda -> 1.  A scalar x gives the list of
-    len(qs) floats from one tanh_sinh_unit pass, and a 1-d x an array
-    (len(qs), len(x)) from one _tanh_sinh_batch pass.  A point pass
-    evaluates the kernel once for levels 0 to 4 and once per later level, a
-    grid pass once per level and slice, each time for all exponents.  A
-    point takes lambda**q and (log 1/lambda)**b from _kept_power, so the
-    passes of many points with the same exponents compute them once per
-    block; a grid computes them once per level of its pass.  The two paths
-    do the same elementwise operations and agree bit for bit; each exponent
-    gets the bits it gets integrated on its own.
+    len(qs) floats, and a 1-d x an array (len(qs), len(x)) from one
+    _tanh_sinh_batch pass.
+
+    A scalar x looks up each exponent in a memo keyed by (kernel, x, q, b,
+    cfg), so a caller must pass the same kernel object each time for its
+    integrals to be found.  The exponents not there run together in one
+    tanh_sinh_unit pass, and are kept once the pass completes; an error is
+    never kept, so a failing point fails again with the same error.  The
+    memo holds the last _POINTS_KEPT integrals, and concurrent callers may
+    share it.  A point pass evaluates the kernel once for levels 0 to 4 and
+    once per later level, a grid pass once per level and slice, each time
+    for all its exponents.  A point takes lambda**q and (log 1/lambda)**b
+    from _kept_power, so the passes of many points with the same exponents
+    compute them once per block; a grid computes them once per level of its
+    pass.  The two paths do the same elementwise operations and agree bit
+    for bit; each exponent gets the bits it gets integrated on its own, so
+    a value from the memo is the one a pass would give.
     """
     x = np.asarray(x, dtype=float)
     qs = tuple(float(q) for q in qs)
     b = float(b)
-    log_power = max(b, 0.0)
 
     if x.ndim == 0:
         x = float(x)
-
-        def point(lam, lam_c):
-            k = kernel(x, lam)
-
-            def term(i, block):
-                power = _kept_power if block <= _KEPT_LEVEL else _power
-                lam_q_k = power(block, False, qs[i]) * k
-                return lam_q_k if b == 0.0 else lam_q_k * power(block, True, b)
-
-            return term
-
-        return tanh_sinh_unit(point, cfg, singular_exponent=qs, log_power=log_power)
+        keys = [(kernel, x, q, b, cfg) for q in qs]
+        with _points_lock:
+            found = {key: _points[key] for key in keys if key in _points}
+        missing = tuple(dict.fromkeys(key[2] for key in keys if key not in found))
+        if missing:
+            values = _point_pass(x, missing, b, kernel, cfg)
+            with _points_lock:
+                for q, value in zip(missing, values):
+                    key = (kernel, x, q, b, cfg)
+                    found[key] = _points[key] = value
+                while len(_points) > _POINTS_KEPT:
+                    del _points[next(iter(_points))]
+        return [found[key] for key in keys]
 
     def batch_level(lam, lam_c, log_l):
         lam_qs = [lam**q for q in qs]
@@ -503,17 +520,20 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
         return rows_fn
 
     return _tanh_sinh_batch(batch_level, x.size, len(qs), cfg,
-                            singular_exponent=min(qs), log_power=log_power)
+                            singular_exponent=min(qs), log_power=max(b, 0.0))
 
 
-@functools.cache
-def _gauss_legendre_24() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(24)
+def _point_pass(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig) -> list[float]:
+    """The integrals of power_log_integrals at one point, in one tanh_sinh_unit pass."""
 
+    def point(lam, lam_c):
+        k = kernel(x, lam)
 
-def gauss_legendre_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    """24-point Gauss-Legendre integral of a smooth f over [a, b]."""
-    x, w = _gauss_legendre_24()
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return float(half * np.sum(w * f(mid + half * x)))
+        def term(i, block):
+            power = _kept_power if block <= _KEPT_LEVEL else _power
+            lam_q_k = power(block, False, qs[i]) * k
+            return lam_q_k if b == 0.0 else lam_q_k * power(block, True, b)
+
+        return term
+
+    return tanh_sinh_unit(point, cfg, singular_exponent=qs, log_power=max(b, 0.0))

@@ -1,6 +1,7 @@
 """Tanh-sinh quadrature against closed forms and an independent integrator."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from scipy.integrate import quad
 from oracles import tanh_sinh_per_level
 from scipy.special import gammaln
 
+from sure_boundary import families, quadrature
+from sure_boundary import known_variance as kv
+from sure_boundary.core import ProblemDims
 from sure_boundary.quadrature import (
     _BATCH_ELEMENTS,
     _BLOCK_LEVEL,
     _KEPT_LEVEL,
     _MAX_LEVEL,
+    _POINTS_KEPT,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureConvergenceError,
@@ -22,6 +27,7 @@ from sure_boundary.quadrature import (
     _block,
     _kept_power,
     _nodes,
+    _points,
     _tanh_sinh_batch,
     log_recip,
     power_log_integrals,
@@ -317,8 +323,10 @@ class TestKeptPowers:
             return {i: power_log_integrals(*points[i], KERNELS["unknown scale"]) for i in order}
 
         _kept_power.cache_clear()
+        _points.clear()
         cold = run(range(len(points)))
         _kept_power.cache_clear()
+        _points.clear()
         reverse = run(reversed(range(len(points))))
         warm = run(range(len(points)))
         assert cold == reverse == warm
@@ -359,6 +367,108 @@ class TestKeptPowers:
         # one array per exponent and kept block, and one per kept block for b
         kept_blocks = _KEPT_LEVEL - _BLOCK_LEVEL + 1
         assert _kept_power.cache_info().currsize == kept_blocks * (len(qs) + 1)
+
+
+def _counted(monkeypatch, name):
+    """The list that gets one entry per call of quadrature's function name."""
+    calls, inner = [], getattr(quadrature, name)
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, name, spy)
+    return calls
+
+
+class TestPointMemo:
+    """power_log_integrals runs each integral of a single point once."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _points.clear()
+
+    def test_phi_routes_share_their_integrals(self, monkeypatch):
+        calls = _counted(monkeypatch, "tanh_sinh_unit")
+        dims, b, w = ProblemDims(5, 6), 1.2345, 37.0
+        families.phi_gb_unknown(-2.0, b, w, dims)
+        families.phi_gb_unknown_deriv(-2.0, b, w, dims)
+        families.phi_gb_identity_saigo4(b, w, dims)
+        # (N, D); the derivative's two new integrals; the identity's J_{b-1}
+        assert len(calls) == 3
+
+    def test_psi_routes_share_their_denominator(self, monkeypatch):
+        calls = _counted(monkeypatch, "tanh_sinh_unit")
+        b, v, p = 0.8765, 10.0, 5
+        kv.psi_known(b, v, p)
+        kv.psi_known_via_identity(b, v, p)
+        assert len(calls) == 2
+
+    def test_brown_integral_is_one_batched_pass(self, monkeypatch):
+        calls = _counted(monkeypatch, "_tanh_sinh_batch")
+        report = kv.brown_integral_numeric(kv.PriorSpec(a=-2.0, L=kv.LogPow(0.5)), 5)
+        assert len(report.decade_increments) == 6
+        assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from(sorted(KERNELS)),
+        x=st.floats(min_value=1e-3, max_value=1e8),
+        qs=st.lists(st.sampled_from([-0.5, 0.0, 0.5, 1.5, 2.25]), min_size=1, max_size=4),
+        warm=st.lists(st.sampled_from([-0.5, 0.0, 0.5, 1.5, 2.25]), max_size=4),
+        b=st.sampled_from([-0.5, 0.0, 0.7]),
+    )
+    def test_warm_and_cold_calls_agree(self, kernel, x, qs, warm, b):
+        kernel = KERNELS[kernel]
+        _points.clear()
+        cold = power_log_integrals(x, qs, b, kernel)
+        _points.clear()
+        if warm:
+            power_log_integrals(x, warm, b, kernel)
+        assert power_log_integrals(x, qs, b, kernel) == cold
+        assert power_log_integrals(x, qs, b, kernel) == cold
+        assert cold == [power_log_integrals(x, (q,), b, kernel)[0] for q in qs]
+
+    @pytest.mark.parametrize("kernel, kind", [
+        (lambda x, lam: np.where(lam > 0.5, np.nan, 1.0), "non-finite"),
+        (lambda x, lam: (x * lam > 1.0) * 1.0, "budget"),
+    ])
+    def test_errors_are_not_kept(self, kernel, kind):
+        def run():
+            return power_log_integrals(3.0, (0.5, 0.0), 0.0, kernel)
+
+        first = _outcome(run)
+        assert first[0] == kind
+        assert _outcome(run) == first
+        assert not [key for key in _points if key[0] is kernel]
+
+    def test_memo_stays_within_its_bound(self):
+        kernel = KERNELS["known variance"]
+        xs = [1.0 + i for i in range(_POINTS_KEPT + 40)]
+        for x in xs:
+            power_log_integrals(x, (0.5,), 0.0, kernel)
+            assert len(_points) <= _POINTS_KEPT
+        # the oldest integrals went first
+        assert (kernel, xs[0], 0.5, 0.0, DEFAULT_CONFIG) not in _points
+        assert (kernel, xs[-1], 0.5, 0.0, DEFAULT_CONFIG) in _points
+
+    def test_concurrent_callers_get_the_same_floats(self):
+        points = [(x, (1.5, 0.5), b) for x in (0.3, 30.0, 1e4, 1e7) for b in (0.0, 0.4)]
+        kernel = KERNELS["unknown scale"]
+        serial = [power_log_integrals(x, qs, b, kernel) for x, qs, b in points]
+        _points.clear()
+        start, results = threading.Barrier(2), [None, None]
+
+        def run(i):
+            start.wait()
+            results[i] = [power_log_integrals(x, qs, b, kernel) for x, qs, b in points]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results[0] == results[1] == serial
 
 
 def _outcome(run):
