@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemDims, ShrinkageFunction, constants, d_phi, delta, elementwise
+from .core import InputError, ProblemDims, ShrinkageFunction, constants, d_phi, delta
+from .core import elementwise
 from .families import TailProfile
 
 __all__ = [
@@ -183,7 +184,7 @@ def _w_grid(w_grid: np.ndarray | None) -> np.ndarray:
         return default_w_grid()
     w = np.asarray(w_grid, float)
     if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(np.diff(w) <= 0):
-        raise ValueError("w_grid must be 1-d, finite and strictly ascending")
+        raise InputError("w_grid must be 1-d, finite and strictly ascending")
     return w
 
 
@@ -296,7 +297,7 @@ def classify(
         raise ValueError(f"margin {margin!r} leaves 1 + margin equal to 1")
     grid = _w_grid(w_grid)
     if not np.any(grid > 1.0):
-        raise ValueError("w_grid must have a point above 1")
+        raise InputError("w_grid must have a point above 1")
     # unbounded phi shrinks past every critical tail eventually
     unbounded = math.isinf(_phi_limit(phi))
     vals = np.asarray(phi.eval(grid), dtype=float)
@@ -399,7 +400,7 @@ def verify_domination(
     """
     grid = _w_grid(w_grid)
     if len(grid) < 500 or grid.min() > 0.0 or grid.max() < 1e8:
-        raise ValueError("verification grid must span [0, 1e8] with >= 500 points")
+        raise InputError("verification grid must span [0, 1e8] with >= 500 points")
     return _certificate(spec, grid, delta(phi, dominator_g(spec), grid, dims))
 
 

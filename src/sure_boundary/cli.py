@@ -14,7 +14,9 @@ runs without loading scipy.
 
 Exit status: 0 success, 2 classification came back Indeterminate, 1 runtime
 error, a certificate whose verdict is false (the report is still written) or
-a crosscheck outside --tol, 64 usage error.  ``SURE_BOUNDARY_THREADS`` caps
+a crosscheck outside --tol, 64 usage error: a malformed command line, or an
+option value the library rejects (core.InputError), which prints one
+"sure-boundary: error:" line and no report.  ``SURE_BOUNDARY_THREADS`` caps
 worker threads for Monte Carlo chunks; each chunk samples its own block of
 the counter-based stream, so the cap never changes results.
 """
@@ -38,7 +40,7 @@ from .boundary import (
     default_w_grid,
     verify_domination,
 )
-from .core import ProblemDims, ShrinkageFunction
+from .core import InputError, ProblemDims, ShrinkageFunction
 from .families import (
     make_shrinkage,
     parse_phi_spec,
@@ -315,9 +317,9 @@ def _require_bounds(args, *dests: str) -> None:
         value = getattr(args, dest)
         option = "--" + dest.replace("_", "-")
         if not math.isfinite(value):
-            raise ValueError(f"argument {option}: must be finite, got {value!r}")
+            raise InputError(f"argument {option}: must be finite, got {value!r}")
         if value <= 0.0:
-            raise ValueError(f"argument {option}: must be positive, got {value!r}")
+            raise InputError(f"argument {option}: must be positive, got {value!r}")
 
 
 def _cmd_asymptotics(args) -> int:
@@ -426,6 +428,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         raise
+    except InputError as exc:  # a rejected option value is a usage error
+        print(f"sure-boundary: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps errors to status 1
         print(f"sure-boundary: error: {exc}", file=sys.stderr)
         return 1

@@ -68,6 +68,7 @@ __all__ = [
     "Constants",
     "ShrinkageFunction",
     "EvaluationError",
+    "InputError",
     "constants",
     "elementwise",
     "parse_spec",
@@ -77,6 +78,11 @@ __all__ = [
 ]
 
 ArrayLike = Union[float, np.ndarray]
+
+
+class InputError(ValueError):
+    """An argument value the library rejects (dimensions, a spec, a grid or a
+    simulation setting): a usage error, not a numerical failure."""
 
 
 class EvaluationError(ValueError):
@@ -96,48 +102,48 @@ class ProblemDims:
 
     def __post_init__(self) -> None:
         if int(self.p) != self.p or int(self.n) != self.n:
-            raise ValueError("p and n must be integers")
+            raise InputError("p and n must be integers")
         if self.p < 3 or self.n < 3:
-            raise ValueError(f"require p >= 3 and n >= 3, got p={self.p}, n={self.n}")
+            raise InputError(f"require p >= 3 and n >= 3, got p={self.p}, n={self.n}")
 
 
 def require_finite(spec: Any) -> None:
-    """Raise ValueError naming the first numeric field of spec that is not
+    """Raise InputError naming the first numeric field of spec that is not
     finite; each spec dataclass calls this first in ``__post_init__``."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         # an int is always finite (and may be too large for math.isfinite)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{type(spec).__name__}: non-finite parameter {f.name!r} = {value!r}")
+            raise InputError(f"{type(spec).__name__}: non-finite parameter {f.name!r} = {value!r}")
 
 
 def parse_spec(text: str, kinds: Mapping[str, type]) -> Any:
     """kinds[head](**params) for ``head`` or ``head:key=value,...``.
 
     Every value is a float.  An unknown head, and an unknown, repeated or
-    missing parameter, raise ValueError naming it; the dataclass itself
+    missing parameter, raise InputError naming it; the dataclass itself
     rejects a non-finite one (see require_finite).
     """
     head, _, rest = text.strip().partition(":")
     if head not in kinds:
-        raise ValueError(f"unknown spec {head!r} in {text!r}; expected one of {', '.join(kinds)}")
+        raise InputError(f"unknown spec {head!r} in {text!r}; expected one of {', '.join(kinds)}")
     defaults = {f.name: f.default for f in fields(kinds[head])}
     params: dict[str, float] = {}
     for item in rest.split(",") if rest else ():
         key, _, value = (part.strip() for part in item.partition("="))
         if not key or not value:
-            raise ValueError(f"malformed parameter {item!r} in spec {text!r}")
+            raise InputError(f"malformed parameter {item!r} in spec {text!r}")
         if key not in defaults:
-            raise ValueError(f"spec {text!r} has unknown parameter {key!r}")
+            raise InputError(f"spec {text!r} has unknown parameter {key!r}")
         if key in params:
-            raise ValueError(f"spec {text!r} repeats parameter {key!r}")
+            raise InputError(f"spec {text!r} repeats parameter {key!r}")
         try:
             params[key] = float(value)
         except ValueError:
-            raise ValueError(f"spec {text!r} has non-numeric parameter {key!r}") from None
+            raise InputError(f"spec {text!r} has non-numeric parameter {key!r}") from None
     for key, default in defaults.items():
         if key not in params and default is MISSING:
-            raise ValueError(f"spec {text!r} is missing parameter {key!r}")
+            raise InputError(f"spec {text!r} is missing parameter {key!r}")
     return kinds[head](**params)
 
 

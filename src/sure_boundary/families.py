@@ -65,7 +65,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import EvaluationError, ProblemDims, ShrinkageFunction, constants
+from .core import EvaluationError, InputError, ProblemDims, ShrinkageFunction, constants
 from .core import elementwise, encode_spec, parse_spec, require_finite
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
 
@@ -104,7 +104,7 @@ class Linear:
     def __post_init__(self) -> None:
         require_finite(self)
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("linear: alpha must lie in [0, 1]")
+            raise InputError("linear: alpha must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class PositivePartJS:
     def __post_init__(self) -> None:
         require_finite(self)
         if not self.a > 0.0:
-            raise ValueError("jsplus: a must be > 0")
+            raise InputError("jsplus: a must be > 0")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class BoundaryPhi:
     def __post_init__(self) -> None:
         require_finite(self)
         if not self.b > 0.0:
-            raise ValueError("boundary: b must be > 0")
+            raise InputError("boundary: b must be > 0")
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,11 @@ class GBUnknown:
     def __post_init__(self) -> None:
         require_finite(self)
         if not self.b >= 0.0:
-            raise ValueError("gb: b must be >= 0")
+            raise InputError("gb: b must be >= 0")
 
     def validate_for(self, dims: ProblemDims) -> None:
         if not dims.p / 2 + self.a + 1 > 0:
-            raise ValueError(
+            raise InputError(
                 f"gb: requires p/2 + a + 1 > 0, got p={dims.p}, a={self.a}"
             )
 
@@ -193,13 +193,13 @@ def tail_profile(
     """
     w = np.asarray(w_grid, dtype=float)
     if w.ndim != 1 or len(w) < 20:
-        raise ValueError("w_grid must be 1-d with at least 20 points")
+        raise InputError("w_grid must be 1-d with at least 20 points")
     if not np.all(np.isfinite(w)):
-        raise ValueError(f"w_grid must be finite, got {float(w[~np.isfinite(w)][0])!r}")
+        raise InputError(f"w_grid must be finite, got {float(w[~np.isfinite(w)][0])!r}")
     if np.any(np.diff(w) <= 0):
-        raise ValueError("w_grid must be strictly ascending")
+        raise InputError("w_grid must be strictly ascending")
     if w[0] > 1e3 or w[-1] < 1e8:
-        raise ValueError("w_grid must span at least [1e3, 1e8]")
+        raise InputError("w_grid must span at least [1e3, 1e8]")
     k = constants(dims)
     vals = np.asarray(phi.eval(w), dtype=float)
     if not np.all(np.isfinite(vals)):

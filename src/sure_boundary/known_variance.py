@@ -59,7 +59,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import EvaluationError, encode_spec, parse_spec, require_finite
+from .core import EvaluationError, InputError, encode_spec, parse_spec, require_finite
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
 
 __all__ = [
@@ -99,7 +99,7 @@ class LogPow:
     def __post_init__(self) -> None:
         require_finite(self)
         if not self.b > 0.0:
-            raise ValueError("LogPow requires b > 0")
+            raise InputError("LogPow requires b > 0")
 
 
 LFamily = Union[One, LogPow]
@@ -126,7 +126,7 @@ class PriorSpec:
 
     def validate_for(self, p: int) -> None:
         if not p / 2 + self.a + 1 > 0:
-            raise ValueError(f"prior requires p/2 + a + 1 > 0, got p={p}, a={self.a}")
+            raise InputError(f"prior requires p/2 + a + 1 > 0, got p={p}, a={self.a}")
 
     @property
     def log_power(self) -> float:
@@ -262,9 +262,9 @@ def _z_grid(z_grid: np.ndarray | None) -> np.ndarray:
     """The z grid of a limit check: the default, or z_grid after validation."""
     z = np.geomspace(10.0, 1e8, 15) if z_grid is None else np.asarray(z_grid, float)
     if not np.all(np.isfinite(z)):
-        raise ValueError(f"z_grid must be finite, got {float(z[~np.isfinite(z)][0])!r}")
+        raise InputError(f"z_grid must be finite, got {float(z[~np.isfinite(z)][0])!r}")
     if np.any(np.diff(z) <= 0) or z[-1] < 1e4:
-        raise ValueError("z_grid must be ascending and reach at least 1e4")
+        raise InputError("z_grid must be ascending and reach at least 1e4")
     return z
 
 
@@ -478,9 +478,9 @@ def brown_integral_numeric(
     """
     prior.validate_for(p)
     if not math.isfinite(r_max):
-        raise ValueError(f"r_max must be finite, got {r_max!r}")
+        raise InputError(f"r_max must be finite, got {r_max!r}")
     if r_max < 1e3:
-        raise ValueError("r_max must be >= 1e3")
+        raise InputError("r_max must be >= 1e3")
     decades = math.floor(math.log10(r_max))
     if 10.0**decades > r_max:  # log10 rounds up just below a power of ten
         decades -= 1

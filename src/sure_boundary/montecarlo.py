@@ -45,7 +45,8 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .boundary import DominatorSpec, dominator_g
-from .core import ProblemDims, ShrinkageFunction, d_phi, encode_spec, parse_spec, require_finite
+from .core import InputError, ProblemDims, ShrinkageFunction, d_phi, encode_spec, parse_spec
+from .core import require_finite
 
 __all__ = [
     "Normal",
@@ -84,7 +85,7 @@ class StudentT:
     def __post_init__(self) -> None:
         require_finite(self)
         if not self.df > 2.0:
-            raise ValueError("StudentT requires df > 2")
+            raise InputError("StudentT requires df > 2")
 
 
 ModelSpec = Union[Normal, StudentT]
@@ -113,13 +114,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         require_finite(self)
         if self.theta_norm < 0.0:
-            raise ValueError("theta_norm must be >= 0")
+            raise InputError("theta_norm must be >= 0")
         if not self.sigma > 0.0:
-            raise ValueError("sigma must be > 0")
+            raise InputError("sigma must be > 0")
         if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+            raise InputError("reps must be >= 1")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise InputError("seed must fit in 64 bits")
 
 
 @dataclass(frozen=True)

@@ -235,35 +235,53 @@ class TestExitCodes:
 
     def test_runtime_error_is_1(self, capsys):
         code, _ = run_cli(
-            ["classify", "--p", "5", "--n", "6", "--phi", "gb:a=-9,b=1"], capsys
+            ["dominate", "--p", "5", "--n", "6", "--phi", "linear:alpha=0.5", "--b", "1.5"], capsys
         )
         assert code == 1
 
-    def test_unknown_phi_parameter_is_1(self, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", *D56, "--phi", "gb:a=-9,b=1"],
+         "gb: requires p/2 + a + 1 > 0, got p=5, a=-9.0"),
+        (["classify", "--p", "2", *D56[2:], "--phi", "zero"],
+         "require p >= 3 and n >= 3, got p=2, n=6"),
+        (["asymptotics", *D56, "--phi", "zero", "--w-lo", "1e4"],
+         "w_grid must span at least [1e3, 1e8]"),
+        (["simulate", *D56, "--phi", "jsplus:a=-1"], "jsplus: a must be > 0"),
+        (["verify", *D56, "--phi", "zero", "--b", "1.5", "--nu", "0.1", "--w-sharp", "4",
+          "--ramp-width", "4", "--w-star", "4", "--grid-points", "100"],
+         "verification grid must span [0, 1e8] with >= 500 points"),
+    ])
+    def test_rejected_option_value_is_64(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == f"sure-boundary: error: {message}\n"
+
+    def test_unknown_phi_parameter_is_64(self, capsys):
         code = main(["classify", *D56, "--phi", "gb:a=-2,B=2.5"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
+        assert code == 64 and captured.out == ""
         assert "unknown parameter 'B'" in captured.err
 
-    def test_non_finite_model_parameter_is_1(self, capsys):
+    def test_non_finite_model_parameter_is_64(self, capsys):
         code = main(["simulate", *D56, "--phi", "zero", "--model", "student-t:df=inf",
                      "--reps", "10"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
+        assert code == 64 and captured.out == ""
         assert "non-finite parameter 'df'" in captured.err and "NaN" not in captured.err
 
-    def test_non_finite_theta_norm_is_1(self, capsys):
+    def test_non_finite_theta_norm_is_64(self, capsys):
         code = main(["simulate", *D56, "--phi", "zero", "--theta-norm", "nan",
                      "--reps", "1000", "--seed", "1"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
+        assert code == 64 and captured.out == ""
         message = "SimConfig: non-finite parameter 'theta_norm' = nan"
         assert captured.err == f"sure-boundary: error: {message}\n"
 
-    def test_non_finite_prior_exponent_is_1(self, capsys):
+    def test_non_finite_prior_exponent_is_64(self, capsys):
         code = main(["known-variance", "--p", "5", "--a", "inf"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
+        assert code == 64 and captured.out == ""
         assert "non-finite parameter 'a'" in captured.err
         assert "tanh-sinh" not in captured.err
 
@@ -381,7 +399,7 @@ class TestKnownVarianceCommand:
     def test_non_finite_grid_option_named(self, option, value, message, capsys):
         code = main(["known-variance", "--p", "5", "--a", "-2", option, value])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
+        assert code == 64 and captured.out == ""
         assert captured.err == f"sure-boundary: error: {message}\n"
 
 
@@ -412,7 +430,7 @@ class TestNonFiniteGridOption:
         option, value = argv[-2], float(argv[-1])
         must = "finite" if not math.isfinite(value) else "positive"
         message = f"argument {option}: must be {must}, got {value!r}"
-        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.returncode == 64 and proc.stdout == ""
         assert proc.stderr == f"sure-boundary: error: {message}\n"
 
 
@@ -432,7 +450,7 @@ class TestNegativeFloatValue:
             runs.append((main([*argv, *tail]), capsys.readouterr()))
         assert runs[0] == runs[1]
         code, captured = runs[0]
-        assert code == 1 and captured.out == ""
+        assert code == 64 and captured.out == ""
         assert captured.err == "sure-boundary: error: argument --w-lo: must be finite, got -inf\n"
 
 
