@@ -12,7 +12,9 @@ with report_oracles.pinned (written at the default thread cap of 1):
   writes, at (5, 6), (3, 3) and (12, 19).
 - domination_paired and domination_certificate: the files of
   domination_experiment.py --reps 300000 --t-reps 20000.
-All oracles run in one process, sharing the gb-table and power caches.
+All oracles run in one process, sharing the gb-table and power caches and
+the point memo of power_log_integrals; a value from a cache is the one a
+fresh computation gives, so the output does not depend on the order.
 Pass --out DIR to also write each oracle's text to DIR/<name>.txt; `diff -r`
 of two such directories shows the moved lines.
 """

@@ -50,10 +50,13 @@ compiled function itself.  The spline is the module's own, so families
 imports no scipy; its coefficients and values equal those of
 scipy.interpolate.CubicSpline bit for bit, which the tests check against
 CubicSpline itself.  Every integral above is quadrature.power_log_integrals
-with kernel (1 + w lambda)^-m; N(w) and D(w) at all 508 grid nodes run in one
-batched pass, bit-identical to phi_gb_unknown at every node.  When D(w)
-underflows to 0 (large p + n near the top of the grid) both routes raise
-EvaluationError; so do the defining routes where N(w) does.
+with kernel (1 + w lambda)^-m, one kernel object per m (_gb_kernel), so at one
+w the integrals that phi, phi' and the a = -2 identity share (N, D, and D
+again as the identity's denominator) come from the point memo after their
+first pass; N(w) and D(w) at all 508 grid nodes run in one batched pass,
+bit-identical to phi_gb_unknown at every node.  When D(w) underflows to 0
+(large p + n near the top of the grid) both routes raise EvaluationError;
+so do the defining routes where N(w) does.
 """
 
 from __future__ import annotations
@@ -232,10 +235,12 @@ def tail_profile(
 # generalized Bayes member: exact quadrature routes
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _gb_kernel(m: float):
     """(1 + w lambda)**-m, one function object per m, so that the point memo
-    of power_log_integrals finds the integrals of earlier calls."""
+    of power_log_integrals finds the integrals of earlier calls.  m is
+    (p + n)/2 + 1 or one more, so a sweep over many (p, n) keeps the last
+    256."""
     return lambda w, lam: np.power(1.0 + w * lam, -m)
 
 

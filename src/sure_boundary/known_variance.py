@@ -46,8 +46,11 @@ term, which the b > 0 case kills):
 and the tail limit (log v)(p - 2 - psi_b(v)) -> 2b, the known-variance twin
 of the unknown-scale critical tail.
 
-Every integral above is quadrature.power_log_integrals with kernel exp(-c
-lambda); a grid check integrates all its points in one batched pass.
+Every integral above is quadrature.power_log_integrals with one kernel object
+exp(-c lambda), so psi_known_via_identity takes the denominator J_b(v) that
+psi_known integrated at the same v from the point memo; a grid check, and
+the Brown integral over all its decades, integrates all its points in one
+batched pass.
 """
 
 from __future__ import annotations
@@ -472,9 +475,12 @@ def brown_integral_numeric(
     """Partial Brown integrals int_1^R dr/(r^{p-1} m(r)) at decade checkpoints.
 
     The checkpoints are R = 10, 100, ... up to the largest power of ten that
-    does not exceed r_max.  The slope is log10 of the ratio of the last two
-    decade increments: nonnegative (up to the documented cut) indicates
-    divergence, i.e. the admissible direction.
+    does not exceed r_max.  Each decade is a 24-point Gauss-Legendre panel
+    in log r; the marginals at the nodes of all decades come from one
+    batched pass, and an underflow names the smallest r where m is 0.  The
+    slope is log10 of the ratio of the last two decade increments:
+    nonnegative (up to the documented cut) indicates divergence, i.e. the
+    admissible direction.
     """
     prior.validate_for(p)
     if not math.isfinite(r_max):

@@ -27,7 +27,10 @@ for levels 0 to 4 (385 nodes) and once for each later level, and a grid pass
 once per level and slice of rows.  log(1/lambda) is computed once per level
 and kept with the nodes.  A point's lambda**q and (log 1/lambda)**b depend
 only on the block of levels and the exponent, so they are kept too
-(_kept_power), and the passes of many points share them.
+(_kept_power), and the passes of many points share them.  The integrals of
+single points are kept as well, the last _POINTS_KEPT of them, so the
+two-route identities, which integrate the same denominator at the same
+point, run each integral once; grids are not kept.
 
 tanh_sinh_unit (the integrands of one point) and _tanh_sinh_batch (a family of
 rows) share their levels and stopping rule but stay two loops on purpose,

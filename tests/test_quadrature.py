@@ -1,6 +1,7 @@
 """Tanh-sinh quadrature against closed forms and an independent integrator."""
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -452,23 +453,55 @@ class TestPointMemo:
         assert (kernel, xs[0], 0.5, 0.0, DEFAULT_CONFIG) not in _points
         assert (kernel, xs[-1], 0.5, 0.0, DEFAULT_CONFIG) in _points
 
+    @staticmethod
+    def _in_threads(run, n):
+        """run(i) in n threads started together, with frequent switches."""
+        start = threading.Barrier(n)
+        threads = [threading.Thread(target=lambda i=i: (start.wait(), run(i))) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
     def test_concurrent_callers_get_the_same_floats(self):
         points = [(x, (1.5, 0.5), b) for x in (0.3, 30.0, 1e4, 1e7) for b in (0.0, 0.4)]
         kernel = KERNELS["unknown scale"]
         serial = [power_log_integrals(x, qs, b, kernel) for x, qs, b in points]
         _points.clear()
-        start, results = threading.Barrier(2), [None, None]
+        results = [None] * 2
 
         def run(i):
-            start.wait()
             results[i] = [power_log_integrals(x, qs, b, kernel) for x, qs, b in points]
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        self._in_threads(run, 2)
         assert results[0] == results[1] == serial
+
+    def test_concurrent_eviction(self, monkeypatch):
+        # more threads than cores, with passes so cheap that the threads
+        # spend their time in the memo, and a bound that every call exceeds:
+        # a lookup or eviction racing another would raise or mix up values
+        monkeypatch.setattr(quadrature, "_POINTS_KEPT", 2)
+        monkeypatch.setattr(quadrature, "_point_pass",
+                            lambda x, qs, b, kernel, cfg: [x + q for q in qs])
+        failures = []
+
+        def run(i):
+            try:
+                for k in range(3000):
+                    x = float(k % 7)
+                    assert power_log_integrals(x, (0.5, i), 0.0, None) == [x + 0.5, x + i]
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                failures.append(exc)
+
+        self._in_threads(run, 8)
+        assert failures == []
+        assert len(_points) <= 2
 
 
 def _outcome(run):
