@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InputError, ProblemDims, ShrinkageFunction, constants, d_phi, delta
-from .core import elementwise
+from .core import elementwise, require_finite, require_grid
 from .families import TailProfile
 
 __all__ = [
@@ -94,17 +94,17 @@ class QuasiClass:
     @classmethod
     def admissible(cls, b_witness: float, w_star: float) -> "QuasiClass":
         if not b_witness < 1.0:
-            raise ValueError("quasi-admissible witness requires b < 1")
+            raise InputError("quasi-admissible witness requires b < 1")
         if not w_star > 1.0:
-            raise ValueError("w_star must exceed 1")
+            raise InputError("w_star must exceed 1")
         return cls(QUASI_ADMISSIBLE, b_witness=b_witness, w_star=w_star)
 
     @classmethod
     def inadmissible(cls, b_witness: float, w_star: float) -> "QuasiClass":
         if not b_witness > 1.0:
-            raise ValueError("quasi-inadmissible witness requires b > 1")
+            raise InputError("quasi-inadmissible witness requires b > 1")
         if not w_star > 1.0:
-            raise ValueError("w_star must exceed 1")
+            raise InputError("w_star must exceed 1")
         return cls(QUASI_INADMISSIBLE, b_witness=b_witness, w_star=w_star)
 
     @classmethod
@@ -123,12 +123,15 @@ class DominatorSpec:
     w_star: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 < self.nu <= 1.0:
-            raise ValueError("nu must lie in (0, 1]")
+            raise InputError(f"DominatorSpec: nu must lie in (0, 1], got {self.nu!r}")
+        if not self.w_sharp >= 0.0:  # g(0) > 0 otherwise
+            raise InputError(f"DominatorSpec: w_sharp must be >= 0, got {self.w_sharp!r}")
         if not self.ramp_width > 0.0:
-            raise ValueError("ramp_width must be positive")
+            raise InputError(f"DominatorSpec: ramp_width must be > 0, got {self.ramp_width!r}")
         if not self.b > 1.0:
-            raise ValueError("dominator requires witness b > 1")
+            raise InputError(f"DominatorSpec: witness b must be > 1, got {self.b!r}")
 
 
 @dataclass(frozen=True)
@@ -179,13 +182,8 @@ def default_w_grid(points: int = GRID_POINTS_DEFAULT) -> np.ndarray:
 
 
 def _w_grid(w_grid: np.ndarray | None) -> np.ndarray:
-    """default_w_grid(), or w_grid once it is 1-d, finite and strictly ascending."""
-    if w_grid is None:
-        return default_w_grid()
-    w = np.asarray(w_grid, float)
-    if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(np.diff(w) <= 0):
-        raise InputError("w_grid must be 1-d, finite and strictly ascending")
-    return w
+    """default_w_grid(), or w_grid once it passes core.require_grid."""
+    return default_w_grid() if w_grid is None else require_grid("w_grid", w_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +256,7 @@ def check_assumptions(phi: ShrinkageFunction) -> AssumptionReport:
 def _phi_limit(phi: ShrinkageFunction) -> float:
     """phi's limit at infinity, from the tail profile its family attached."""
     if phi.tail is None:
-        raise ValueError(f"{phi.label} has no tail profile to read phi_limit from")
+        raise InputError(f"{phi.label} has no tail profile to read phi_limit from")
     return phi.tail.phi_limit
 
 
@@ -292,9 +290,9 @@ def classify(
     its inequality over at least the last two decades of the grid.
     """
     if not 0.0 < margin < 1.0:
-        raise ValueError("margin must lie in (0, 1)")
+        raise InputError(f"margin must lie in (0, 1), got {margin!r}")
     if 1.0 + margin == 1.0:  # the witness b = 1 +/- margin must pick a side
-        raise ValueError(f"margin {margin!r} leaves 1 + margin equal to 1")
+        raise InputError(f"margin {margin!r} leaves 1 + margin equal to 1")
     grid = _w_grid(w_grid)
     if not np.any(grid > 1.0):
         raise InputError("w_grid must have a point above 1")
@@ -350,7 +348,7 @@ def construct_dominator(
     grid top 1e8.
     """
     if not b > 1.0:
-        raise ValueError("construction requires a witness b > 1")
+        raise InputError(f"construction requires a witness b > 1, got {b!r}")
     phi_star = _phi_limit(phi)
     if math.isinf(phi_star):
         raise ConstructionError("phi_star must be finite to construct a dominator")

@@ -148,10 +148,6 @@ def _add_common(p: argparse.ArgumentParser, *, dims: bool = True) -> None:
                    help="quadrature relative tolerance")
 
 
-def _quad_cfg(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=args.rel_tol)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="sure-boundary", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -224,7 +220,7 @@ def build_parser() -> _Parser:
 
 def _problem(args: argparse.Namespace) -> tuple[ProblemDims, ShrinkageFunction]:
     dims = ProblemDims(args.p, args.n)
-    return dims, make_shrinkage(parse_phi_spec(args.phi), dims, _quad_cfg(args))
+    return dims, make_shrinkage(parse_phi_spec(args.phi), dims, QuadratureConfig(args.rel_tol))
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -343,8 +339,7 @@ def _cmd_known_variance(args) -> int:
 
     _require_bounds(args, "z_max")
     prior = PriorSpec(a=args.a, L=parse_l_family(args.L))
-    prior.validate_for(args.p)
-    cfg = _quad_cfg(args)
+    cfg = QuadratureConfig(args.rel_tol)
     verdict = brown_classify(prior)
     z_grid = np.geomspace(10.0, args.z_max, 15)
     taub = tauberian_check(prior, args.p, z_grid, cfg)
@@ -365,7 +360,7 @@ def _cmd_known_variance(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     dims = ProblemDims(args.p, args.n)
-    cfg = _quad_cfg(args)
+    cfg = QuadratureConfig(args.rel_tol)
     if args.identity == "saigo4":
         at = [args.w] if args.w is not None else [1.0, 10.0, 1e3, 1e6]
         routes = (lambda w: phi_gb_unknown(-2.0, args.b, w, dims, cfg),

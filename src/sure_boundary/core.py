@@ -81,8 +81,8 @@ ArrayLike = Union[float, np.ndarray]
 
 
 class InputError(ValueError):
-    """An argument value the library rejects (dimensions, a spec, a grid or a
-    simulation setting): a usage error, not a numerical failure."""
+    """An argument value the library rejects (dimensions, a spec, a grid, a point,
+    a tolerance or a simulation setting): a usage error, not a numerical failure."""
 
 
 class EvaluationError(ValueError):
@@ -115,6 +115,18 @@ def require_finite(spec: Any) -> None:
         # an int is always finite (and may be too large for math.isfinite)
         if isinstance(value, float) and not math.isfinite(value):
             raise InputError(f"{type(spec).__name__}: non-finite parameter {f.name!r} = {value!r}")
+
+
+def require_grid(name: str, grid: ArrayLike) -> np.ndarray:
+    """grid as a float array if it is 1-d, non-empty, finite and strictly ascending,
+    else InputError naming its first non-finite value; callers check the span."""
+    g = np.asarray(grid, dtype=float)
+    bad = g[~np.isfinite(g)]
+    if g.ndim == 1 and bad.size:
+        raise InputError(f"{name} must be finite, got {float(bad[0])!r}")
+    if g.ndim != 1 or not g.size or np.any(np.diff(g) <= 0):
+        raise InputError(f"{name} must be 1-d, finite and strictly ascending")
+    return g
 
 
 def parse_spec(text: str, kinds: Mapping[str, type]) -> Any:
@@ -225,7 +237,7 @@ def _eval_pair(phi: ShrinkageFunction, w: np.ndarray) -> tuple[np.ndarray, np.nd
 def _as_w_array(w: ArrayLike) -> tuple[np.ndarray, bool]:
     arr = np.asarray(w, dtype=float)
     if np.any(arr < 0.0):
-        raise ValueError("w must be >= 0")
+        raise InputError("w must be >= 0")
     return arr, arr.ndim == 0
 
 

@@ -69,7 +69,7 @@ from typing import Union
 import numpy as np
 
 from .core import EvaluationError, InputError, ProblemDims, ShrinkageFunction, constants
-from .core import elementwise, encode_spec, parse_spec, require_finite
+from .core import elementwise, encode_spec, parse_spec, require_finite, require_grid
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
 
 __all__ = [
@@ -189,18 +189,14 @@ def tail_profile(
 ) -> TailProfile:
     """Estimate phi_limit and the critical-tail coefficient b_hat from a grid.
 
-    The grid must be ascending, span at least [1e3, 1e8] and hold >= 20
-    points.  b_hat is the least-squares (constant-model) fit of
+    The grid must pass core.require_grid, span at least [1e3, 1e8] and
+    hold >= 20 points.  b_hat is the least-squares (constant-model) fit of
     (log w)(c_pn - phi(w)) ~ b beta_star over the top half of the grid in
     log w; the limit converges at O(1/log w) so early points would bias it.
     """
-    w = np.asarray(w_grid, dtype=float)
-    if w.ndim != 1 or len(w) < 20:
-        raise InputError("w_grid must be 1-d with at least 20 points")
-    if not np.all(np.isfinite(w)):
-        raise InputError(f"w_grid must be finite, got {float(w[~np.isfinite(w)][0])!r}")
-    if np.any(np.diff(w) <= 0):
-        raise InputError("w_grid must be strictly ascending")
+    w = require_grid("w_grid", w_grid)
+    if len(w) < 20:
+        raise InputError("w_grid must hold at least 20 points")
     if w[0] > 1e3 or w[-1] < 1e8:
         raise InputError("w_grid must span at least [1e3, 1e8]")
     k = constants(dims)
@@ -244,17 +240,13 @@ def _gb_kernel(m: float):
     return lambda w, lam: np.power(1.0 + w * lam, -m)
 
 
-def _gb_integrals(w, qs, b: float, m: float, cfg: QuadratureConfig):
-    return power_log_integrals(w, qs, b, _gb_kernel(m), cfg)
-
-
 def _gb_num_den(a: float, b: float, w, dims: ProblemDims, cfg: QuadratureConfig):
     """(m, q, N(w), D(w)); raises EvaluationError at the first w where D, then
     at the first w where N, is 0 (phi = w N / D would read 0 there, far below
     its limit)."""
     m = (dims.p + dims.n) / 2 + 1
     q = dims.p / 2 + a
-    num, den = _gb_integrals(w, (q + 1.0, q), b, m, cfg)
+    num, den = power_log_integrals(w, (q + 1.0, q), b, _gb_kernel(m), cfg)
     for what, vals in (("gb: D(w)", den), ("gb: N(w)", num)):
         # a scalar w gives floats, which need no numpy reduction
         if vals == 0.0 if isinstance(vals, float) else not np.all(vals):
@@ -277,8 +269,8 @@ def phi_gb_unknown(
 ) -> float:
     """The generalized Bayes multiplier phi_{a,b}(w) = w N(w)/D(w) (exact route)."""
     GBUnknown(a=a, b=b).validate_for(dims)
-    if w < 0:
-        raise ValueError("w must be >= 0")
+    if not 0.0 <= w < math.inf:
+        raise InputError(f"w must be finite and >= 0, got {w!r}")
     if w == 0.0:
         return 0.0
     _, _, num, den = _gb_num_den(a, b, w, dims, cfg)
@@ -304,10 +296,11 @@ def phi_gb_unknown_deriv(
 ) -> float:
     """d/dw of phi_{a,b} by differentiation under the integral sign."""
     GBUnknown(a=a, b=b).validate_for(dims)
-    if not w > 0:
-        raise ValueError("derivative route requires w > 0")
+    if not 0.0 < w < math.inf:
+        raise InputError(f"derivative route requires finite w > 0, got {w!r}")
     m, q, num, den = _gb_num_den(a, b, w, dims, cfg)
-    dnum, dden = (-m * i for i in _gb_integrals(w, (q + 2.0, q + 1.0), b, m + 1.0, cfg))
+    ints = power_log_integrals(w, (q + 2.0, q + 1.0), b, _gb_kernel(m + 1.0), cfg)
+    dnum, dden = (-m * i for i in ints)
     if den**2 == 0.0:
         raise _underflow(a, b, w, dims, "gb derivative route: D(w)**2")
     return num / den + w * (dnum * den - num * dden) / den**2
@@ -324,19 +317,18 @@ def phi_gb_identity_saigo4(
     c_pn - (2b/(n+2)) R(w), minus the lambda = 1 boundary contribution
     (2/(n+2)) (1+w)^{-(p+n)/2} / D(w) which is nonzero only at b = 0.
     """
-    if b < 0:
-        raise ValueError("b must be >= 0")
-    if not w > 0:
-        raise ValueError("identity route requires w > 0")
+    GBUnknown(a=-2.0, b=b).validate_for(dims)
+    if not 0.0 < w < math.inf:
+        raise InputError(f"identity route requires finite w > 0, got {w!r}")
     k = constants(dims)
     m0 = (dims.p + dims.n) / 2
     q = dims.p / 2 - 2.0
-    (den,) = _gb_integrals(w, (q,), b, m0 + 1.0, cfg)
+    (den,) = power_log_integrals(w, (q,), b, _gb_kernel(m0 + 1.0), cfg)
     if den == 0.0:
         raise _underflow(-2.0, b, w, dims)
     out = k.c_pn
     if b > 0.0:
-        (num,) = _gb_integrals(w, (q,), b - 1.0, m0, cfg)
+        (num,) = power_log_integrals(w, (q,), b - 1.0, _gb_kernel(m0), cfg)
         out -= (2.0 * b / (dims.n + 2)) * num / den
     else:
         out -= (2.0 / (dims.n + 2)) * (1.0 + w) ** (-m0) / den

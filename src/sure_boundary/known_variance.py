@@ -62,7 +62,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import EvaluationError, InputError, encode_spec, parse_spec, require_finite
+from .core import EvaluationError, InputError, encode_spec, parse_spec
+from .core import require_finite, require_grid
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
 
 __all__ = [
@@ -150,10 +151,6 @@ def _exp_kernel(c, lam):
     return np.exp(-c * lam)
 
 
-def _exp_integrals(c, qs, b: float, cfg: QuadratureConfig):
-    return power_log_integrals(c, qs, b, _exp_kernel, cfg)
-
-
 def _squares(z: np.ndarray) -> np.ndarray:
     """zi**2 rounded as the single-point routes round it (pow, not z*z)."""
     return np.array([zi**2 for zi in z])
@@ -161,7 +158,8 @@ def _squares(z: np.ndarray) -> np.ndarray:
 
 def _marginals(z: np.ndarray, prior: PriorSpec, p: int, cfg: QuadratureConfig) -> np.ndarray:
     """m(z) at every ||z|| of the grid z; zeros are left to the caller."""
-    return _exp_integrals(_squares(z) / 2.0, (p / 2 + prior.a,), prior.log_power, cfg)[0]
+    return power_log_integrals(_squares(z) / 2.0, (p / 2 + prior.a,), prior.log_power,
+                               _exp_kernel, cfg)[0]
 
 
 def marginal_m(
@@ -172,9 +170,10 @@ def marginal_m(
 ) -> float:
     """Marginal density integral m(z; a, L) for ||z|| = z_norm >= 0."""
     prior.validate_for(p)
-    if z_norm < 0:
-        raise ValueError("z_norm must be >= 0")
-    (m,) = _exp_integrals(z_norm**2 / 2.0, (p / 2 + prior.a,), prior.log_power, cfg)
+    if not 0.0 <= z_norm < math.inf:
+        raise InputError(f"z_norm must be finite and >= 0, got {z_norm!r}")
+    (m,) = power_log_integrals(z_norm**2 / 2.0, (p / 2 + prior.a,), prior.log_power,
+                               _exp_kernel, cfg)
     if m == 0.0:
         raise _range_error("m(z) underflowed to 0", z_norm, prior, p)
     return m
@@ -262,12 +261,11 @@ def _tauberian_ratio(z: float, m: float, prior: PriorSpec, p: int) -> float:
 
 
 def _z_grid(z_grid: np.ndarray | None) -> np.ndarray:
-    """The z grid of a limit check: the default, or z_grid after validation."""
-    z = np.geomspace(10.0, 1e8, 15) if z_grid is None else np.asarray(z_grid, float)
-    if not np.all(np.isfinite(z)):
-        raise InputError(f"z_grid must be finite, got {float(z[~np.isfinite(z)][0])!r}")
-    if np.any(np.diff(z) <= 0) or z[-1] < 1e4:
-        raise InputError("z_grid must be ascending and reach at least 1e4")
+    """The default z grid, or z_grid once it passes core.require_grid, is >= 0
+    and reaches 1e4."""
+    z = np.geomspace(10.0, 1e8, 15) if z_grid is None else require_grid("z_grid", z_grid)
+    if z[0] < 0.0 or z[-1] < 1e4:
+        raise InputError("z_grid must hold norms >= 0 and reach at least 1e4")
     return z
 
 
@@ -290,10 +288,8 @@ def tauberian_check(
     The trend flag records whether |ratio - 1| is non-increasing over the top
     decade of the grid.
     """
-    z = _z_grid(z_grid)
     prior.validate_for(p)
-    if z[0] < 0:
-        raise ValueError("z_norm must be >= 0")
+    z = _z_grid(z_grid)
     ratios = np.array([  # point by point, so faults are raised in grid order
         _tauberian_ratio(zi, mi, prior, p) for zi, mi in zip(z, _marginals(z, prior, p, cfg))
     ])
@@ -327,11 +323,11 @@ def gradient_bound_check(
     The quantity is ||z|| times the log-marginal gradient norm; its limit
     p + 2a + 2 is what makes the Brown condition applicable.
     """
-    z = _z_grid(z_grid)
     prior.validate_for(p)
+    z = _z_grid(z_grid)
     q = p / 2 + prior.a
     z2 = _squares(z)
-    num, den = _exp_integrals(z2 / 2.0, (q + 1.0, q), prior.log_power, cfg)
+    num, den = power_log_integrals(z2 / 2.0, (q + 1.0, q), prior.log_power, _exp_kernel, cfg)
     under = (num == 0.0) | (den == 0.0)
     if under.any():
         raise _range_error("a marginal integral underflowed to 0", z[np.argmax(under)], prior, p)
@@ -373,15 +369,21 @@ def _j_underflow(route: str, v: float, p: int, b: float) -> EvaluationError:
     )
 
 
+def _check_psi(b: float, p: int, *v: float) -> None:
+    """The check of every psi route: b and each point v finite and >= 0, and p >= 3."""
+    if not (0.0 <= b < math.inf and p >= 3 and all(0.0 <= x < math.inf for x in v)):
+        raise InputError(f"psi needs finite b, v >= 0 and p >= 3, got b={b!r}, "
+                         f"v={', '.join(map(repr, v))}, p={p!r}")
+
+
 def psi_known(
     b: float, v: float, p: int, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """The boundary-family shrinkage factor psi_b(v) (defining ratio route)."""
-    if b < 0 or v < 0 or p < 3:
-        raise ValueError("need b >= 0, v >= 0, p >= 3")
+    _check_psi(b, p, v)
     if v == 0.0:
         return 0.0
-    num, den = _exp_integrals(v / 2.0, (p / 2 - 1.0, p / 2 - 2.0), b, cfg)
+    num, den = power_log_integrals(v / 2.0, (p / 2 - 1.0, p / 2 - 2.0), b, _exp_kernel, cfg)
     if den == 0.0:
         raise _j_underflow("psi_known", v, p, b)
     return v * num / den
@@ -395,17 +397,16 @@ def psi_known_via_identity(
     At b = 0 the integrated-out lambda = 1 term survives and contributes
     -2 e^{-v/2} / J_0(v); for b > 0 it vanishes.
     """
-    if b < 0 or v < 0 or p < 3:
-        raise ValueError("need b >= 0, v >= 0, p >= 3")
+    _check_psi(b, p, v)
     if v == 0.0:
         return 0.0
     c = v / 2.0
-    (den,) = _exp_integrals(c, (p / 2 - 2.0,), b, cfg)
+    (den,) = power_log_integrals(c, (p / 2 - 2.0,), b, _exp_kernel, cfg)
     if den == 0.0:
         raise _j_underflow("psi_known_via_identity", v, p, b)
     out = p - 2.0
     if b > 0.0:
-        (num,) = _exp_integrals(c, (p / 2 - 2.0,), b - 1.0, cfg)
+        (num,) = power_log_integrals(c, (p / 2 - 2.0,), b - 1.0, _exp_kernel, cfg)
         out -= 2.0 * b * num / den
     else:
         out -= 2.0 * math.exp(-c) / den
@@ -429,9 +430,8 @@ def psi_tail_fit(
 
 def _psi_tail(b: float, p: int, v: np.ndarray, cfg: QuadratureConfig) -> PsiTailReport:
     """psi_tail_fit on the ascending grid v > 1."""
-    if b < 0 or p < 3:
-        raise ValueError("need b >= 0, v >= 0, p >= 3")
-    num, den = _exp_integrals(v / 2.0, (p / 2 - 1.0, p / 2 - 2.0), b, cfg)
+    _check_psi(b, p, *v.tolist())
+    num, den = power_log_integrals(v / 2.0, (p / 2 - 1.0, p / 2 - 2.0), b, _exp_kernel, cfg)
     if not np.all(den):
         raise _j_underflow("psi_tail_fit", v[np.argmin(den != 0.0)], p, b)
     gaps = np.array([math.log(vi) * (p - 2.0 - si) for vi, si in zip(v, v * num / den)])

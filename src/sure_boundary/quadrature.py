@@ -55,6 +55,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import InputError
+
 __all__ = [
     "QuadratureConfig",
     "QuadratureError",
@@ -91,7 +93,7 @@ class QuadratureConfig:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < math.inf):  # also rejects nan
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+            raise InputError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -21,7 +21,8 @@ from sure_boundary.boundary import (
     nu_from_witness,
     verify_domination,
 )
-from sure_boundary.core import ProblemDims, ShrinkageFunction, constants, delta, elementwise
+from sure_boundary.core import InputError, ProblemDims, ShrinkageFunction, constants, delta
+from sure_boundary.core import elementwise
 from sure_boundary.families import (
     BoundaryPhi,
     GBUnknown,
@@ -143,11 +144,13 @@ class TestClassify:
 
     ASCENDING = np.geomspace(2.0, 1e8, 700)
 
-    @pytest.mark.parametrize("grid", [ASCENDING[::-1], np.append(ASCENDING, np.nan),
-                                      ASCENDING.reshape(7, 100)],
-                             ids=["descending", "nan", "2-d"])
-    def test_malformed_grid_rejected(self, grid):
-        with pytest.raises(ValueError, match="w_grid must be 1-d, finite and strictly ascending"):
+    @pytest.mark.parametrize("grid, message", [
+        (ASCENDING[::-1], "w_grid must be 1-d, finite and strictly ascending"),
+        (np.append(ASCENDING, np.nan), "w_grid must be finite, got nan"),
+        (ASCENDING.reshape(7, 100), "w_grid must be 1-d, finite and strictly ascending"),
+    ], ids=["descending", "nan", "2-d"])
+    def test_malformed_grid_rejected(self, grid, message):
+        with pytest.raises(InputError, match=message):
             classify(make_shrinkage(Zero(), DIMS), DIMS, w_grid=grid)
 
     def test_grid_without_a_point_above_one_rejected(self):
@@ -308,13 +311,14 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_domination(phi, spec, DIMS, np.geomspace(1.0, 1e8, 100))
 
-    @pytest.mark.parametrize("grid", [np.array([0.0] + 600 * [1e8]),
-                                      np.append(default_w_grid(), np.inf)],
-                             ids=["one-point-repeated", "inf"])
-    def test_malformed_grid_rejected(self, grid):
+    @pytest.mark.parametrize("grid, message", [
+        (np.array([0.0] + 600 * [1e8]), "w_grid must be 1-d, finite and strictly ascending"),
+        (np.append(default_w_grid(), np.inf), "w_grid must be finite, got inf"),
+    ], ids=["one-point-repeated", "inf"])
+    def test_malformed_grid_rejected(self, grid, message):
         phi = make_shrinkage(Zero(), DIMS)
         spec = DominatorSpec(nu=0.5, w_sharp=4.0, ramp_width=4.0, b=1.5, w_star=4.0)
-        with pytest.raises(ValueError, match="w_grid must be 1-d, finite and strictly ascending"):
+        with pytest.raises(InputError, match=message):
             verify_domination(phi, spec, DIMS, grid)
 
 

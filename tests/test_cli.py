@@ -285,13 +285,40 @@ class TestExitCodes:
         assert "non-finite parameter 'a'" in captured.err
         assert "tanh-sinh" not in captured.err
 
-    def test_non_finite_rel_tol_is_1(self, capsys):
+    def test_non_finite_rel_tol_is_64(self, capsys):
         # at the default tolerance this member is QuasiInadmissible (exit 0)
         code = main(["classify", *D56, "--phi", "gb:a=-2,b=2.0", "--rel-tol=inf"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
+        assert code == 64 and captured.out == ""
         message = "rel_tol must be positive and finite, got inf"
         assert captured.err == f"sure-boundary: error: {message}\n"
+
+    VERIFY = ["verify", *D56, "--phi", "zero", "--b", "1.5", "--nu", "0.5", "--w-sharp", "4",
+              "--ramp-width", "4", "--w-star", "4"]
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", *D56, "--phi", "zero", "--margin", "2"],
+        ["classify", *D56, "--phi", "zero", "--margin", "1e-17"],
+        ["classify", *D56, "--phi", "zero", "--rel-tol", "inf"],
+        ["classify", *D56, "--phi", "zero", "--rel-tol", "0"],
+        [*VERIFY, "--nu", "2"],
+        [*VERIFY, "--ramp-width", "0"],
+        [*VERIFY, "--b", "1"],
+        [*VERIFY, "--w-sharp", "inf"],
+        [*VERIFY, "--w-star", "nan"],
+        [*VERIFY, "--w-sharp", "-4"],
+        ["dominate", *D56, "--phi", "zero", "--b", "1"],
+        ["crosscheck", *D56, "--identity", "psi", "--v", "10", "--b", "-1"],
+        ["crosscheck", *D56, "--identity", "psi", "--b", "1", "--v", "-1"],
+        ["crosscheck", *D56, "--identity", "saigo4", "--b", "1", "--w", "-1"],
+        ["crosscheck", *D56, "--identity", "saigo4", "--b", "1", "--w", "0"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_rejected_argument_is_one_typed_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("sure-boundary: error: ")
 
     def test_gb_d_underflow_is_typed_error(self, capsys):
         code = main(["classify", "--p", "60", "--n", "60", "--phi", "gb:a=-2,b=2.0"])

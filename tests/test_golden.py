@@ -79,6 +79,12 @@ CASES = {
                                  "--L", "logpow:b=1.0"],
     "known-variance-overflow": ["known-variance", "--p", "400", "--a", "-2",
                                 "--L", "logpow:b=1.0"],
+    "classify-margin-out-of-range": ["classify", *D56, "--phi", "zero", "--margin", "2"],
+    "verify-non-finite-w-sharp": ["verify", *D56, "--phi", "zero", "--b", "1.5",
+                                  "--nu", "0.17708333333333334", "--w-sharp", "inf",
+                                  "--ramp-width", "4.0", "--w-star", "4.0"],
+    "crosscheck-psi-negative-b": ["crosscheck", *D56, "--identity", "psi", "--b", "-1",
+                                  "--v", "10"],
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import marginal_m_closed_one
-from sure_boundary.core import EvaluationError
+from sure_boundary.core import EvaluationError, InputError
 from sure_boundary.known_variance import (
     AdmissClass,
     LogPow,
@@ -232,6 +232,15 @@ class TestBrownNumeric:
     def test_non_finite_r_max_named(self, r_max):
         with pytest.raises(ValueError, match="r_max must be finite"):
             brown_integral_numeric(PriorSpec(a=-1.0), P, r_max=r_max)
+
+
+@pytest.mark.parametrize("check", [tauberian_check, gradient_bound_check])
+@pytest.mark.parametrize("z", [np.append(-3.0, np.geomspace(10.0, 1e8, 14)),
+                               np.geomspace(10.0, 1e8, 16).reshape(4, 4)],
+                         ids=["negative-point", "2-d"])
+def test_malformed_z_grid_is_input_error(check, z):
+    with pytest.raises(InputError, match="z_grid must"):
+        check(PriorSpec(a=-2.0), P, z)
 
 
 @pytest.mark.parametrize("check", [tauberian_check, gradient_bound_check])
