@@ -1,6 +1,6 @@
 """SURE-based risk analysis for Stein-type shrinkage under unknown scale.
 
-Subpackages by role:
+Modules by role; each name is imported from the module that defines it:
 
 * ``core``: problem dimensions and the exact unbiased-risk formulas
   (D_phi and the risk difference Delta).
@@ -18,32 +18,5 @@ Subpackages by role:
   paired domination experiments.
 * ``cli``: the ``sure-boundary`` command line front end.
 """
-
-from .core import (
-    Constants,
-    ProblemDims,
-    ShrinkageFunction,
-    constants,
-    d_phi,
-    delta,
-)
-from .families import (
-    BoundaryPhi,
-    GBUnknown,
-    Linear,
-    PhiSpec,
-    PositivePartJS,
-    TailProfile,
-    Zero,
-    encode_phi_spec,
-    make_shrinkage,
-    parse_phi_spec,
-    phi_gb_identity_saigo4,
-    phi_gb_limit,
-    phi_gb_unknown,
-    phi_gb_unknown_deriv,
-    tail_profile,
-)
-from .quadrature import QuadratureConfig
 
 __version__ = "0.1.0"

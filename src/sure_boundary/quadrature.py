@@ -373,40 +373,22 @@ def _raise_first(errors, running) -> None:
             return
 
 
-def _tanh_sinh_batch(
-    level_integrand: Callable[
-        [np.ndarray, np.ndarray, np.ndarray], Callable[[np.ndarray], Sequence[np.ndarray]]
-    ],
-    n_rows: int,
-    n_out: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    *,
-    singular_exponent: float = 0.0,
-    log_power: float = 0.0,
-) -> np.ndarray:
-    """Integrate an (n_out, n_rows) family of integrands over (0, 1) at once.
+def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndarray:
+    """power_log_integrals at a 1-d x: an array (len(qs), len(x)), in one pass.
 
-    level_integrand(lam, lam_c, log_l) is called once per level with that
-    level's nodes and log_l = log_recip(lam, lam_c), computed once per level
-    and kept, so work shared by every row can be done there; it returns
-    rows_fn(rows), which gives n_out arrays of shape (len(rows), len(lam)):
-    integrand k at the rows indexed by the int array ``rows``.
-
-    Every (k, row) runs the adaptive rule of tanh_sinh_unit on its own, with
+    Every (k, i) runs the adaptive rule of tanh_sinh_unit on its own, with
     the same levels and stopping rule, and is frozen at the level where it
     converges; rows whose integrands have all converged are no longer
     evaluated.  A level is evaluated in slices of at most _BATCH_ELEMENTS
     values per integrand, and each row is summed along the contiguous last
-    axis.  So an integrand evaluated with the same elementwise operations as
-    its scalar counterpart integrates bit for bit as tanh_sinh_unit would.
-    singular_exponent and log_power declare the most singular lambda -> 0
-    behaviour among the integrands and are checked as tanh_sinh_unit checks
-    them, before any level runs.  Raises the errors tanh_sinh_unit raises.
+    axis.  The endpoint behaviour (the smallest q, and b if positive) is
+    checked as tanh_sinh_unit checks it, before any level runs.  Raises the
+    errors tanh_sinh_unit raises.
     """
-    _check_endpoint(singular_exponent, log_power)
+    _check_endpoint(min(qs), max(b, 0.0))
     h = _H0
-    active = np.ones((n_out, n_rows), dtype=bool)
-    s, l1 = _batch_level_sums(level_integrand, 0, np.arange(n_rows), active)
+    active = np.ones((len(qs), x.size), dtype=bool)
+    s, l1 = _batch_level_sums(x, qs, b, kernel, 0, np.arange(x.size), active)
     value = h * s
     scale = h * l1
     err = np.full_like(value, math.inf)
@@ -417,7 +399,7 @@ def _tanh_sinh_batch(
             break
         h *= 0.5
         live = active[:, rows]
-        s, l1 = _batch_level_sums(level_integrand, level, rows, live)
+        s, l1 = _batch_level_sums(x, qs, b, kernel, level, rows, live)
         v, sc, e = _refine(value[:, rows], scale[:, rows], h, s, l1)
         new_hit, done = _stop_rule(e, v, sc, hit[:, rows], cfg)
         for state, update in zip((value, scale, err, hit), (v, sc, e, new_hit)):
@@ -429,16 +411,24 @@ def _tanh_sinh_batch(
     return value
 
 
-def _batch_level_sums(level_integrand, level, rows, live):
-    """Node sums and L1 sums, shape (n_out, len(rows)), of one batched level."""
-    lam, lam_c, weight, log_l = _nodes(level)
-    rows_fn = level_integrand(lam, lam_c, log_l)
+def _batch_level_sums(x, qs, b, kernel, level, rows, live):
+    """Node sums and L1 sums, shape (len(qs), len(rows)), of one batched level.
+
+    lambda**q and (log 1/lambda)**b are computed once per level, and the
+    kernel once per slice of rows for all exponents, with the elementwise
+    operations of a point pass.
+    """
+    lam, _, weight, log_l = _nodes(level)
+    lam_qs = [lam**q for q in qs]
+    log_b = log_l**b if b != 0.0 else None
     s = np.empty(live.shape)
     l1 = np.empty(live.shape)
     step = max(1, _BATCH_ELEMENTS // lam.size)
     for start in range(0, rows.size, step):
         cut = slice(start, start + step)
-        for k, f in enumerate(rows_fn(rows[cut])):
+        k_x = kernel(x[rows[cut], None], lam)
+        for k, lam_q in enumerate(lam_qs):
+            f = lam_q * k_x if log_b is None else lam_q * k_x * log_b
             vals = f * weight
             l1[k, cut] = np.add.reduce(np.abs(vals), axis=1)
             if not np.isfinite(l1[k, cut]).all():  # as _level_sums, per row
@@ -514,18 +504,7 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
                     del _points[next(iter(_points))]
         return [found[key] for key in keys]
 
-    def batch_level(lam, lam_c, log_l):
-        lam_qs = [lam**q for q in qs]
-        log_b = log_l**b if b != 0.0 else None
-
-        def rows_fn(rows):
-            k = kernel(x[rows, None], lam)
-            return [lam_q * k if log_b is None else lam_q * k * log_b for lam_q in lam_qs]
-
-        return rows_fn
-
-    return _tanh_sinh_batch(batch_level, x.size, len(qs), cfg,
-                            singular_exponent=min(qs), log_power=max(b, 0.0))
+    return _tanh_sinh_batch(x, qs, b, kernel, cfg)
 
 
 def _point_pass(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig) -> list[float]:

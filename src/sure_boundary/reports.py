@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from enum import Enum
 from typing import Any, Mapping, Sequence
 
 __all__ = [
@@ -44,11 +43,9 @@ def _token(x: bool | int | float) -> str:
 def _emit(obj: Any, out: list[str]) -> None:
     """Append the canonical JSON text of obj to out, in one walk of the tree.
 
-    Enums become their value, dataclasses their fields, numpy arrays and
-    scalars their ``tolist()``, and mapping keys ``str(k)``, sorted.
+    Dataclasses become their fields, numpy arrays and scalars their
+    ``tolist()``, and mapping keys ``str(k)``, sorted.
     """
-    if isinstance(obj, Enum):
-        obj = obj.value
     if isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif obj is None:

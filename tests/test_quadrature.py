@@ -154,13 +154,9 @@ def test_precondition_validation():
             QuadratureConfig(rel_tol=value)
 
 
-def _batch_of(funcs):
-    """_tanh_sinh_batch over one row per f(lam, lam_c) in funcs, one output."""
-
-    def level_integrand(lam, lam_c, log_l):
-        return lambda rows: [np.stack([funcs[i](lam, lam_c) for i in rows])]
-
-    return level_integrand
+def _peak(w, lam):
+    """The kernel of the TestBatch rows; exactly 1 at w = 0."""
+    return (1.0 + w * lam) ** -6.5
 
 
 class TestBatch:
@@ -172,16 +168,20 @@ class TestBatch:
             for w in self.PEAKS
         ] + [lambda lam, lam_c: log_recip(lam, lam_c) ** -0.5 * lam]
         for cfg in (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-6)):
-            batch = _tanh_sinh_batch(_batch_of(funcs), len(funcs), 1, cfg)
+            # q = 0.5 at each peak; lam L**-0.5 is q = 1, b = -0.5 at w = 0
+            peaks = _tanh_sinh_batch(np.array(self.PEAKS), (0.5,), 0.0, _peak, cfg)
+            log_row = _tanh_sinh_batch(np.zeros(1), (1.0,), -0.5, _peak, cfg)
+            batch = np.concatenate([peaks, log_row], axis=1)
             scalar = np.array([tanh_sinh_unit(f, cfg) for f in funcs])
             assert batch.shape == (1, len(funcs))
             assert np.array_equal(batch[0], scalar)
 
     def test_rows_freeze_at_their_own_level(self):
         # an easy row next to a hard one keeps the value it converged to
-        easy = lambda lam, lam_c: lam  # noqa: E731
+        easy = lambda lam, lam_c: lam**0.5  # noqa: E731
         hard = lambda lam, lam_c: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
-        batch = _tanh_sinh_batch(_batch_of([easy, hard, easy]), 3, 1)
+        x = np.array([0.0, 1e8, 0.0])
+        batch = _tanh_sinh_batch(x, (0.5,), 0.0, _peak, DEFAULT_CONFIG)
         assert batch[0, 0] == batch[0, 2] == tanh_sinh_unit(easy)
         assert batch[0, 1] == tanh_sinh_unit(hard)
 
@@ -189,27 +189,30 @@ class TestBatch:
         with pytest.raises(QuadratureConvergenceError) as scalar:
             tanh_sinh_unit(step)
         with pytest.raises(QuadratureConvergenceError) as batch:
-            _tanh_sinh_batch(_batch_of([step]), 1, 1)
+            jump = lambda x, lam: (lam > x) * 1.0  # noqa: E731
+            _tanh_sinh_batch(np.array([1.0 / 3.0]), (0.0,), 0.0, jump, DEFAULT_CONFIG)
         assert batch.value.best_estimate == scalar.value.best_estimate
         assert batch.value.error_estimate == scalar.value.error_estimate
 
     def test_endpoint_checked_before_any_level(self):
-        def never_called(lam, lam_c):
+        def never_called(x, lam):
             raise AssertionError("a level ran")
 
-        for kwargs in ({"singular_exponent": -0.99}, {"log_power": -1.0}):
-            with pytest.raises(ValueError):
-                tanh_sinh_unit(lambda lam, lam_c: lam, **kwargs)
-            with pytest.raises(ValueError):
-                _tanh_sinh_batch(never_called, 1, 1, **kwargs)
+        # the most singular of several exponents decides
+        with pytest.raises(ValueError):
+            tanh_sinh_unit(lambda lam, lam_c: lam, singular_exponent=(0.5, -0.99))
+        with pytest.raises(ValueError):
+            _tanh_sinh_batch(np.ones(1), (0.5, -0.99), 0.0, never_called, DEFAULT_CONFIG)
 
     def test_non_finite_integrand_rejected(self):
         bad = lambda lam, lam_c: 1.0 / (lam - lam)  # noqa: E731
+        # q = 1: lam / lam at x = 0, and bad at x = 1
+        kernel = lambda x, lam: 1.0 / (lam - x * lam)  # noqa: E731
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(QuadratureError):
                 tanh_sinh_unit(bad)
             with pytest.raises(QuadratureError):
-                _tanh_sinh_batch(_batch_of([lambda lam, lam_c: lam, bad]), 2, 1)
+                _tanh_sinh_batch(np.array([0.0, 1.0]), (1.0,), 0.0, kernel, DEFAULT_CONFIG)
 
 
 KERNELS = {
