@@ -155,15 +155,19 @@ def dominator_g(spec: DominatorSpec) -> ShrinkageFunction:
     nu, w_sharp, width = spec.nu, spec.w_sharp, spec.ramp_width
     expo = 1.0 + nu
 
+    def ramp(w):
+        # (w - w_sharp) / width overflows for a tiny width; clipped, inf is 1
+        with np.errstate(over="ignore"):
+            return np.clip((w - w_sharp) / width, 0.0, 1.0)
+
     @elementwise
     def ev(w):
-        k = np.clip((w - w_sharp) / width, 0.0, 1.0)
-        return k * np.log(w + math.e) ** (-expo)
+        return ramp(w) * np.log(w + math.e) ** (-expo)
 
     @elementwise
     def dv(w):
         le = np.log(w + math.e)
-        k = np.clip((w - w_sharp) / width, 0.0, 1.0)
+        k = ramp(w)
         kp = np.where((w > w_sharp) & (w < w_sharp + width), 1.0 / width, 0.0)
         return kp * le ** (-expo) - k * expo * le ** (-expo - 1.0) / (w + math.e)
 
@@ -340,15 +344,15 @@ def construct_dominator(
 ) -> DominatorSpec:
     """Build a perturbation g whose risk-difference certificate verifies.
 
-    Requires b > 1, a finite tail limit, and the quasi-inadmissible
+    Requires 1 < b < inf, a finite tail limit, and the quasi-inadmissible
     inequality to hold with this b on the grid tail.  w_sharp starts at the
     verified threshold and doubles until the certificate on default_w_grid()
     passes (non-vacuously).  It doubles only while some grid point lies
     above it; ConstructionError reports the last w_sharp tried, below the
     grid top 1e8.
     """
-    if not b > 1.0:
-        raise InputError(f"construction requires a witness b > 1, got {b!r}")
+    if not 1.0 < b < math.inf:
+        raise InputError(f"construction requires a witness 1 < b < inf, got {b!r}")
     phi_star = _phi_limit(phi)
     if math.isinf(phi_star):
         raise ConstructionError("phi_star must be finite to construct a dominator")

@@ -257,6 +257,7 @@ def _cmd_dominate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_positive(args, "grid_points")
     dims, phi = _problem(args)
     spec = DominatorSpec(
         nu=args.nu, w_sharp=args.w_sharp, ramp_width=args.ramp_width,
@@ -306,20 +307,20 @@ def _cmd_sure_check(args) -> int:
     return 0
 
 
-def _require_bounds(args, *dests: str) -> None:
-    """Reject a non-finite or non-positive bound of a geometric grid, naming
-    its option, before the grid is built."""
+def _require_positive(args, *dests: str) -> None:
+    """Reject a non-finite or non-positive bound or point count of a grid,
+    naming its option, before the grid is built."""
     for dest in dests:
         value = getattr(args, dest)
         option = "--" + dest.replace("_", "-")
-        if not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             raise InputError(f"argument {option}: must be finite, got {value!r}")
         if value <= 0.0:
             raise InputError(f"argument {option}: must be positive, got {value!r}")
 
 
 def _cmd_asymptotics(args) -> int:
-    _require_bounds(args, "w_lo", "w_hi")
+    _require_positive(args, "w_lo", "w_hi", "points")
     dims, phi = _problem(args)
     grid = np.geomspace(args.w_lo, args.w_hi, args.points)
     _emit(args, {"tail_profile": tail_profile(phi, dims, grid)})
@@ -337,7 +338,7 @@ def _cmd_known_variance(args) -> int:
         tauberian_check,
     )
 
-    _require_bounds(args, "z_max")
+    _require_positive(args, "z_max")
     prior = PriorSpec(a=args.a, L=parse_l_family(args.L))
     cfg = QuadratureConfig(args.rel_tol)
     verdict = brown_classify(prior)
@@ -359,6 +360,8 @@ def _cmd_known_variance(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    if not 0.0 <= args.tol < math.inf:  # also rejects nan
+        raise InputError(f"argument --tol: must be finite and >= 0, got {args.tol!r}")
     dims = ProblemDims(args.p, args.n)
     cfg = QuadratureConfig(args.rel_tol)
     if args.identity == "saigo4":

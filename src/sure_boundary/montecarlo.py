@@ -115,8 +115,8 @@ class SimConfig:
         require_finite(self)
         if self.theta_norm < 0.0:
             raise InputError("theta_norm must be >= 0")
-        if not self.sigma > 0.0:
-            raise InputError("sigma must be > 0")
+        if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
+            raise InputError(f"sigma must be > 0 with a finite, nonzero square, got {self.sigma!r}")
         if self.reps < 1:
             raise InputError("reps must be >= 1")
         if not 0 <= self.seed < 2**64:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -319,6 +320,31 @@ class TestExitCodes:
         assert code == 64 and captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("sure-boundary: error: ")
+
+    PSI = ["crosscheck", *D56, "--identity", "psi", "--b", "1", "--v", "10"]
+
+    @pytest.mark.parametrize("argv, want", [
+        ([*VERIFY, "--grid-points", "-5"], 64),
+        (["asymptotics", *D56, "--phi", "zero", "--points", "-1"], 64),
+        ([*PSI, "--tol", "nan"], 64),
+        ([*PSI, "--tol", "-1"], 64),
+        (["dominate", *D56, "--phi", "zero", "--b", "inf"], 64),
+        (["simulate", *D56, "--phi", "zero", "--sigma", "1e308"], 64),
+        (["sure-check", *D56, "--phi", "zero", "--sigma", "5e-324"], 64),
+        ([*VERIFY, "--ramp-width", "5e-324"], 0),
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]) if isinstance(argv, list) else None)
+    def test_edge_value_exits_cleanly(self, capsys, argv, want):
+        # a numpy RuntimeWarning would reach stderr; here it fails the run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == want
+        if want == 64:
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("sure-boundary: error: ")
+        else:
+            assert captured.out and captured.err == ""
 
     def test_gb_d_underflow_is_typed_error(self, capsys):
         code = main(["classify", "--p", "60", "--n", "60", "--phi", "gb:a=-2,b=2.0"])
