@@ -426,9 +426,9 @@ def _batch_level_sums(x, qs, b, kernel, level, rows, live):
     step = max(1, _BATCH_ELEMENTS // lam.size)
     for start in range(0, rows.size, step):
         cut = slice(start, start + step)
-        k_x = kernel(x[rows[cut], None], lam)
+        kern = kernel(x[rows[cut], None], lam)
         for k, lam_q in enumerate(lam_qs):
-            f = lam_q * k_x if log_b is None else lam_q * k_x * log_b
+            f = lam_q * kern if log_b is None else lam_q * kern * log_b
             vals = f * weight
             l1[k, cut] = np.add.reduce(np.abs(vals), axis=1)
             if not np.isfinite(l1[k, cut]).all():  # as _level_sums, per row
