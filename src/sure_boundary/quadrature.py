@@ -20,20 +20,21 @@ difference between consecutive levels serves as the (conservative) error
 estimate.
 
 power_log_integrals is the one primitive for the generalized-Bayes and known-
-variance integrals.  A single kernel point runs all its exponents in one
-tanh_sinh_unit pass, and a grid of kernel points runs in one batched pass.
-Each call of the kernel serves all exponents.  A point pass calls it once
-for levels 0 to 4 (385 nodes) and once for each later level, and a grid pass
-once per level and slice of rows.  log(1/lambda) is computed once per level
-and kept with the nodes.  A point's lambda**q and (log 1/lambda)**b depend
-only on the block of levels and the exponent, so they are kept too
+variance integrals, int_0^1 lambda**q (log 1/lambda)**b K(x, lambda).  Its
+two passes take the same arguments (x, qs, b, kernel, cfg) and build that
+integrand themselves: tanh_sinh_unit at a single point, _tanh_sinh_batch over
+a grid.  Each call of the kernel serves all exponents.  A point pass calls it
+once for levels 0 to 4 (385 nodes) and once for each later level, and a grid
+pass once per level and slice of rows.  log(1/lambda) is computed once per
+level and kept with the nodes.  A point's lambda**q and (log 1/lambda)**b
+depend only on the block of levels and the exponent, so they are kept too
 (_kept_power), and the passes of many points share them.  The integrals of
 single points are kept as well, the last _POINTS_KEPT of them, so the
 two-route identities, which integrate the same denominator at the same
 point, run each integral once; grids are not kept.
 
-tanh_sinh_unit (the integrands of one point) and _tanh_sinh_batch (a family of
-rows) share their levels and stopping rule but stay two loops on purpose,
+The two passes share their levels, stopping rule and endpoint check but stay
+two loops on purpose,
 because each is the faster one for its own use and neither can replace the
 other; both give the same bits.  A point run as a one-row batch is 5 to 7
 times slower, because the batch's per-level calls and bookkeeping outweigh
@@ -49,9 +50,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,15 +125,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _make_nodes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (lambda, 1-lambda, dlambda/dt) for trapezoidal abscissae t."""
-    y = math.pi * np.sinh(t)
-    lam = _sigmoid(y)
-    lam_c = _sigmoid(-y)
-    weight = lam * lam_c * math.pi * np.cosh(t)
-    return lam, lam_c, weight
-
-
 def _level_abscissae(level: int) -> np.ndarray:
     if level == 0:
         k = np.arange(-int(_T_MAX / _H0), int(_T_MAX / _H0) + 1)
@@ -142,33 +134,25 @@ def _level_abscissae(level: int) -> np.ndarray:
     return np.concatenate([-odd[::-1], odd]) * h
 
 
-def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    lam, lam_c, weight = _make_nodes(_level_abscissae(level))
-    return lam, lam_c, weight, log_recip(lam, lam_c)
+@functools.cache
+def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, dlambda/dt, log(1/lambda)) at a level's new nodes."""
+    t = _level_abscissae(level)
+    y = math.pi * np.sinh(t)
+    lam, lam_c = _sigmoid(y), _sigmoid(-y)
+    return lam, lam * lam_c * math.pi * np.cosh(t), log_recip(lam, lam_c)
 
 
-# A scalar pass evaluates levels 0 to _BLOCK_LEVEL (385 nodes) in one call of
-# its integrand, because nine in ten passes of the exact routes reach level 4;
+# A point pass evaluates levels 0 to _BLOCK_LEVEL (385 nodes) in one call of
+# its kernel, because nine in ten passes of the exact routes reach level 4;
 # each later level is a call of its own.
 _BLOCK_LEVEL = 4
 
 
 @functools.cache
-def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda, 1-lambda, dlambda/dt, log(1/lambda)) at a level's new nodes.
-
-    Up to _BLOCK_LEVEL these are views of the first block's arrays.
-    """
-    if level > _BLOCK_LEVEL:
-        return _level_nodes(level)
-    *arrays, levels = _block(_BLOCK_LEVEL)
-    return tuple(a[levels[level][1]] for a in arrays)
-
-
-@functools.cache
 def _block(last: int):
-    """(lambda, 1-lambda, dlambda/dt, log(1/lambda), levels) of the block of a
-    scalar pass that ends at level last >= _BLOCK_LEVEL.
+    """(lambda, dlambda/dt, log(1/lambda), levels) of the block of a point
+    pass that ends at level last >= _BLOCK_LEVEL.
 
     The first block holds levels 0 to _BLOCK_LEVEL, concatenated, and every
     later block level last alone; levels gives (level, slice of the block's
@@ -176,7 +160,7 @@ def _block(last: int):
     """
     if last > _BLOCK_LEVEL:
         return (*_nodes(last), ((last, slice(None)),))
-    nodes = [_level_nodes(level) for level in range(_BLOCK_LEVEL + 1)]
+    nodes = [_nodes(level) for level in range(last + 1)]
     bounds = np.cumsum([0] + [lam.size for lam, *_ in nodes]).tolist()
     levels = tuple((level, slice(bounds[level], bounds[level + 1])) for level in range(last + 1))
     return (*(np.concatenate(arrays) for arrays in zip(*nodes)), levels)
@@ -194,7 +178,7 @@ def _power(block: int, log: bool, exponent: float) -> np.ndarray:
     exponent is a Python float, so numpy's scalar fast paths apply as in
     lam**q (q = 0.5 goes through sqrt).
     """
-    lam, _, _, log_l, _ = _block(block)
+    lam, _, log_l, _ = _block(block)
     return (log_l if log else lam) ** exponent
 
 
@@ -231,15 +215,21 @@ def _stop_rule(err, value, scale, hit, cfg: QuadratureConfig):
     return hit, ok & ((hit >= 2) | (err == 0.0))
 
 
-def _check_endpoint(singular_exponent: float, log_power: float) -> None:
-    """Reject lambda -> 0 behaviour the fixed truncation horizon cannot resolve."""
-    if singular_exponent <= _MIN_EXPONENT:
+def _check_endpoint(q: float, b: float) -> None:
+    """Reject lambda**q (log 1/lambda)**b that the fixed horizon cannot take:
+    q too singular, or (log 1/lambda)**b overflowing at the smallest node,
+    where log(1/lambda) = 633.70 is largest (b above 110.017)."""
+    if q <= _MIN_EXPONENT:
         raise ValueError(
-            f"endpoint exponent {singular_exponent} too singular for the "
+            f"endpoint exponent {q} too singular for the "
             f"fixed tanh-sinh horizon (needs > {_MIN_EXPONENT})"
         )
-    if log_power < 0.0:
-        raise ValueError("log_power must be >= 0")
+    log_max = float(_nodes(0)[2][0])
+    if b * math.log(log_max) > math.log(sys.float_info.max):
+        raise ValueError(
+            f"log power {b} too large for the fixed tanh-sinh horizon "
+            f"((log 1/lambda)**b overflows at log(1/lambda) = {log_max!r})"
+        )
 
 
 def _not_converged(value: float, err: float):
@@ -265,76 +255,52 @@ def _level_sums(
     l1 = float(np.add.reduce(np.abs(vals) if signed else vals))
     if not math.isfinite(l1) and not np.isfinite(vals).all():
         bad = lam[cut][~np.isfinite(vals)]
-        raise QuadratureError(f"integrand non-finite near lambda={bad[0]!r}")
+        raise QuadratureError(f"integrand non-finite near lambda={float(bad[0])!r}")
     return (float(np.add.reduce(vals)) if signed else l1), l1
 
 
-def tanh_sinh_unit(
-    f: Callable,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    *,
-    singular_exponent: float | Sequence[float] = 0.0,
-    log_power: float = 0.0,
-) -> float | list[float]:
-    """Integrate f over (0, 1) where f(lam, lam_c) receives lam and 1-lam.
-
-    The two-argument form lets integrands with structure at lambda -> 1
-    (for instance log(1/lambda) ~ 1-lambda) evaluate stably from the exact
-    complement instead of recovering it from a rounded lambda.
+def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig) -> list[float]:
+    """power_log_integrals at a scalar x: the list of len(qs) floats, in one pass.
 
     cfg sets the relative tolerance; a level also hits when its error
     estimate is at most _ABS_TOL (1e-14) times the L1 mass of the
     transformed integrand, and a pass that has not converged after level
-    _MAX_LEVEL (12) raises QuadratureConvergenceError.
+    _MAX_LEVEL (12) raises QuadratureConvergenceError.  The endpoint
+    behaviour (the smallest q, and b) is checked before any level runs.
 
-    f is called once per block of levels: first for the 385 nodes of levels
-    0 to _BLOCK_LEVEL as one array, then once for each later level.  The
-    levels of a block are folded into the estimate one at a time, over their
-    contiguous slices, and a level after the one where an integrand stops is
-    neither summed nor checked for finite values.  A level's L1 sum is its
-    sum when no value of the block has its sign bit set, as for every
-    power-log integrand, and is then not reduced again.  An elementwise f
-    gives each level the bits it gets when called for that level alone, so
-    the result does not depend on the blocks.
-
-    singular_exponent and log_power declare the lambda -> 0 behaviour
-    f ~ lambda**s (log 1/lambda)**b; they are validated against the fixed
-    truncation horizon, not used to transform the integrand.
-
-    Several integrands that share work at each block integrate in one pass
-    when singular_exponent is a tuple or list, one exponent per integrand
-    (each is checked in turn): f(lam, lam_c) does the block's shared work
-    and returns term, and term(k, block) evaluates integrand k at the
-    block's nodes, where block is the block's last level, so it can look up
-    what is kept per block.  The result is then the list of their
-    integrals.  Every integrand keeps its own error estimate and stopping
-    rule, stops at its own level (term is not called for it after that
-    block) and gets the float it gets alone.  Errors are raised as runs of
-    the integrands one after another would raise them: an error of
-    integrand k wins over any of a later one.
+    The kernel is called once per block of levels: first for the 385 nodes
+    of levels 0 to _BLOCK_LEVEL as one array, then once for each later
+    level.  Each exponent folds the levels of a block into its estimate one
+    at a time, over their contiguous slices, and stops at its own level: the
+    levels after it are neither summed nor checked for finite values, and
+    later blocks do not evaluate it.  A level's L1 sum is its sum when no
+    value of the block has its sign bit set, and is then not reduced again.
+    An elementwise kernel gives each level the bits it gets when called for
+    that level alone, so each exponent gets the float it gets alone, in any
+    blocks.  Errors are raised as passes of the exponents one after another
+    would raise them: an error of exponent k wins over any of a later one.
     """
-    several = isinstance(singular_exponent, (tuple, list))
-    exponents = singular_exponent if several else (singular_exponent,)
-    for s in exponents:
-        _check_endpoint(s, log_power)
-
+    _check_endpoint(min(qs), b)
     # _ABS_TOL is measured against the L1 mass of the transformed integrand,
     # not against 1.0: the integrals here can be legitimately tiny (e.g. the
     # generalized Bayes numerators at w ~ 1e8 have total mass ~ 1e-12) and a
     # raw absolute floor would accept them long before the peak is resolved.
-    n = len(exponents)
+    n = len(qs)
     value, scale = [0.0] * n, [0.0] * n
     err, hit = [math.inf] * n, [0] * n
     errors: list[Exception | None] = [None] * n
     running = [True] * n
     failed = False
     for block in range(_BLOCK_LEVEL, _MAX_LEVEL + 1):
-        lam, lam_c, weight, _, levels = _block(block)
-        out = f(lam, lam_c)
+        lam, weight, _, levels = _block(block)
+        kern = kernel(x, lam)
+        power = _kept_power if block <= _KEPT_LEVEL else _power
+        log_b = None if b == 0.0 else power(block, True, b)
         for k in range(n):
             if not running[k]:
                 continue
-            vals = (out(k, block) if several else out) * weight
+            f = power(block, False, qs[k]) * kern
+            vals = (f if log_b is None else f * log_b) * weight
             signed = np.signbit(vals).any()
             for level, cut in levels:
                 h = _H0 / 2**level
@@ -354,7 +320,7 @@ def tanh_sinh_unit(
         if failed:
             _raise_first(errors, running)
         if not any(running):
-            return value if several else value[0]
+            return value
     for k in range(n):
         if running[k]:
             errors[k], running[k] = _not_converged(value[k], err[k]), False
@@ -362,9 +328,9 @@ def tanh_sinh_unit(
 
 
 def _raise_first(errors, running) -> None:
-    """Raise the error of integrand k once no integrand before k still runs.
+    """Raise the error of exponent k once no exponent before k still runs.
 
-    Run one after another, those integrands would all have finished first.
+    Run one after another, those exponents would all have finished first.
     """
     for exc, still in zip(errors, running):
         if exc is not None:
@@ -381,11 +347,9 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
     converges; rows whose integrands have all converged are no longer
     evaluated.  A level is evaluated in slices of at most _BATCH_ELEMENTS
     values per integrand, and each row is summed along the contiguous last
-    axis.  The endpoint behaviour (the smallest q, and b if positive) is
-    checked as tanh_sinh_unit checks it, before any level runs.  Raises the
-    errors tanh_sinh_unit raises.
+    axis.  Checks the endpoint and raises errors as tanh_sinh_unit does.
     """
-    _check_endpoint(min(qs), max(b, 0.0))
+    _check_endpoint(min(qs), b)
     h = _H0
     active = np.ones((len(qs), x.size), dtype=bool)
     s, l1 = _batch_level_sums(x, qs, b, kernel, 0, np.arange(x.size), active)
@@ -418,7 +382,7 @@ def _batch_level_sums(x, qs, b, kernel, level, rows, live):
     kernel once per slice of rows for all exponents, with the elementwise
     operations of a point pass.
     """
-    lam, _, weight, log_l = _nodes(level)
+    lam, weight, log_l = _nodes(level)
     lam_qs = [lam**q for q in qs]
     log_b = log_l**b if b != 0.0 else None
     s = np.empty(live.shape)
@@ -436,7 +400,7 @@ def _batch_level_sums(x, qs, b, kernel, level, rows, live):
                 if bad.any():
                     row = vals[np.argmax(bad)]
                     raise QuadratureError(
-                        f"integrand non-finite near lambda={lam[~np.isfinite(row)][0]!r}"
+                        f"integrand non-finite near lambda={float(lam[~np.isfinite(row)][0])!r}"
                     )
             s[k, cut] = np.add.reduce(vals, axis=1)
     return s, l1
@@ -444,8 +408,6 @@ def _batch_level_sums(x, qs, b, kernel, level, rows, live):
 
 def log_recip(lam: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
     """log(1/lambda) computed stably at both endpoints of (0, 1)."""
-    lam = np.asarray(lam)
-    lam_c = np.asarray(lam_c)
     near_one = lam > 0.5
     out = np.empty_like(lam)
     out[~near_one] = -np.log(lam[~near_one])
@@ -475,14 +437,11 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
     tanh_sinh_unit pass, and are kept once the pass completes; an error is
     never kept, so a failing point fails again with the same error.  The
     memo holds the last _POINTS_KEPT integrals, and concurrent callers may
-    share it.  A point pass evaluates the kernel once for levels 0 to 4 and
-    once per later level, a grid pass once per level and slice, each time
-    for all its exponents.  A point takes lambda**q and (log 1/lambda)**b
-    from _kept_power, so the passes of many points with the same exponents
-    compute them once per block; a grid computes them once per level of its
-    pass.  The two paths do the same elementwise operations and agree bit
-    for bit; each exponent gets the bits it gets integrated on its own, so
-    a value from the memo is the one a pass would give.
+    share it.  A point takes lambda**q and (log 1/lambda)**b from
+    _kept_power; a grid computes them once per level of its pass.  The two
+    passes do the same elementwise operations and agree bit for bit; each
+    exponent gets the bits it gets integrated on its own, so a value from
+    the memo is the one a pass would give.
     """
     x = np.asarray(x, dtype=float)
     qs = tuple(float(q) for q in qs)
@@ -495,7 +454,7 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
             found = {key: _points[key] for key in keys if key in _points}
         missing = tuple(dict.fromkeys(key[2] for key in keys if key not in found))
         if missing:
-            values = _point_pass(x, missing, b, kernel, cfg)
+            values = tanh_sinh_unit(x, missing, b, kernel, cfg)
             with _points_lock:
                 for q, value in zip(missing, values):
                     key = (kernel, x, q, b, cfg)
@@ -506,18 +465,3 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
 
     return _tanh_sinh_batch(x, qs, b, kernel, cfg)
 
-
-def _point_pass(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig) -> list[float]:
-    """The integrals of power_log_integrals at one point, in one tanh_sinh_unit pass."""
-
-    def point(lam, lam_c):
-        k = kernel(x, lam)
-
-        def term(i, block):
-            power = _kept_power if block <= _KEPT_LEVEL else _power
-            lam_q_k = power(block, False, qs[i]) * k
-            return lam_q_k if b == 0.0 else lam_q_k * power(block, True, b)
-
-        return term
-
-    return tanh_sinh_unit(point, cfg, singular_exponent=qs, log_power=max(b, 0.0))

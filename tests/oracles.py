@@ -6,9 +6,9 @@
   values and does not divide by g).
 * ``marginal_m_closed_one``: the known-variance marginal m(z; a, One) in
   closed form, through the lower incomplete gamma function.
-* ``tanh_sinh_per_level``: the scalar tanh-sinh loop that calls its
-  integrand once per level, which ``quadrature.tanh_sinh_unit`` must match
-  bit for bit, errors included.
+* ``tanh_sinh_per_level``: the point tanh-sinh pass that calls its kernel
+  once per level, which ``quadrature.tanh_sinh_unit`` must match bit for
+  bit, errors included.
 """
 
 import math
@@ -20,7 +20,6 @@ from sure_boundary.core import _as_w_array, _eval_pair, constants
 from sure_boundary.quadrature import (
     _H0,
     _MAX_LEVEL,
-    DEFAULT_CONFIG,
     QuadratureError,
     _check_endpoint,
     _nodes,
@@ -69,17 +68,10 @@ def marginal_m_closed_one(z_norm, a, p):
     return math.exp(gammaln(s1)) * float(gammainc(s1, c)) / c**s1
 
 
-def tanh_sinh_per_level(f, cfg=DEFAULT_CONFIG, *, singular_exponent=0.0, log_power=0.0):
-    """tanh_sinh_unit with one call of f per level.
-
-    Several integrands (singular_exponent a tuple or list) follow the same
-    protocol, except that term(k, level) receives the level.
-    """
-    several = isinstance(singular_exponent, (tuple, list))
-    exponents = singular_exponent if several else (singular_exponent,)
-    for s in exponents:
-        _check_endpoint(s, log_power)
-    n = len(exponents)
+def tanh_sinh_per_level(x, qs, b, kernel, cfg):
+    """tanh_sinh_unit with one call of the kernel per level."""
+    _check_endpoint(min(qs), b)
+    n = len(qs)
     value, scale = [0.0] * n, [0.0] * n
     err, hit = [math.inf] * n, [0] * n
     errors = [None] * n
@@ -87,16 +79,17 @@ def tanh_sinh_per_level(f, cfg=DEFAULT_CONFIG, *, singular_exponent=0.0, log_pow
     failed = False
     for level in range(_MAX_LEVEL + 1):
         h = _H0 / 2**level
-        lam, lam_c, weight, _ = _nodes(level)
-        out = f(lam, lam_c)
+        lam, weight, log_l = _nodes(level)
+        kern = kernel(x, lam)
         for k in range(n):
             if not running[k]:
                 continue
-            vals = (out(k, level) if several else out) * weight
+            f = lam ** qs[k] * kern
+            vals = (f if b == 0.0 else f * log_l**b) * weight
             l1 = float(np.add.reduce(np.abs(vals)))
             if not np.isfinite(vals).all():
                 errors[k], running[k], failed = QuadratureError(
-                    f"integrand non-finite near lambda={lam[~np.isfinite(vals)][0]!r}"
+                    f"integrand non-finite near lambda={float(lam[~np.isfinite(vals)][0])!r}"
                 ), False, True
                 continue
             s = float(np.add.reduce(vals))
@@ -109,7 +102,7 @@ def tanh_sinh_per_level(f, cfg=DEFAULT_CONFIG, *, singular_exponent=0.0, log_pow
         if failed:
             _raise_first(errors, running)
         if not any(running):
-            return value if several else value[0]
+            return value
     for k in range(n):
         if running[k]:
             errors[k], running[k] = _not_converged(value[k], err[k]), False

@@ -26,9 +26,12 @@ from sure_boundary.quadrature import (
     QuadratureConvergenceError,
     QuadratureError,
     _block,
+    _check_endpoint,
     _kept_power,
+    _level_abscissae,
     _nodes,
     _points,
+    _sigmoid,
     _tanh_sinh_batch,
     log_recip,
     power_log_integrals,
@@ -36,9 +39,15 @@ from sure_boundary.quadrature import (
 )
 
 
-def step(lam, lam_c):
+def step(lam):
     """A jump at lambda = 1/3, which no pass resolves within its levels."""
     return (lam > 1.0 / 3.0) * 1.0
+
+
+def point(f, q=0.0, b=0.0, cfg=DEFAULT_CONFIG):
+    """int_0^1 lambda**q (log 1/lambda)**b f(lambda) from a tanh_sinh_unit pass."""
+    (value,) = tanh_sinh_unit(0.0, (q,), b, lambda x, lam: f(lam), cfg)
+    return value
 
 
 def gamma_moment(s: float, b: float) -> float:
@@ -47,21 +56,17 @@ def gamma_moment(s: float, b: float) -> float:
 
 
 def test_power_closed_form():
-    val = tanh_sinh_unit(lambda lam, lam_c: np.sqrt(lam), singular_exponent=0.5)
+    val = point(np.ones_like, q=0.5)
     assert abs(val - 2.0 / 3.0) < 1e-12
 
 
 def test_log_singularity_closed_form():
-    val = tanh_sinh_unit(
-        lambda lam, lam_c: lam**-0.5 * np.log(1.0 / lam),
-        singular_exponent=-0.5,
-        log_power=1.0,
-    )
+    val = point(np.ones_like, q=-0.5, b=1.0)
     assert abs(val - 4.0) < 1e-10
 
 
 def test_log_squared_closed_form():
-    val = tanh_sinh_unit(lambda lam, lam_c: np.log(1.0 / lam) ** 2, log_power=2.0)
+    val = point(np.ones_like, b=2.0)
     assert abs(val - 2.0) < 1e-10
 
 
@@ -71,11 +76,7 @@ def test_log_squared_closed_form():
     b=st.floats(min_value=0.0, max_value=3.0),
 )
 def test_gamma_moment_property(s, b):
-    val = tanh_sinh_unit(
-        lambda lam, lam_c: lam**s * np.log(1.0 / lam) ** b if b else lam**s,
-        singular_exponent=s,
-        log_power=b,
-    )
+    val = point(np.ones_like, q=s, b=b)
     expected = gamma_moment(s, b)
     assert abs(val - expected) <= 1e-9 * (1.0 + abs(expected))
 
@@ -83,15 +84,20 @@ def test_gamma_moment_property(s, b):
 @pytest.mark.parametrize(
     "f,s",
     [
-        (lambda lam: np.exp(-3.0 * lam) * lam**-0.3, -0.3),
+        (lambda lam: np.exp(-3.0 * lam), -0.3),
         (lambda lam: 1.0 / (1.0 + lam**2), 0.0),
-        (lambda lam: np.exp(-50.0 * lam) * np.sqrt(lam), 0.5),
+        (lambda lam: np.exp(-50.0 * lam), 0.5),
     ],
 )
 def test_against_scipy_quad(f, s):
-    ours = tanh_sinh_unit(lambda lam, lam_c: f(lam), singular_exponent=s)
-    ref, _ = quad(lambda x: float(f(np.asarray(x))), 0.0, 1.0, limit=200)
+    ours = point(f, q=s)
+    ref, _ = quad(lambda x: x**s * float(f(np.asarray(x))), 0.0, 1.0, limit=200)
     assert abs(ours - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def _peak(w, lam):
+    """(1 + w lambda)**-6.5, the unknown-scale kernel; exactly 1 at w = 0."""
+    return (1.0 + w * lam) ** -6.5
 
 
 def test_sharply_peaked_integrand_resolved():
@@ -101,36 +107,29 @@ def test_sharply_peaked_integrand_resolved():
     # Beta-function form B(3/2, 5) w^(-3/2) = (768/10395) w^(-3/2) is exact
     # at double precision.
     w = 1e8
-    ours = tanh_sinh_unit(
-        lambda lam, lam_c: lam**0.5 * (1.0 + w * lam) ** -6.5, singular_exponent=0.5
-    )
+    (ours,) = tanh_sinh_unit(w, (0.5,), 0.0, _peak, DEFAULT_CONFIG)
     ref = (768.0 / 10395.0) * w**-1.5
     assert abs(ours - ref) <= 1e-12 * abs(ref)
 
 
 def test_halving_rel_tol_self_consistency():
-    f = lambda lam, lam_c: lam**-0.4 * np.log(1.0 / lam) ** 1.5  # noqa: E731
-    endpoint = {"singular_exponent": -0.4, "log_power": 1.5}
-    loose = tanh_sinh_unit(f, QuadratureConfig(rel_tol=1e-6), **endpoint)
-    tight = tanh_sinh_unit(f, QuadratureConfig(rel_tol=5e-7), **endpoint)
+    loose = point(np.ones_like, q=-0.4, b=1.5, cfg=QuadratureConfig(rel_tol=1e-6))
+    tight = point(np.ones_like, q=-0.4, b=1.5, cfg=QuadratureConfig(rel_tol=5e-7))
     assert abs(loose - tight) <= 1e-6 * abs(tight)
 
 
 def test_complement_form_stable_at_right_endpoint():
     # (1 - lambda)^(-1/2)-type singularity at lambda -> 1: only the
-    # complement-aware form can evaluate it without catastrophic rounding
-    val = tanh_sinh_unit(
-        lambda lam, lam_c: log_recip(lam, lam_c) ** -0.5 * lam,
-        singular_exponent=0.0,
-        log_power=0.0,
-    )
+    # complement-aware log(1/lambda) can evaluate it without catastrophic
+    # rounding
+    val = point(np.ones_like, q=1.0, b=-0.5)
     ref, _ = quad(lambda x: math.log(1.0 / x) ** -0.5 * x, 0.0, 1.0, limit=200)
     assert abs(val - ref) <= 1e-9 * abs(ref)
 
 
 def test_budget_exhaustion_carries_best_estimate():
     with pytest.raises(QuadratureConvergenceError, match=f"after {_MAX_LEVEL} levels") as err:
-        tanh_sinh_unit(step)
+        point(step)
     assert abs(err.value.best_estimate - 2.0 / 3.0) < 1e-4
     assert 0.0 < err.value.error_estimate < 1e-4
 
@@ -138,14 +137,12 @@ def test_budget_exhaustion_carries_best_estimate():
 def test_non_finite_integrand_rejected():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(QuadratureError):
-            tanh_sinh_unit(lambda lam, lam_c: 1.0 / (lam - lam))
+            point(lambda lam: 1.0 / (lam - lam))
 
 
 def test_precondition_validation():
     with pytest.raises(ValueError):
-        tanh_sinh_unit(lambda lam, lam_c: lam, singular_exponent=-0.99)
-    with pytest.raises(ValueError):
-        tanh_sinh_unit(lambda lam, lam_c: lam, log_power=-1.0)
+        point(np.ones_like, q=-0.99)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
     for value in (math.inf, math.nan):
@@ -154,65 +151,67 @@ def test_precondition_validation():
             QuadratureConfig(rel_tol=value)
 
 
-def _peak(w, lam):
-    """The kernel of the TestBatch rows; exactly 1 at w = 0."""
-    return (1.0 + w * lam) ** -6.5
+def test_log_power_limit_is_where_the_power_overflows():
+    # at the floats around the limit, the check lets b through exactly when
+    # numpy's power is finite at the node where log(1/lambda) is largest
+    log_l, bs = _nodes(0)[2], [110.01694022785668]
+    for _ in range(2):
+        bs = [np.nextafter(bs[0], 0.0), *bs, np.nextafter(bs[-1], 200.0)]
+    fits = []
+    for b in map(float, bs):
+        with np.errstate(over="ignore"):
+            fits.append(bool(np.isfinite(log_l**b).all()))
+        try:
+            _check_endpoint(0.0, b)
+            passed = True
+        except ValueError as exc:
+            assert "too large for the fixed tanh-sinh horizon" in str(exc)
+            passed = False
+        assert passed == fits[-1]
+    assert True in fits and False in fits
+    assert point(np.ones_like, b=110.0) > 0.0
+
+
+def _never_called(x, lam):
+    raise AssertionError("a level ran")
+
+
+# (x, qs, b, kernel) rows that both passes run
+PASS_ROWS = {
+    **{f"peak-w{w:g}": (w, (0.5,), 0.0, _peak) for w in [1e-3, 1.0, 37.0, 1e5, 1e8]},
+    # lambda (log 1/lambda)**-0.5: the integrable singularity at lambda -> 1
+    "log-power-b-0.5": (0.0, (1.0,), -0.5, _peak),
+    "two-exponents": (37.0, (1.5, 0.5), 0.7, _peak),
+    "budget": (1.0 / 3.0, (0.0,), 0.0, lambda x, lam: (lam > x) * 1.0),
+    "non-finite": (1.0, (1.0,), 0.0, lambda x, lam: 1.0 / (lam - x * lam)),
+    # the most singular of several exponents decides
+    "singular-endpoint": (1.0, (0.5, -0.99), 0.0, _never_called),
+    "huge-log-power": (1.0, (0.5,), 110.02, _never_called),
+}
 
 
 class TestBatch:
-    PEAKS = [1e-3, 1.0, 37.0, 1e5, 1e8]
-
-    def test_bit_identical_to_scalar_rule(self):
-        funcs = [
-            lambda lam, lam_c, w=w: lam**0.5 * (1.0 + w * lam) ** -6.5
-            for w in self.PEAKS
-        ] + [lambda lam, lam_c: log_recip(lam, lam_c) ** -0.5 * lam]
-        for cfg in (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-6)):
-            # q = 0.5 at each peak; lam L**-0.5 is q = 1, b = -0.5 at w = 0
-            peaks = _tanh_sinh_batch(np.array(self.PEAKS), (0.5,), 0.0, _peak, cfg)
-            log_row = _tanh_sinh_batch(np.zeros(1), (1.0,), -0.5, _peak, cfg)
-            batch = np.concatenate([peaks, log_row], axis=1)
-            scalar = np.array([tanh_sinh_unit(f, cfg) for f in funcs])
-            assert batch.shape == (1, len(funcs))
-            assert np.array_equal(batch[0], scalar)
+    @pytest.mark.parametrize(
+        "cfg", [DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-6)], ids=["tol1e-10", "tol1e-6"]
+    )
+    @pytest.mark.parametrize("row", PASS_ROWS)
+    def test_same_as_point_pass(self, row, cfg):
+        # the same bits, or the same error, before any level runs if rejected
+        x, qs, b, kernel = PASS_ROWS[row]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            point = _outcome(lambda: [v.hex() for v in tanh_sinh_unit(x, qs, b, kernel, cfg)])
+            batch = _outcome(lambda: [v.hex() for v in _tanh_sinh_batch(
+                np.array([x]), qs, b, kernel, cfg)[:, 0].tolist()])
+        assert point == batch
+        assert (row in ("singular-endpoint", "huge-log-power")) == (point[0] == "rejected")
 
     def test_rows_freeze_at_their_own_level(self):
         # an easy row next to a hard one keeps the value it converged to
-        easy = lambda lam, lam_c: lam**0.5  # noqa: E731
-        hard = lambda lam, lam_c: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
         x = np.array([0.0, 1e8, 0.0])
         batch = _tanh_sinh_batch(x, (0.5,), 0.0, _peak, DEFAULT_CONFIG)
-        assert batch[0, 0] == batch[0, 2] == tanh_sinh_unit(easy)
-        assert batch[0, 1] == tanh_sinh_unit(hard)
-
-    def test_budget_exhaustion_matches_scalar(self):
-        with pytest.raises(QuadratureConvergenceError) as scalar:
-            tanh_sinh_unit(step)
-        with pytest.raises(QuadratureConvergenceError) as batch:
-            jump = lambda x, lam: (lam > x) * 1.0  # noqa: E731
-            _tanh_sinh_batch(np.array([1.0 / 3.0]), (0.0,), 0.0, jump, DEFAULT_CONFIG)
-        assert batch.value.best_estimate == scalar.value.best_estimate
-        assert batch.value.error_estimate == scalar.value.error_estimate
-
-    def test_endpoint_checked_before_any_level(self):
-        def never_called(x, lam):
-            raise AssertionError("a level ran")
-
-        # the most singular of several exponents decides
-        with pytest.raises(ValueError):
-            tanh_sinh_unit(lambda lam, lam_c: lam, singular_exponent=(0.5, -0.99))
-        with pytest.raises(ValueError):
-            _tanh_sinh_batch(np.ones(1), (0.5, -0.99), 0.0, never_called, DEFAULT_CONFIG)
-
-    def test_non_finite_integrand_rejected(self):
-        bad = lambda lam, lam_c: 1.0 / (lam - lam)  # noqa: E731
-        # q = 1: lam / lam at x = 0, and bad at x = 1
-        kernel = lambda x, lam: 1.0 / (lam - x * lam)  # noqa: E731
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(QuadratureError):
-                tanh_sinh_unit(bad)
-            with pytest.raises(QuadratureError):
-                _tanh_sinh_batch(np.array([0.0, 1.0]), (1.0,), 0.0, kernel, DEFAULT_CONFIG)
+        (easy,), (hard,) = (tanh_sinh_unit(w, (0.5,), 0.0, _peak, DEFAULT_CONFIG) for w in (0.0, 1e8))
+        assert batch[0, 0] == batch[0, 2] == easy
+        assert batch[0, 1] == hard
 
 
 KERNELS = {
@@ -247,14 +246,15 @@ class TestSharedPass:
 
     @staticmethod
     def alone(x, q, b, kernel, cfg=DEFAULT_CONFIG):
-        """(integral, levels run) of one exponent's explicit integrand."""
+        """(integral, levels run) of one exponent in a pass of its own."""
         levels = []
 
-        def f(lam, lam_c):
+        def counted(x, lam):
             levels.append(lam.size)
-            return lam**q * kernel(x, lam) * log_recip(lam, lam_c) ** b
+            return kernel(x, lam)
 
-        return tanh_sinh_unit(f, cfg, singular_exponent=q, log_power=max(b, 0.0)), len(levels)
+        (value,) = tanh_sinh_unit(x, (q,), b, counted, cfg)
+        return value, len(levels)
 
     def test_each_exponent_gets_its_own_bits(self):
         qs = (1.5, 0.5)
@@ -269,51 +269,44 @@ class TestSharedPass:
         # the exponents of some point stop at different levels
         assert any(len(set(levels)) > 1 for levels in stop_levels)
 
-    def test_stopped_integrand_is_not_evaluated(self):
-        blocks = [[], []]
-        easy = lambda lam: lam  # noqa: E731
-        hard = lambda lam: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
-
-        def f(lam, lam_c):
-            def term(k, block):
-                assert lam is _block(block)[0]
-                blocks[k].append(block)
-                return (easy, hard)[k](lam)
-
-            return term
-
-        assert tanh_sinh_unit(f, singular_exponent=(0.0, 0.0)) == [
-            tanh_sinh_unit(lambda lam, lam_c: easy(lam)),
-            tanh_sinh_unit(lambda lam, lam_c: hard(lam)),
-        ]
-        # easy stops inside the first block (levels 0 to 4), hard goes on
-        # one level per block
-        assert blocks[0] == [_BLOCK_LEVEL]
-        assert blocks[1] == list(range(_BLOCK_LEVEL, _BLOCK_LEVEL + len(blocks[1])))
-        assert len(blocks[1]) > 1
+    def test_stopped_integrand_is_not_evaluated(self, monkeypatch):
+        # at w = 1e8, q = 10 stops inside the first block (levels 0 to 4) and
+        # q = 0.5 goes on, one level per block
+        qs = (10.0, 0.5)
+        alone = [tanh_sinh_unit(1e8, (q,), 0.0, _peak, DEFAULT_CONFIG)[0] for q in qs]
+        blocks, power = {q: [] for q in qs}, quadrature._power
+        monkeypatch.setattr(
+            quadrature, "_power", lambda block, log, q: blocks[q].append(block) or power(block, log, q)
+        )
+        _kept_power.cache_clear()  # so that each lambda**q is computed, once per block
+        assert tanh_sinh_unit(1e8, qs, 0.0, _peak, DEFAULT_CONFIG) == alone
+        assert blocks[10.0] == [_BLOCK_LEVEL]
+        assert blocks[0.5] == list(range(_BLOCK_LEVEL, _BLOCK_LEVEL + len(blocks[0.5])))
+        assert len(blocks[0.5]) > 1
 
     def test_earlier_exponent_error_wins(self):
-        slow = lambda lam: step(lam, None)  # noqa: E731
-        bad = lambda lam: 1.0 / (lam - lam)  # noqa: E731
-
-        def pair(first, second):
-            return lambda lam, lam_c: lambda k, level: (first, second)[k](lam)
+        # the step runs q = 0.5 out of levels; a kernel value of 1e300 at the
+        # smallest nodes overflows lambda**-0.5 K there, but not lambda**0.5 K
+        def kernel(x, lam):
+            return np.where(lam < 1e-270, 1e300, step(lam))
 
         with pytest.raises(QuadratureConvergenceError) as alone:
-            tanh_sinh_unit(step)
-        with np.errstate(divide="ignore", invalid="ignore"):
+            tanh_sinh_unit(0.0, (0.5,), 0.0, kernel, DEFAULT_CONFIG)
+        with np.errstate(over="ignore"):
             with pytest.raises(QuadratureConvergenceError) as shared:
-                tanh_sinh_unit(pair(slow, bad), singular_exponent=(0.0, 0.0))
+                tanh_sinh_unit(0.0, (0.5, -0.5), 0.0, kernel, DEFAULT_CONFIG)
             with pytest.raises(QuadratureError) as first_bad:
-                tanh_sinh_unit(pair(bad, slow), singular_exponent=(0.0, 0.0))
+                tanh_sinh_unit(0.0, (-0.5, 0.5), 0.0, kernel, DEFAULT_CONFIG)
         assert shared.value.best_estimate == alone.value.best_estimate
         assert shared.value.error_estimate == alone.value.error_estimate
         assert type(first_bad.value) is QuadratureError
 
     def test_cached_log_is_log_recip(self):
         for level in range(_MAX_LEVEL + 1):
-            lam, lam_c, _, log_l = _nodes(level)
-            assert np.array_equal(log_l, log_recip(lam, lam_c))
+            lam, _, log_l = _nodes(level)
+            y = math.pi * np.sinh(_level_abscissae(level))
+            assert np.array_equal(lam, _sigmoid(y))
+            assert np.array_equal(log_l, log_recip(lam, _sigmoid(-y)))
 
 
 class TestKeptPowers:
@@ -490,7 +483,7 @@ class TestPointMemo:
         # spend their time in the memo, and a bound that every call exceeds:
         # a lookup or eviction racing another would raise or mix up values
         monkeypatch.setattr(quadrature, "_POINTS_KEPT", 2)
-        monkeypatch.setattr(quadrature, "_point_pass",
+        monkeypatch.setattr(quadrature, "tanh_sinh_unit",
                             lambda x, qs, b, kernel, cfg: [x + q for q in qs])
         failures = []
 
@@ -508,23 +501,26 @@ class TestPointMemo:
 
 
 def _outcome(run):
-    """run()'s value, or the type, message and estimates of its error."""
+    """run()'s value, or the kind and message of its error (with a budget
+    error's estimates)."""
     try:
         return run()
     except QuadratureConvergenceError as exc:
         return "budget", str(exc), exc.best_estimate, exc.error_estimate
     except QuadratureError as exc:
         return "non-finite", str(exc)
+    except ValueError as exc:
+        return "rejected", str(exc)
 
 
-def _marked(g, target):
-    """g with a NaN at the node lambda == target."""
-    return lambda lam: np.where(lam == target, np.nan, g(lam))
+def _marked(g, target, mark=np.nan):
+    """g with the value mark at the node lambda == target."""
+    return lambda lam: np.where(lam == target, mark, g(lam))
 
 
 class TestBlocks:
-    """The first call of f gets levels 0 to 4 at once; the bits are the
-    per-level loop's (tests/oracles.py)."""
+    """The first call of the kernel gets levels 0 to 4 at once; the bits are
+    the per-level loop's (tests/oracles.py)."""
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 6])
     def test_first_call_holds_the_first_levels(self, levels):
@@ -532,16 +528,16 @@ class TestBlocks:
         # ends the pass there
         nodes = _nodes(levels)[0]
         target = nodes[nodes.size // 4]
-        marked = _marked(lambda lam: step(lam, None), target)
+        marked = _marked(step, target)
         calls = []
 
-        def f(lam, lam_c):
+        def kernel(x, lam):
             calls.append(lam)
             return marked(lam)
 
         with pytest.raises(QuadratureError) as err:
-            tanh_sinh_unit(f)
-        assert str(err.value) == f"integrand non-finite near lambda={target!r}"
+            tanh_sinh_unit(0.0, (0.0,), 0.0, kernel, DEFAULT_CONFIG)
+        assert str(err.value) == f"integrand non-finite near lambda={float(target)!r}"
         assert len(calls) == 1 + max(0, levels - _BLOCK_LEVEL)
         first = np.concatenate([_nodes(lv)[0] for lv in range(_BLOCK_LEVEL + 1)])
         assert np.array_equal(calls[0], first)
@@ -566,25 +562,18 @@ class TestBlocks:
     @example(kernel="step", x=3.0, qs=[0.5, 0.0], b=0.0, rel_tol=1e-10)
     def test_bits_of_the_per_level_loop(self, kernel, x, qs, b, rel_tol):
         cfg = QuadratureConfig(rel_tol=rel_tol)
-        endpoint = {"singular_exponent": tuple(qs), "log_power": max(b, 0.0)}
-
-        def f(lam, lam_c):
-            k = self.ALL_KERNELS[kernel](x, lam)
-            log_b = log_recip(lam, lam_c) ** b
-            return lambda i, _: lam ** qs[i] * k * log_b
-
-        blocked = _outcome(lambda: tanh_sinh_unit(f, cfg, **endpoint))
-        assert blocked == _outcome(lambda: tanh_sinh_per_level(f, cfg, **endpoint))
         kernel = self.ALL_KERNELS[kernel]
+        blocked = _outcome(lambda: tanh_sinh_unit(x, tuple(qs), b, kernel, cfg))
+        assert blocked == _outcome(lambda: tanh_sinh_per_level(x, tuple(qs), b, kernel, cfg))
         assert blocked == _outcome(lambda: power_log_integrals(x, qs, b, kernel, cfg))
 
     @pytest.mark.parametrize("g", [lambda lam: np.cos(2.0 * np.pi * lam), lambda lam: lam - 0.5])
     def test_signed_integrand_with_zero_integral(self, g):
         # the stopping rule then rests on the L1 sums, which are not the sums
-        def f(lam, lam_c):
-            return g(lam)
+        def run(pass_):
+            return _outcome(lambda: pass_(0.0, (0.0,), 0.0, lambda x, lam: g(lam), DEFAULT_CONFIG))
 
-        assert _outcome(lambda: tanh_sinh_unit(f)) == _outcome(lambda: tanh_sinh_per_level(f))
+        assert run(tanh_sinh_unit) == run(tanh_sinh_per_level)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -594,40 +583,37 @@ class TestBlocks:
     )
     def test_non_finite_value_in_a_folded_level(self, level, node, bad):
         # the left half of each level's nodes holds lambda values no other
-        # level has; both integrands fold levels 0 to 6 (they stop at 7 and 6)
+        # level has; at w = 1e8 both exponents fold levels 0 to 6 (they stop
+        # at 7 and 6), and either one alone fails as the pair does
         lam = _nodes(level)[0]
         target = lam[node % (lam.size // 2)]
-        pair = [
-            lambda lam: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5,
-            lambda lam: lam * (1.0 + 1e9 * lam) ** -4.0,
-        ]
-        pair[bad] = _marked(pair[bad], target)
+        qs = (0.5, 1.0)
 
-        def f(lam, lam_c):
-            return lambda k, _: pair[k](lam)
+        def kernel(w, lam):
+            return _marked(lambda lam: _peak(w, lam), target)(lam)
 
-        endpoint = {"singular_exponent": (0.0, 0.0)}
-        blocked = _outcome(lambda: tanh_sinh_unit(f, **endpoint))
-        assert blocked == _outcome(lambda: tanh_sinh_per_level(f, **endpoint))
-        alone = _outcome(lambda: tanh_sinh_unit(lambda lam, lam_c: pair[bad](lam)))
-        assert blocked == alone == ("non-finite", f"integrand non-finite near lambda={target!r}")
+        blocked = _outcome(lambda: tanh_sinh_unit(1e8, qs, 0.0, kernel, DEFAULT_CONFIG))
+        assert blocked == _outcome(lambda: tanh_sinh_per_level(1e8, qs, 0.0, kernel, DEFAULT_CONFIG))
+        alone = _outcome(lambda: tanh_sinh_unit(1e8, qs[bad:bad + 1], 0.0, kernel, DEFAULT_CONFIG))
+        message = f"integrand non-finite near lambda={float(target)!r}"
+        assert blocked == alone == ("non-finite", message)
 
     @pytest.mark.parametrize("easy", [lambda lam: lam, lambda lam: np.exp(-lam)])
     def test_non_finite_value_after_the_stop(self, easy):
-        stops = []
-        tanh_sinh_per_level(lambda lam, lam_c: stops.append(lam) or easy(lam))
+        # q = -0.5 stops inside the first block and q = 100 runs on past it; a
+        # kernel value of 1.7e308 overflows lambda**-0.5 K but not lambda**100 K
+        qs, stops = (-0.5, 100.0), []
+        tanh_sinh_per_level(0.0, qs[:1], 0.0, lambda x, lam: stops.append(lam) or easy(lam),
+                            DEFAULT_CONFIG)
         stop = len(stops) - 1
         assert stop < _BLOCK_LEVEL  # the levels after the stop are in the block
-        hard = lambda lam: lam**0.5 * (1.0 + 1e8 * lam) ** -6.5  # noqa: E731
         for level in range(stop + 1, _BLOCK_LEVEL + 1):
             lam = _nodes(level)[0]
-            marked = _marked(easy, lam[lam.size // 4])
-            pair = (marked, hard)
-            assert tanh_sinh_unit(lambda lam, lam_c: marked(lam)) == tanh_sinh_unit(
-                lambda lam, lam_c: easy(lam)
-            )
-            assert tanh_sinh_unit(
-                lambda lam, lam_c: lambda k, _: pair[k](lam), singular_exponent=(0.0, 0.0)
-            ) == tanh_sinh_per_level(
-                lambda lam, lam_c: lambda k, _: pair[k](lam), singular_exponent=(0.0, 0.0)
-            )
+            marked = _marked(easy, lam[lam.size // 4], 1.7e308)
+
+            def run(pass_, qs, g):
+                return pass_(0.0, qs, 0.0, lambda x, lam: g(lam), DEFAULT_CONFIG)
+
+            with np.errstate(over="ignore"):
+                assert run(tanh_sinh_unit, qs[:1], marked) == run(tanh_sinh_unit, qs[:1], easy)
+                assert run(tanh_sinh_unit, qs, marked) == run(tanh_sinh_per_level, qs, marked)
