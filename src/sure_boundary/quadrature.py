@@ -34,16 +34,16 @@ two-route identities, which integrate the same denominator at the same
 point, run each integral once; grids are not kept.
 
 The two passes share their levels, stopping rule and endpoint check but stay
-two loops on purpose,
-because each is the faster one for its own use and neither can replace the
-other; both give the same bits.  A point run as a one-row batch is 5 to 7
-times slower, because the batch's per-level calls and bookkeeping outweigh
-one point (two exponents of the unknown-scale kernel at w in {0.7, 30, 1e4},
-medians of 15: 82-172 against 503-915 us).  A 508-node gb table run as
-point passes is about 4 times slower than one batched pass, which pays those
-calls once per level for all rows ((a, b, p, n) in {(-2, 2, 5, 6),
-(-2, 0.5, 3, 3), (-1, 1.3, 12, 19), (-3, 1, 20, 20)}, medians of 7: 51-91
-against 13-23 ms).  Both measured on a shared 2-core x86-64 Xeon.
+two loops on purpose, because each is the faster one for its own use and
+neither can replace the other; both give the same bits.  A point run as a
+one-row batch is 5 to 7 times slower, because the batch's per-level calls
+and bookkeeping outweigh one point (two exponents of the unknown-scale
+kernel at w in {0.7, 30, 1e4}, medians of 15: 82-172 against 503-915 us).
+A 508-node gb table run as point passes is about 4 times slower than one
+batched pass, which pays those calls once per level for all rows ((a, b, p,
+n) in {(-2, 2, 5, 6), (-2, 0.5, 3, 3), (-1, 1.3, 12, 19), (-3, 1, 20, 20)},
+medians of 7: 51-91 against 13-23 ms).  Both measured on a shared 2-core
+x86-64 Xeon.
 """
 
 from __future__ import annotations

@@ -346,6 +346,22 @@ class TestExitCodes:
         else:
             assert captured.out and captured.err == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", *D56, "--phi", "gb:a=-2,b=1e308"],
+        ["known-variance", "--p", "5", "--a", "-2", "--L", "logpow:b=1e308"],
+        ["crosscheck", *D56, "--identity", "saigo4", "--b", "1e308", "--w", "10"],
+        ["crosscheck", *D56, "--identity", "psi", "--b", "1e308", "--v", "10"],
+        ["dominate", *D56, "--phi", "gb:a=-2,b=1e308", "--b", "1.5"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_huge_log_power_is_one_error_line(self, capsys, argv):
+        # (log 1/lambda)**b would overflow at the smallest tanh-sinh node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("sure-boundary: error: log power 1e+308 too large ")
+
     def test_gb_d_underflow_is_typed_error(self, capsys):
         code = main(["classify", "--p", "60", "--n", "60", "--phi", "gb:a=-2,b=2.0"])
         err = capsys.readouterr().err

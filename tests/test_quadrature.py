@@ -199,17 +199,17 @@ class TestBatch:
         # the same bits, or the same error, before any level runs if rejected
         x, qs, b, kernel = PASS_ROWS[row]
         with np.errstate(divide="ignore", invalid="ignore"):
-            point = _outcome(lambda: [v.hex() for v in tanh_sinh_unit(x, qs, b, kernel, cfg)])
+            single = _outcome(lambda: [v.hex() for v in tanh_sinh_unit(x, qs, b, kernel, cfg)])
             batch = _outcome(lambda: [v.hex() for v in _tanh_sinh_batch(
                 np.array([x]), qs, b, kernel, cfg)[:, 0].tolist()])
-        assert point == batch
-        assert (row in ("singular-endpoint", "huge-log-power")) == (point[0] == "rejected")
+        assert single == batch
+        assert (row in ("singular-endpoint", "huge-log-power")) == (single[0] == "rejected")
 
     def test_rows_freeze_at_their_own_level(self):
         # an easy row next to a hard one keeps the value it converged to
         x = np.array([0.0, 1e8, 0.0])
         batch = _tanh_sinh_batch(x, (0.5,), 0.0, _peak, DEFAULT_CONFIG)
-        (easy,), (hard,) = (tanh_sinh_unit(w, (0.5,), 0.0, _peak, DEFAULT_CONFIG) for w in (0.0, 1e8))
+        easy, hard = (tanh_sinh_unit(w, (0.5,), 0.0, _peak, DEFAULT_CONFIG)[0] for w in (0.0, 1e8))
         assert batch[0, 0] == batch[0, 2] == easy
         assert batch[0, 1] == hard
 
@@ -275,9 +275,8 @@ class TestSharedPass:
         qs = (10.0, 0.5)
         alone = [tanh_sinh_unit(1e8, (q,), 0.0, _peak, DEFAULT_CONFIG)[0] for q in qs]
         blocks, power = {q: [] for q in qs}, quadrature._power
-        monkeypatch.setattr(
-            quadrature, "_power", lambda block, log, q: blocks[q].append(block) or power(block, log, q)
-        )
+        monkeypatch.setattr(quadrature, "_power",
+                            lambda block, log, q: blocks[q].append(block) or power(block, log, q))
         _kept_power.cache_clear()  # so that each lambda**q is computed, once per block
         assert tanh_sinh_unit(1e8, qs, 0.0, _peak, DEFAULT_CONFIG) == alone
         assert blocks[10.0] == [_BLOCK_LEVEL]
@@ -593,7 +592,8 @@ class TestBlocks:
             return _marked(lambda lam: _peak(w, lam), target)(lam)
 
         blocked = _outcome(lambda: tanh_sinh_unit(1e8, qs, 0.0, kernel, DEFAULT_CONFIG))
-        assert blocked == _outcome(lambda: tanh_sinh_per_level(1e8, qs, 0.0, kernel, DEFAULT_CONFIG))
+        per_level = _outcome(lambda: tanh_sinh_per_level(1e8, qs, 0.0, kernel, DEFAULT_CONFIG))
+        assert blocked == per_level
         alone = _outcome(lambda: tanh_sinh_unit(1e8, qs[bad:bad + 1], 0.0, kernel, DEFAULT_CONFIG))
         message = f"integrand non-finite near lambda={float(target)!r}"
         assert blocked == alone == ("non-finite", message)
