@@ -17,8 +17,10 @@ error, a certificate whose verdict is false (the report is still written) or
 a crosscheck outside --tol, 64 usage error: a malformed command line, or an
 option value the library rejects (core.InputError), which prints one
 "sure-boundary: error:" line and no report.  ``SURE_BOUNDARY_THREADS`` caps
-worker threads for Monte Carlo chunks; each chunk samples its own block of
-the counter-based stream, so the cap never changes results.
+worker threads for Monte Carlo leaves, the pieces of numpy's pairwise-sum
+tree of a chunk; each leaf samples its own block of the counter-based stream
+and the leaf sums are added back up that tree, so the cap never changes
+results.
 """
 
 from __future__ import annotations

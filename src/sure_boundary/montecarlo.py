@@ -19,13 +19,14 @@ S, and p+1 drives the mixing variable (reserved, and burned, under the
 Normal model too, so the two models are coupled by common random numbers).
 Hence (X_r, S_r) is a pure function of (seed, r): samples are bit-identical
 across runs and chunk sizes.  Risk runs split the replications into fixed
-_CHUNK blocks; each chunk seeks its own block of the stream and is reduced
-to partial sums inside whichever thread runs it.  A chunk is sampled and
-evaluated in row sub-blocks of about _BLOCK_VALUES uniforms, so per-thread
-memory is one sub-block plus the chunk's per-replication outputs, whatever
-reps and p are.  Partial sums are combined with math.fsum in fixed chunk
-order, so the reduction is exact and reports are bit-identical across
-thread counts and sub-block sizes.
+_CHUNK blocks, and each chunk is cut where numpy's pairwise sum splits it,
+into leaves of about _BLOCK_VALUES uniforms.  The thread pool runs the
+leaves of all chunks; each leaf seeks its own block of the stream and is
+reduced to sums and sums of squares inside whichever thread runs it, so
+per-thread memory is one leaf, whatever reps, p and _CHUNK are.  The leaf
+sums are added back up the same tree, which is numpy's sum over the whole
+chunk bit for bit, and chunks are combined with math.fsum in fixed chunk
+order, so reports are bit-identical across thread counts and leaf sizes.
 
 SURE checking: for the Normal model E[p + (n+2) D_phi(W)] equals the risk,
 so the z-score (mean_loss - sure_mean)/sqrt(se_loss^2 + se_sure^2) should be
@@ -39,7 +40,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
@@ -66,11 +67,13 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "SURE_BOUNDARY_THREADS"
+_U_MIN = 2.0**-53  # uniforms are k/2^53; clamp the single value 0.0 away
 _CHUNK = 1 << 17
-# Uniforms per row sub-block of a chunk (1 MB; see _mean_se).  Reports do not
-# depend on it: every per-replication value is row-local and the sums still
-# run over whole chunks.
-_BLOCK_VALUES = 1 << 17
+# Uniforms per leaf of a chunk at most (512 KB, but never under 128 rows; see
+# _mean_se), the memory a thread holds at once.  Reports do not depend on it:
+# every per-replication value is row-local and a leaf is a node of numpy's
+# pairwise-sum tree.
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,18 @@ def encode_model(model: ModelSpec) -> str:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation cell; every report is a pure function of this value."""
+    """One simulation cell; every report is a pure function of this value.
+
+    sigma must keep every sample in the normal float range.  The inverse
+    CDFs of _block take their extremes at the extreme uniforms 2^-53 and
+    1 - 2^-53: a normal draw lies within +-z, z = ndtri(1 - 2^-53) = 8.21,
+    S / (sigma^2 v) within 2 gammaincinv(n/2, u) at those two u, and v
+    within df/2 / gammaincinv(df/2, u) (v = 1 under Normal).  So sigma^2
+    times the smallest v and the smallest S / sigma^2 must be a normal
+    float, which keeps the variance of X and every S out of the subnormals,
+    and sigma^2 times the largest v and the larger of p z^2 (||X||^2 at
+    theta = 0) and the largest S / sigma^2 must be finite.
+    """
 
     dims: ProblemDims
     theta_norm: float = 0.0
@@ -115,8 +129,22 @@ class SimConfig:
         require_finite(self)
         if self.theta_norm < 0.0:
             raise InputError("theta_norm must be >= 0")
-        if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
-            raise InputError(f"sigma must be > 0 with a finite, nonzero square, got {self.sigma!r}")
+        u = (_U_MIN, 1.0 - _U_MIN)
+        chi2 = [2.0 * float(q) for q in gammaincinv(self.dims.n / 2.0, u)]
+        v = [1.0, 1.0]
+        if isinstance(self.model, StudentT):
+            half_df = self.model.df / 2.0
+            v = [half_df / float(q) for q in gammaincinv(half_df, u[::-1])]
+        z = float(ndtri(u[1]))
+        floats = np.finfo(float)
+        sigma_lo = math.sqrt(float(floats.tiny) / (v[0] * min(1.0, chi2[0])))
+        sigma_hi = math.sqrt(float(floats.max) / (v[1] * max(self.dims.p * z * z, chi2[1])))
+        if not sigma_lo <= self.sigma <= sigma_hi:
+            raise InputError(
+                f"sigma must lie in [{sigma_lo:.4g}, {sigma_hi:.4g}] to keep the sample "
+                f"in the normal float range at (p, n) = ({self.dims.p}, {self.dims.n}) "
+                f"under {encode_model(self.model)}, got {self.sigma!r}"
+            )
         if self.reps < 1:
             raise InputError("reps must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -168,9 +196,6 @@ def thread_cap_from_env() -> int:
     return cap
 
 
-_U_MIN = 2.0**-53  # uniforms are k/2^53; clamp the single value 0.0 away
-
-
 def _block(config: SimConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(X, S) of replications [start, stop) by inverse CDFs of their uniforms.
 
@@ -210,6 +235,30 @@ def _loss(
     return np.einsum("ij,ij->i", resid, resid) / config.sigma**2
 
 
+def _pairwise_split(rows: int) -> int:
+    """Rows in the left half where numpy's pairwise sum splits rows values."""
+    half = rows // 2
+    return half - half % 8
+
+
+def _leaves(start: int, stop: int, leaf: int) -> list[tuple[int, int]]:
+    """Rows [start, stop) cut along numpy's pairwise tree into nodes of at
+    most leaf rows, in row order."""
+    if stop - start <= leaf:
+        return [(start, stop)]
+    mid = start + _pairwise_split(stop - start)
+    return _leaves(start, mid, leaf) + _leaves(mid, stop, leaf)
+
+
+def _fold(sums: Iterator[list[float]], rows: int, leaf: int) -> list[float]:
+    """Add the next leaves' sums of a node of rows rows up its pairwise tree."""
+    if rows <= leaf:
+        return next(sums)
+    half = _pairwise_split(rows)
+    left = _fold(sums, half, leaf)
+    return [a + b for a, b in zip(left, _fold(sums, rows - half, leaf))]
+
+
 def _mean_se(
     config: SimConfig,
     per_rep: Callable[[np.ndarray, np.ndarray], Sequence[np.ndarray]],
@@ -217,36 +266,44 @@ def _mean_se(
 ) -> list[tuple[float, float]]:
     """(mean, se) of each per-replication array that per_rep(X, W) returns.
 
-    Each _CHUNK block is reduced to its sum and sum of squares in the thread
-    that runs it.  It is sampled and evaluated in row sub-blocks of about
-    _BLOCK_VALUES uniforms whose outputs are joined back to chunk length
-    before the sums, so per-thread memory is one sub-block plus the chunk's
-    per-replication outputs, independent of reps and p.  Chunks are combined
-    with math.fsum in chunk order, which keeps reports independent of the
-    thread count.
+    Each _CHUNK block is cut where numpy's pairwise sum splits it, into
+    leaves of about _BLOCK_VALUES uniforms (never under numpy's 128-value
+    pairwise block).  A leaf is sampled, evaluated and reduced to the sum
+    and sum of squares of each output in whichever thread runs it, so
+    per-thread memory is one leaf, independent of reps, p and _CHUNK.  The
+    leaf sums are added back up the same tree, which gives np.sum over the
+    whole chunk bit for bit; chunks are combined with math.fsum in chunk
+    order, which keeps reports independent of the thread count.
     """
-    step = max(1, _BLOCK_VALUES // (config.dims.p + 2))
+    leaf = max(_BLOCK_VALUES // (config.dims.p + 2), 128)
+    # Allocate and free 2 * _BLOCK_VALUES floats (1 MB) first.  glibc raises
+    # its mmap threshold to the size of a freed mmapped block and its heap
+    # trim threshold to twice that (mallopt(3)), so the memory a leaf frees
+    # stays mapped for the next leaf; otherwise every leaf faults its pages
+    # in afresh (1e6 reps at p = 20: 1e5 minor faults, 20 % more CPU time).
+    np.empty(2 * _BLOCK_VALUES)
 
-    def chunk_sums(start: int) -> list[tuple[float, float]]:
-        stop = min(start + _CHUNK, config.reps)
-        outputs = []
-        for lo in range(start, stop, step):
-            x, s = _block(config, lo, min(lo + step, stop))
-            outputs.append(per_rep(x, np.einsum("ij,ij->i", x, x) / s))
-        return [(float(np.sum(a)), float(np.sum(a * a)))
-                for a in map(np.concatenate, zip(*outputs))]
+    def leaf_sums(rows: tuple[int, int]) -> list[float]:
+        x, s = _block(config, *rows)
+        sums = []
+        for a in per_rep(x, np.einsum("ij,ij->i", x, x) / s):
+            sums += float(np.add.reduce(a)), float(np.add.reduce(a * a))
+        return sums
 
     starts = range(0, config.reps, _CHUNK)
+    tasks = [rows for start in starts
+             for rows in _leaves(start, min(start + _CHUNK, config.reps), leaf)]
     workers = thread_cap_from_env() if threads is None else threads
-    if workers <= 1 or len(starts) <= 1:
-        parts = [chunk_sums(start) for start in starts]
+    if workers <= 1 or len(tasks) <= 1:
+        sums = map(leaf_sums, tasks)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_sums, starts))
+            sums = pool.map(leaf_sums, tasks)
+    parts = [_fold(sums, min(_CHUNK, config.reps - start), leaf) for start in starts]
+    totals = [math.fsum(column) for column in zip(*parts)]
     count = config.reps
     stats = []
-    for column in zip(*parts):
-        total, total_sq = (math.fsum(sums) for sums in zip(*column))
+    for total, total_sq in zip(totals[::2], totals[1::2]):
         mean = total / count
         var = max(total_sq - count * mean * mean, 0.0) / (count - 1) if count > 1 else 0.0
         stats.append((mean, math.sqrt(var / count)))

@@ -217,18 +217,20 @@ def _stop_rule(err, value, scale, hit, cfg: QuadratureConfig):
 
 def _check_endpoint(q: float, b: float) -> None:
     """Reject lambda**q (log 1/lambda)**b that the fixed horizon cannot take:
-    q too singular, or (log 1/lambda)**b overflowing at the smallest node,
-    where log(1/lambda) = 633.70 is largest (b above 110.017)."""
+    q too singular, or the product overflowing at the smallest node, where
+    log(1/lambda) = 633.70 is largest (b above 110.017 at q >= 0, where
+    lambda**q <= 1; a smaller b at q < 0)."""
     if q <= _MIN_EXPONENT:
         raise ValueError(
             f"endpoint exponent {q} too singular for the "
             f"fixed tanh-sinh horizon (needs > {_MIN_EXPONENT})"
         )
     log_max = float(_nodes(0)[2][0])
-    if b * math.log(log_max) > math.log(sys.float_info.max):
+    if b * math.log(log_max) - min(q, 0.0) * log_max > math.log(sys.float_info.max):
         raise ValueError(
-            f"log power {b} too large for the fixed tanh-sinh horizon "
-            f"((log 1/lambda)**b overflows at log(1/lambda) = {log_max!r})"
+            f"log power {b} too large for the fixed tanh-sinh horizon at endpoint "
+            f"exponent {q} (lambda**q (log 1/lambda)**b overflows at "
+            f"log(1/lambda) = {log_max!r})"
         )
 
 

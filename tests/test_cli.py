@@ -331,18 +331,26 @@ class TestExitCodes:
         (["dominate", *D56, "--phi", "zero", "--b", "inf"], 64),
         (["simulate", *D56, "--phi", "zero", "--sigma", "1e308"], 64),
         (["sure-check", *D56, "--phi", "zero", "--sigma", "5e-324"], 64),
+        # finite squares, but an extreme draw's S would overflow or be subnormal
+        (["simulate", *D56, "--phi", "zero", "--reps", "1000", "--sigma", "1e154"], 64),
+        (["simulate", *D56, "--phi", "zero", "--reps", "1000", "--sigma", "1e-160"], 64),
+        # lambda**q (log 1/lambda)**b overflows at the smallest node for q < 0
+        (["classify", *D56, "--phi", "gb:a=-3.4,b=100"], 1),
+        (["known-variance", "--p", "5", "--a", "-3.4", "--L", "logpow:b=100"], 1),
         ([*VERIFY, "--ramp-width", "5e-324"], 0),
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]) if isinstance(argv, list) else None)
     def test_edge_value_exits_cleanly(self, capsys, argv, want):
-        # a numpy RuntimeWarning would reach stderr; here it fails the run
+        # a numpy RuntimeWarning would reach stderr; here it fails the run, and
+        # the error line must not be the warning's
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(argv)
         captured = capsys.readouterr()
         assert code == want
-        if want == 64:
+        if want:
             assert captured.out == "" and captured.err.count("\n") == 1
             assert captured.err.startswith("sure-boundary: error: ")
+            assert " encountered in " not in captured.err
         else:
             assert captured.out and captured.err == ""
 

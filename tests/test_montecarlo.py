@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from sure_boundary.boundary import DominatorSpec, construct_dominator
-from sure_boundary.core import ProblemDims, constants
+from sure_boundary.core import InputError, ProblemDims, constants
 from sure_boundary.families import GBUnknown, PositivePartJS, Zero, make_shrinkage
 from sure_boundary import montecarlo
 from sure_boundary.montecarlo import (
@@ -123,6 +123,14 @@ class TestSampling:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"non-finite parameter '{field}' = {value}"):
                     SimConfig(dims=DIMS, **{field: value})
+        # finite squares, but the extreme draws would overflow S or ||X||^2,
+        # or leave S subnormal (a wider range of v narrows the sigma range)
+        for sigma, model in [(1e154, Normal()), (1e-160, Normal()), (1e-151, StudentT(df=3.0)),
+                             (1e150, StudentT(df=3.0))]:
+            with pytest.raises(InputError, match=r"^sigma must lie in \["):
+                SimConfig(dims=DIMS, sigma=sigma, model=model)
+        for sigma in (1e-150, 0.5, 2.0, 1e152):
+            SimConfig(dims=DIMS, sigma=sigma)
 
 
 class TestRisk:
@@ -160,43 +168,43 @@ class TestRisk:
             thread_cap_from_env()
 
     @pytest.mark.parametrize("model", [Normal(), StudentT(df=10.0)], ids=encode_model)
-    def test_sub_block_size_does_not_change_reports(self, monkeypatch, model):
-        # one sub-block per chunk is the unblocked evaluation; each chunking
-        # has two or more chunks, the last one partial
+    def test_leaf_size_does_not_change_reports(self, monkeypatch, model):
+        # leaves from numpy's 128-row pairwise block up to a whole chunk; each
+        # chunking has two or more chunks, the last one partial
         dims = ProblemDims(20, 6)
         phi = make_shrinkage(PositivePartJS(a=constants(dims).c_pn), dims)
         zero = make_shrinkage(Zero(), dims)
         spec = construct_dominator(zero, dims, 1.5)
 
-        def reports(chunk, reps, block_values):
+        def reports(chunk, reps, leaf_rows):
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
             cfg = SimConfig(dims=dims, theta_norm=1.0, sigma=1.0, reps=reps, seed=11,
                             model=model)
             out = []
-            for values in block_values:
-                monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", values)
-                for threads in (1, 2):
+            for rows in leaf_rows:
+                monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", (dims.p + 2) * rows)
+                for threads in (1, 2, 3):
                     out.append((estimate_risk(phi, cfg, threads=threads),
                                 domination_mc(zero, spec, [cfg], threads=threads)))
             return out
 
-        # the default constants, whose 5957-row sub-blocks end each chunk in
-        # a shorter one
-        runs = reports(_CHUNK, _CHUNK + 12_345, (montecarlo._BLOCK_VALUES, (dims.p + 2) * _CHUNK))
+        # the default constants, whose 2978-row leaf bound cuts a chunk into
+        # 64 leaves of 2048 rows and the 12 345-row partial chunk into 8
+        default_rows = montecarlo._BLOCK_VALUES // (dims.p + 2)
+        runs = reports(_CHUNK, _CHUNK + 12_345, (default_rows, _CHUNK))
         assert all(r == runs[0] for r in runs[1:])
-        # 3-row sub-blocks at 1025-row chunks: every full chunk ends in a
-        # 2-row sub-block and the partial chunk (700 = 3 * 233 + 1 rows) in
-        # a 1-row one
+        # 1025-row chunks: 128-row leaves are numpy's own blocks, 300-row ones
+        # an uneven cut, and the partial chunk (700 rows) splits at 344
         small = 1025
-        runs = reports(small, 2 * small + 700, ((dims.p + 2) * small, 3 * (dims.p + 2)))
+        runs = reports(small, 2 * small + 700, (128, 300, small))
         assert all(r == runs[0] for r in runs[1:])
 
-    def test_memory_does_not_grow_with_reps(self):
-        # nor with p: a chunk is evaluated in sub-blocks of bounded size
+    def test_memory_does_not_grow_with_reps(self, monkeypatch):
+        # nor with p or the chunk size: a thread holds one leaf at a time
         def peak(chunks: int, p: int) -> int:
             dims = ProblemDims(p, 6)
             phi = make_shrinkage(Zero(), dims)
-            cfg = SimConfig(dims=dims, reps=chunks * _CHUNK, seed=4)
+            cfg = SimConfig(dims=dims, reps=chunks * montecarlo._CHUNK, seed=4)
             tracemalloc.start()
             try:
                 estimate_risk(phi, cfg, threads=1)
@@ -207,6 +215,29 @@ class TestRisk:
         at_p5 = peak(2, 5)
         assert peak(8, 5) <= 1.25 * at_p5
         assert peak(2, 60) <= 1.25 * at_p5
+        monkeypatch.setattr(montecarlo, "_CHUNK", 4 * _CHUNK)
+        assert peak(2, 5) <= 1.25 * at_p5
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 8191, 8192, 8193, 82_496,
+                               131_071, 131_072])
+def test_leaf_fold_is_numpys_pairwise_sum(n):
+    # if numpy's pairwise split ever changes, this fails before reports drift
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    whole = float(np.add.reduce(a))
+    plain = []
+    for leaf in sorted({128, 129, 1000, 1024, 4096, 16_384, 20_000, max(n, 128)}):
+        leaves = montecarlo._leaves(0, n, leaf)
+        assert leaves[0][0] == 0 and leaves[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(leaves, leaves[1:]))
+        assert all(hi - lo <= leaf for lo, hi in leaves)
+        sums = [float(np.add.reduce(a[lo:hi])) for lo, hi in leaves]
+        assert montecarlo._fold(iter([s] for s in sums), n, leaf) == [whole]
+        plain.append(float(np.cumsum(sums)[-1]))
+    if n > 8192:
+        # the data tell trees apart: summing the leaves left to right misses
+        assert any(value != whole for value in plain)
 
 
 class TestSureCheck:

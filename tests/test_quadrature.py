@@ -172,6 +172,22 @@ def test_log_power_limit_is_where_the_power_overflows():
     assert point(np.ones_like, b=110.0) > 0.0
 
 
+@pytest.mark.parametrize("q", [-0.9, -0.5, -0.1])
+def test_endpoint_product_limit_is_where_the_product_overflows(q):
+    # a little below the limit the check lets b through and numpy's product
+    # is finite at the smallest node; a little above, neither holds
+    lam, _, log_l = (float(v[0]) for v in _nodes(0))
+    limit = (math.log(sys.float_info.max) + q * log_l) / math.log(log_l)
+    for b, fits in ((limit * (1.0 - 1e-9), True), (limit * (1.0 + 1e-9), False)):
+        with np.errstate(over="ignore"):
+            assert bool(np.isfinite(np.float64(lam) ** q * np.float64(log_l) ** b)) == fits
+        if fits:
+            _check_endpoint(q, b)
+        else:
+            with pytest.raises(ValueError, match=f"^log power {b!r} too large .* exponent {q!r} "):
+                _check_endpoint(q, b)
+
+
 def _never_called(x, lam):
     raise AssertionError("a level ran")
 
@@ -187,6 +203,8 @@ PASS_ROWS = {
     # the most singular of several exponents decides
     "singular-endpoint": (1.0, (0.5, -0.99), 0.0, _never_called),
     "huge-log-power": (1.0, (0.5,), 110.02, _never_called),
+    # lambda**-0.9 (log 1/lambda)**100 overflows at the smallest node
+    "negative-exponent-log-power": (1.0, (0.5, -0.9), 100.0, _never_called),
 }
 
 
@@ -203,7 +221,8 @@ class TestBatch:
             batch = _outcome(lambda: [v.hex() for v in _tanh_sinh_batch(
                 np.array([x]), qs, b, kernel, cfg)[:, 0].tolist()])
         assert single == batch
-        assert (row in ("singular-endpoint", "huge-log-power")) == (single[0] == "rejected")
+        rejected = ("singular-endpoint", "huge-log-power", "negative-exponent-log-power")
+        assert (row in rejected) == (single[0] == "rejected")
 
     def test_rows_freeze_at_their_own_level(self):
         # an easy row next to a hard one keeps the value it converged to
