@@ -331,7 +331,7 @@ class TestExitCodes:
         (["dominate", *D56, "--phi", "zero", "--b", "inf"], 64),
         (["simulate", *D56, "--phi", "zero", "--sigma", "1e308"], 64),
         (["sure-check", *D56, "--phi", "zero", "--sigma", "5e-324"], 64),
-        # finite squares, but an extreme draw's S would overflow or be subnormal
+        # finite squares, but an extreme draw would overflow ||X||^2 or leave S subnormal
         (["simulate", *D56, "--phi", "zero", "--reps", "1000", "--sigma", "1e154"], 64),
         (["simulate", *D56, "--phi", "zero", "--reps", "1000", "--sigma", "1e-160"], 64),
         # lambda**q (log 1/lambda)**b overflows at the smallest node for q < 0
