@@ -378,10 +378,10 @@ def construct_dominator(
         spec = DominatorSpec(nu=nu, w_sharp=w_sharp, ramp_width=w_sharp, b=b, w_star=w_star)
         # delta(phi, g) on the grid, without evaluating phi again
         deltas = d_kept - d_phi(kept.plus(dominator_g(spec)), grid, dims)
-        cert = _certificate(spec, grid, deltas)
-        if cert.verdict and not cert.trivial:
+        min_above, _, verdict = _delta_signs(spec, grid, deltas)
+        if verdict and deltas.any():  # a certificate that is not trivial
             return spec
-        diag = {"min_delta_above_sharp": cert.min_delta_above_sharp, "last_w_sharp": w_sharp}
+        diag = {"min_delta_above_sharp": min_above, "last_w_sharp": w_sharp}
         w_sharp *= 2.0
     raise ConstructionError(
         f"no verifying w_sharp below the grid top {grid[-1]:g}", diagnostics=diag
@@ -406,16 +406,19 @@ def verify_domination(
     return _certificate(spec, grid, delta(phi, dominator_g(spec), grid, dims))
 
 
-def _certificate(spec: DominatorSpec, grid: np.ndarray, deltas) -> DominationCertificate:
-    deltas = np.asarray(deltas, dtype=float)
+def _delta_signs(spec: DominatorSpec, grid: np.ndarray, deltas: np.ndarray):
+    """(min Delta above w_sharp, whether Delta is 0 at and below it, verdict):
+    the rule by which a certificate verifies, which needs both."""
     below = grid <= spec.w_sharp
     zero_below = bool(np.all(deltas[below] == 0.0))
     above = ~below
-    if np.any(above):
-        min_above = float(np.min(deltas[above]))
-    else:
-        min_above = 0.0
-    verdict = zero_below and min_above >= 0.0
+    min_above = float(np.min(deltas[above])) if np.any(above) else 0.0
+    return min_above, zero_below, zero_below and min_above >= 0.0
+
+
+def _certificate(spec: DominatorSpec, grid: np.ndarray, deltas) -> DominationCertificate:
+    deltas = np.asarray(deltas, dtype=float)
+    min_above, zero_below, verdict = _delta_signs(spec, grid, deltas)
     return DominationCertificate(
         spec=spec,
         grid=tuple(zip(grid.tolist(), deltas.tolist())),

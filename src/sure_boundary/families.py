@@ -236,8 +236,14 @@ def _gb_kernel(m: float):
     """(1 + w lambda)**-m, one function object per m, so that the point memo
     of power_log_integrals finds the integrals of earlier calls.  m is
     (p + n)/2 + 1 or one more, so a sweep over many (p, n) keeps the last
-    256."""
-    return lambda w, lam: np.power(1.0 + w * lam, -m)
+    256.  It computes in one buffer, so each call allocates one array."""
+
+    def kernel(w, lam):
+        base = w * lam
+        base += 1.0
+        return np.power(base, -m, out=base)
+
+    return kernel
 
 
 def _gb_num_den(a: float, b: float, w, dims: ProblemDims, cfg: QuadratureConfig):

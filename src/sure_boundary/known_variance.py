@@ -147,8 +147,10 @@ class AdmissClass:
 
 def _exp_kernel(c, lam):
     """exp(-c lambda); one function object, so that the point memo of
-    power_log_integrals finds the integrals of earlier calls."""
-    return np.exp(-c * lam)
+    power_log_integrals finds the integrals of earlier calls.  It computes
+    in one buffer, so each call allocates one array."""
+    out = -c * lam
+    return np.exp(out, out=out)
 
 
 def _squares(z: np.ndarray) -> np.ndarray:

@@ -115,7 +115,10 @@ class SimConfig:
     times the smallest v and the smallest S / sigma^2 must be a normal
     float, which keeps the variance of X and every S out of the subnormals,
     and sigma^2 times the largest v and the larger of p z^2 (||X||^2 at
-    theta = 0) and the largest S / sigma^2 must be finite.
+    theta = 0) and the largest S / sigma^2 must be finite.  theta_norm must
+    not exceed 2^26 sigma sqrt(v_min), v_min the smallest v, so that
+    rounding theta + sigma sqrt(v) z moves it by at most 2^-27 of the noise
+    scale and the noise is not rounded away.
     """
 
     dims: ProblemDims
@@ -144,6 +147,13 @@ class SimConfig:
                 f"sigma must lie in [{sigma_lo:.4g}, {sigma_hi:.4g}] to keep the sample "
                 f"in the normal float range at (p, n) = ({self.dims.p}, {self.dims.n}) "
                 f"under {encode_model(self.model)}, got {self.sigma!r}"
+            )
+        theta_hi = 2.0**26 * self.sigma * math.sqrt(v[0])
+        if self.theta_norm > theta_hi:
+            raise InputError(
+                f"theta_norm must be at most {theta_hi:.4g} so that theta + sigma sqrt(v) z "
+                f"keeps its noise at (p, n) = ({self.dims.p}, {self.dims.n}) "
+                f"under {encode_model(self.model)}, got {self.theta_norm!r}"
             )
         if self.reps < 1:
             raise InputError("reps must be >= 1")

@@ -35,15 +35,18 @@ point, run each integral once; grids are not kept.
 
 The two passes share their levels, stopping rule and endpoint check but stay
 two loops on purpose, because each is the faster one for its own use and
-neither can replace the other; both give the same bits.  A point run as a
-one-row batch is 5 to 7 times slower, because the batch's per-level calls
-and bookkeeping outweigh one point (two exponents of the unknown-scale
-kernel at w in {0.7, 30, 1e4}, medians of 15: 82-172 against 503-915 us).
-A 508-node gb table run as point passes is about 4 times slower than one
-batched pass, which pays those calls once per level for all rows ((a, b, p,
-n) in {(-2, 2, 5, 6), (-2, 0.5, 3, 3), (-1, 1.3, 12, 19), (-3, 1, 20, 20)},
-medians of 7: 51-91 against 13-23 ms).  Both measured on a shared 2-core
-x86-64 Xeon.
+neither can replace the other; both give the same bits.  A grid pass holds
+each slice of rows for all exponents in one array and reduces it in one
+call; like a point pass, it reduces a slice with no value whose sign bit is
+set once, taking its sums as its L1 sums.  A point run as a one-row batch is
+5 to 7 times slower, because the batch's per-level calls and bookkeeping
+outweigh one point (two exponents of the unknown-scale kernel at w in {0.7,
+30, 1e4}, medians of 15: 61-143 against 432-792 us).  A 508-node gb table
+run as point passes is about 4 times slower than one batched pass, which
+pays those calls once per level and slice for all rows and exponents ((a,
+b, p, n) in {(-2, 2, 5, 6), (-2, 0.5, 3, 3), (-1, 1.3, 12, 19), (-3, 1,
+20, 20)}, medians of 7: 56-89 against 13-22 ms).  Both measured on a shared
+2-core x86-64 Xeon.
 """
 
 from __future__ import annotations
@@ -78,8 +81,9 @@ _MIN_EXPONENT = -0.95
 # _stop_rule) and the last level a pass runs.
 _ABS_TOL = 1e-14
 _MAX_LEVEL = 12
-# Values per integrand evaluated at once by _tanh_sinh_batch: a level is cut
-# into row slices of about this size, which bounds the batch's temporaries
+# Values per exponent in each slice of rows of _tanh_sinh_batch: a level is
+# cut into slices of at most this many values per exponent, and a slice
+# holds all exponents at once, which bounds the batch's temporaries
 # (evaluating all 508 rows of a gb table at once adds ~17 MB of peak memory,
 # at no gain in speed).
 _BATCH_ELEMENTS = 8192
@@ -348,7 +352,7 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
     the same levels and stopping rule, and is frozen at the level where it
     converges; rows whose integrands have all converged are no longer
     evaluated.  A level is evaluated in slices of at most _BATCH_ELEMENTS
-    values per integrand, and each row is summed along the contiguous last
+    values per exponent, and each row is summed along the contiguous last
     axis.  Checks the endpoint and raises errors as tanh_sinh_unit does.
     """
     _check_endpoint(min(qs), b)
@@ -381,30 +385,33 @@ def _batch_level_sums(x, qs, b, kernel, level, rows, live):
     """Node sums and L1 sums, shape (len(qs), len(rows)), of one batched level.
 
     lambda**q and (log 1/lambda)**b are computed once per level, and the
-    kernel once per slice of rows for all exponents, with the elementwise
-    operations of a point pass.
+    kernel once per slice of rows.  A slice holds all exponents as one
+    array (len(qs), rows, nodes), built with the elementwise operations of
+    a point pass and reduced along its last axis in one call; as in
+    _level_sums, a slice with no value whose sign bit is set takes its sums
+    as its L1 sums and is reduced once.
     """
     lam, weight, log_l = _nodes(level)
-    lam_qs = [lam**q for q in qs]
+    lam_qs = np.array([lam**q for q in qs])[:, None, :]
     log_b = log_l**b if b != 0.0 else None
     s = np.empty(live.shape)
     l1 = np.empty(live.shape)
     step = max(1, _BATCH_ELEMENTS // lam.size)
     for start in range(0, rows.size, step):
         cut = slice(start, start + step)
-        kern = kernel(x[rows[cut], None], lam)
-        for k, lam_q in enumerate(lam_qs):
-            f = lam_q * kern if log_b is None else lam_q * kern * log_b
-            vals = f * weight
-            l1[k, cut] = np.add.reduce(np.abs(vals), axis=1)
-            if not np.isfinite(l1[k, cut]).all():  # as _level_sums, per row
-                bad = ~np.isfinite(vals).all(axis=1) & live[k, cut]
-                if bad.any():
-                    row = vals[np.argmax(bad)]
-                    raise QuadratureError(
-                        f"integrand non-finite near lambda={float(lam[~np.isfinite(row)][0])!r}"
-                    )
-            s[k, cut] = np.add.reduce(vals, axis=1)
+        vals = lam_qs * kernel(x[rows[cut], None], lam)
+        if log_b is not None:
+            vals *= log_b
+        vals *= weight
+        s[:, cut] = np.add.reduce(vals, axis=2)
+        signed = np.signbit(vals).any()
+        l1[:, cut] = np.add.reduce(np.abs(vals), axis=2) if signed else s[:, cut]
+        if not np.isfinite(l1[:, cut]).all():  # as _level_sums, per exponent and row
+            bad = ~np.isfinite(vals).all(axis=2) & live[:, cut]
+            if bad.any():
+                k, row = np.argwhere(bad)[0]
+                near = float(lam[~np.isfinite(vals[k, row])][0])
+                raise QuadratureError(f"integrand non-finite near lambda={near!r}")
     return s, l1
 
 

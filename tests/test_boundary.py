@@ -220,14 +220,15 @@ class TestConstruct:
     def test_search_stops_at_the_grid_top(self, monkeypatch):
         # from the grid top on, g vanishes at every grid point, so no later
         # doubling could give a certificate that is not vacuous
-        certificate = boundary._certificate
+        signs = boundary._delta_signs
         tried = []
 
         def failing(spec, grid, deltas):
             tried.append(spec.w_sharp)
-            return dataclasses.replace(certificate(spec, grid, deltas), verdict=False)
+            min_above, zero_below, _ = signs(spec, grid, deltas)
+            return min_above, zero_below, False
 
-        monkeypatch.setattr(boundary, "_certificate", failing)
+        monkeypatch.setattr(boundary, "_delta_signs", failing)
         top = default_w_grid()[-1]
         with pytest.raises(ConstructionError) as err:
             construct_dominator(make_shrinkage(Zero(), DIMS), DIMS, 1.5)

@@ -132,6 +132,25 @@ class TestSampling:
         for sigma in (1e-150, 0.5, 2.0, 1e152):
             SimConfig(dims=DIMS, sigma=sigma)
 
+    def test_theta_norm_that_rounds_the_noise_away(self):
+        # above 2^26 sigma sqrt(v_min), rounding theta + sigma sqrt(v) z could
+        # drop the noise of the first coordinate: the MLE's risk is p at every
+        # theta, but a theta of 1e150 read a mean loss of about p - 1
+        top = 2.0**25  # sigma = 0.5 under the Normal model, where v = 1
+        SimConfig(dims=DIMS, theta_norm=top, sigma=0.5)
+        message = (r"^theta_norm must be at most 3\.355e\+07 .* at \(p, n\) = \(5, 6\) "
+                   r"under normal, got 33554432\.00000001$")
+        with pytest.raises(InputError, match=message):
+            SimConfig(dims=DIMS, theta_norm=math.nextafter(top, math.inf), sigma=0.5)
+        with pytest.raises(InputError, match=r"^theta_norm must be at most .* got 1e\+150$"):
+            SimConfig(dims=DIMS, theta_norm=1e150)
+        # a Student-t mixing draw below 1 lowers the bound
+        with pytest.raises(InputError, match=r"under student-t:df=3\.0, got 33554432\.0$"):
+            SimConfig(dims=DIMS, theta_norm=top, model=StudentT(df=3.0))
+        cfg = SimConfig(dims=DIMS, theta_norm=1e7, reps=10**4, seed=3)
+        r = estimate_risk(make_shrinkage(Zero(), DIMS), cfg)
+        assert abs(r.mean_loss - DIMS.p) <= 4.0 * r.se_loss
+
 
 class TestRisk:
     def test_mle_risk_is_p(self):

@@ -232,6 +232,81 @@ class TestBatch:
         assert batch[0, 0] == batch[0, 2] == easy
         assert batch[0, 1] == hard
 
+    # more rows than two level-0 slices hold, so level 0 runs in three
+    SLICES_X = np.geomspace(1e-3, 1e9, 2 * (_BATCH_ELEMENTS // _nodes(0)[0].size) + 5)
+
+    @staticmethod
+    def _hex(rows):
+        return [[float(v).hex() for v in row] for row in rows]
+
+    def test_signed_slices_of_three_exponents(self):
+        # a kernel that changes sign, whose L1 sums are not its sums; its
+        # integral at q = 0 is 0, so the stopping rule rests on them there
+        qs, b = (1.5, 0.0, -0.5), 0.0
+        per_level = {}  # rows of each kernel call, by the level's node count
+
+        def kernel(x, lam):
+            return np.cos(2.0 * np.pi * lam) * np.log1p(x)
+
+        def counted(x, lam):
+            per_level.setdefault(lam.size, []).append(len(x))
+            return kernel(x, lam)
+
+        grid = _tanh_sinh_batch(self.SLICES_X, qs, b, counted, DEFAULT_CONFIG)
+        points = [tanh_sinh_unit(x, qs, b, kernel, DEFAULT_CONFIG) for x in self.SLICES_X]
+        assert self._hex(grid.T) == self._hex(points)
+        # the kernel runs once per slice of a level for all exponents
+        step = _BATCH_ELEMENTS // _nodes(0)[0].size
+        assert per_level[_nodes(0)[0].size] == [step, step, self.SLICES_X.size - 2 * step]
+        for size, rows in per_level.items():
+            assert len(rows) == -(-sum(rows) // (_BATCH_ELEMENTS // size))
+        assert len(per_level) > 3
+
+    def test_non_finite_values_after_an_exponent_stops(self):
+        # q = -0.5 stops inside the first levels and q = 100 runs on; at one
+        # row a kernel value of 1.7e308 at a later level's node overflows
+        # lambda**-0.5 K there but not lambda**100 K, so that row's q = -0.5
+        # values turn non-finite only after it stopped
+        qs, xs = (-0.5, 100.0), np.array([0.0, 1.0, 2.0])
+        levels = []
+        for q in qs:
+            calls = []
+            tanh_sinh_per_level(1.0, (q,), 0.0, lambda x, lam: calls.append(lam) or lam,
+                                DEFAULT_CONFIG)
+            levels.append(len(calls))
+        assert levels[0] < levels[1]  # q = 100 runs the level after q = -0.5 stops
+        lam = _nodes(levels[0])[0]
+        target = lam[lam.size // 4]
+
+        def kernel(x, lam):
+            return np.where((x == 1.0) & (lam == target), 1.7e308, lam)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = _tanh_sinh_batch(xs, qs, 0.0, kernel, DEFAULT_CONFIG)
+            points = [tanh_sinh_unit(x, qs, 0.0, kernel, DEFAULT_CONFIG) for x in xs]
+            alone = [tanh_sinh_unit(x, qs, 0.0, lambda x, lam: lam, DEFAULT_CONFIG) for x in xs]
+        assert self._hex(grid.T) == self._hex(points)
+        assert grid[0, 1] == alone[1][0]
+
+    def test_first_failing_row_raises(self):
+        # two rows fail at level 0, in different slices and at different
+        # nodes: the grid raises the error of the first
+        xs, lam = self.SLICES_X, _nodes(0)[0]
+        step = _BATCH_ELEMENTS // lam.size
+        first, second = xs[step // 2], xs[step + step // 2]
+        qs = (0.5, 1.5)
+
+        def kernel(x, lam0):
+            bad = ((x == first) & (lam0 == lam[3])) | ((x == second) & (lam0 == lam[7]))
+            return np.where(bad, np.nan, np.exp(-x * lam0))
+
+        grid = _outcome(lambda: _tanh_sinh_batch(xs, qs, 0.0, kernel, DEFAULT_CONFIG))
+        point = _outcome(lambda: tanh_sinh_unit(first, qs, 0.0, kernel, DEFAULT_CONFIG))
+        later = _outcome(lambda: tanh_sinh_unit(second, qs, 0.0, kernel, DEFAULT_CONFIG))
+        message = f"integrand non-finite near lambda={float(lam[3])!r}"
+        assert grid == point == ("non-finite", message)
+        assert later != point
+
 
 KERNELS = {
     "unknown scale": lambda w, lam: np.power(1.0 + w * lam, -5.5),
