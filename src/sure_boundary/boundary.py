@@ -39,6 +39,7 @@ every grid point and the certificate would be vacuous.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,8 +182,22 @@ def dominator_g(spec: DominatorSpec) -> ShrinkageFunction:
 
 def default_w_grid(points: int = GRID_POINTS_DEFAULT) -> np.ndarray:
     """w = 0 followed by a geometric grid of points from 1e-6 to 1e8; the
-    default is the grid every verdict and certificate is made on."""
+    default is the grid every verdict and certificate is made on, built once
+    per process and read-only."""
+    if isinstance(points, int) and points == GRID_POINTS_DEFAULT:
+        return _certificate_grid()
+    return _geometric_w_grid(points)
+
+
+def _geometric_w_grid(points: int) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(1e-6, 1e8, points)])
+
+
+@functools.cache
+def _certificate_grid() -> np.ndarray:
+    grid = _geometric_w_grid(GRID_POINTS_DEFAULT)
+    grid.flags.writeable = False
+    return grid
 
 
 def _w_grid(w_grid: np.ndarray | None) -> np.ndarray:

@@ -344,6 +344,8 @@ def sure_unbiasedness_test(
             "SURE is an unbiased risk estimate only under the Normal model; "
             "refusing to z-test a Student-t run"
         )
+    if config.reps < 2:  # one replication has no standard error to divide by
+        raise InputError(f"a SURE z-test needs reps >= 2, got {config.reps}")
     r = estimate_risk(phi, config, threads)
     denom = math.hypot(r.se_loss, r.se_sure)
     z = (r.mean_loss - r.sure_mean) / denom if denom > 0.0 else 0.0

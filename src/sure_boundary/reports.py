@@ -5,6 +5,11 @@ printed with 17 significant digits (round-trip exact for doubles), lines end
 with LF, and the file ends with a single LF.  Infinities serialize as the
 strings "inf"/"-inf" (JSON has no literal for them); NaN is rejected because
 no report field is allowed to be NaN.
+
+A list or tuple of finite Python floats, or of equal-length tuples or lists
+of them (a certificate's 801 ``[w, Delta]`` pairs), is written with one
+``%`` format built for it; every other value takes the per-value walk.  Both
+print a real as ``_REAL % (x + 0.0)``, so the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -22,15 +27,17 @@ __all__ = [
 ]
 
 
+# 17 significant digits, applied to x + 0.0, which turns -0.0 into 0
+_REAL = "%.17g"
+
+
 def format_real(x: float) -> str:
     """Decimal form with 17 significant digits; normalizes -0.0 to 0."""
     if math.isnan(x):
         raise ValueError("NaN is not serializable in reports")
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        x = 0.0
-    return format(x, ".17g")
+    return _REAL % (x + 0.0)
 
 
 def _token(x: bool | int | float) -> str:
@@ -38,6 +45,22 @@ def _token(x: bool | int | float) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     return format_real(x) if isinstance(x, float) else str(x)
+
+
+def _real_run(obj: list | tuple) -> str | None:
+    """The JSON text of obj in one format call when its items are all finite
+    Python floats, or all equal-length tuples or lists of them; else None."""
+    if obj and set(map(type, obj)) <= {tuple, list}:
+        widths = set(map(len, obj))
+        if len(widths) != 1:
+            return None
+        row = "[" + ",".join([_REAL] * widths.pop()) + "]"
+        values = [x for item in obj for x in item]
+    else:
+        row, values = _REAL, obj
+    if not (set(map(type, values)) <= {float} and all(map(math.isfinite, values))):
+        return None
+    return ("[" + ",".join([row] * len(obj)) + "]") % tuple([x + 0.0 for x in values])
 
 
 def _emit(obj: Any, out: list[str]) -> None:
@@ -54,6 +77,10 @@ def _emit(obj: Any, out: list[str]) -> None:
         text = _token(obj)
         out.append(f'"{text}"' if text.endswith("inf") else text)
     elif isinstance(obj, (list, tuple)):
+        run = _real_run(obj)
+        if run is not None:
+            out.append(run)
+            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:

@@ -322,6 +322,17 @@ class TestVerify:
         with pytest.raises(InputError, match=message):
             verify_domination(phi, spec, DIMS, grid)
 
+    def test_default_grid_is_one_read_only_array(self):
+        grid = default_w_grid()
+        fresh = np.concatenate([[0.0], np.geomspace(1e-6, 1e8, boundary.GRID_POINTS_DEFAULT)])
+        assert np.array_equal(grid, fresh)
+        assert default_w_grid(points=boundary.GRID_POINTS_DEFAULT) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[1] = 1.0
+        other = default_w_grid(points=900)
+        assert other.flags.writeable and other is not default_w_grid(points=900)
+
 
 class TestLemmaWitness:
     """A g breaking g(0) >= 0, g >= 0 or positivity persistence has Delta < 0

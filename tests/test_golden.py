@@ -10,6 +10,7 @@ The corpus records the Python, numpy and scipy versions it was generated
 with; a mismatching case prints both sets of versions.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -18,8 +19,10 @@ import platform
 import sys
 import tempfile
 import warnings
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 import scipy
@@ -166,6 +169,28 @@ def test_golden_case(name):
                 if golden.get(key) != got.get(key)
             )
         )
+
+
+# the report field each command writes under a bundled schema
+SCHEMA_OF = {
+    "classify": ("verdict", "quasi_class.schema.json"),
+    "dominate": ("certificate", "domination_certificate.schema.json"),
+    "verify": ("certificate", "domination_certificate.schema.json"),
+}
+
+
+def test_verdicts_and_certificates_follow_their_schemas():
+    schemas = resources.files("sure_boundary.schemas")
+    checked = collections.Counter()
+    for case, argv in sorted(CASES.items()):
+        stdout = _load(GOLDEN / f"{case}.json")["stdout"]
+        if argv[0] not in SCHEMA_OF or not stdout:
+            continue
+        field, name = SCHEMA_OF[argv[0]]
+        schema = json.loads(schemas.joinpath(name).read_text(encoding="utf-8"))
+        jsonschema.validate(json.loads(stdout)[field], schema)
+        checked[field] += 1
+    assert checked == {"verdict": 6, "certificate": 3}
 
 
 if __name__ == "__main__":

@@ -282,6 +282,12 @@ class TestSureCheck:
             gaps.append(abs(chk.mean_loss - chk.sure_mean))
         assert gaps[-1] < gaps[0]
 
+    def test_single_replication_refused(self):
+        # one replication has no standard error, so z would be 0/0
+        cfg = replace(BASE, reps=1)
+        with pytest.raises(InputError, match="reps >= 2"):
+            sure_unbiasedness_test(make_shrinkage(Zero(), DIMS), cfg)
+
     def test_student_t_refused(self):
         cfg = SimConfig(dims=DIMS, reps=100, model=StudentT(df=5.0))
         with pytest.raises(ValueError):

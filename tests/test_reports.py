@@ -2,10 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sure_boundary import reports
 from sure_boundary.boundary import QuasiClass
 from sure_boundary.reports import canonical_csv, canonical_json, format_real
 
@@ -112,3 +116,57 @@ def test_csv_scalars():
 def test_csv_row_length_checked():
     with pytest.raises(ValueError):
         canonical_csv(("a", "b"), [(1,)])
+
+
+# finite doubles, with the values whose 17-digit text is easiest to get wrong
+REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e16, 1e17, -1e16, -1e17, 1.7976931348623157e308]),
+)
+ROWS = st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.one_of(st.lists(REALS, min_size=k, max_size=k),
+                                 st.tuples(*[REALS] * k)))
+)
+RUNS = st.one_of(st.lists(REALS), st.lists(REALS).map(tuple), ROWS)
+
+
+def per_value_json(obj) -> str:
+    """canonical_json(obj) with every list written one value at a time."""
+    with mock.patch.object(reports, "_real_run", return_value=None):
+        return canonical_json(obj)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(RUNS)
+def test_float_run_has_the_per_value_bytes(run):
+    assert reports._real_run(run) is not None
+    assert canonical_json({"run": run}) == per_value_json({"run": run})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(REALS, min_size=1), st.data())
+def test_numpy_float_items_have_the_per_value_bytes(values, data):
+    mixed = [np.float64(x) if data.draw(st.booleans()) else x for x in values]
+    assert canonical_json(mixed) == per_value_json(mixed)
+    assert canonical_json([mixed, mixed]) == per_value_json([mixed, mixed])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(REALS, min_size=1), st.data())
+def test_nan_in_a_run_still_raises(values, data):
+    at = data.draw(st.integers(0, len(values) - 1))
+    flat = values[:at] + [math.nan] + values[at + 1:]
+    for obj in (flat, list(zip(values, flat))):
+        with pytest.raises(ValueError, match="NaN"):
+            canonical_json(obj)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(REALS, min_size=1), st.sampled_from([math.inf, -math.inf, True, False, 3, 0]),
+       st.data())
+def test_run_with_a_non_real_falls_back(values, odd, data):
+    at = data.draw(st.integers(0, len(values) - 1))
+    flat = values[:at] + [odd] + values[at + 1:]
+    for obj in (flat, list(zip(values, flat))):
+        assert reports._real_run(obj) is None
+        assert canonical_json(obj) == per_value_json(obj)
