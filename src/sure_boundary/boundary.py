@@ -182,20 +182,17 @@ def dominator_g(spec: DominatorSpec) -> ShrinkageFunction:
 
 def default_w_grid(points: int = GRID_POINTS_DEFAULT) -> np.ndarray:
     """w = 0 followed by a geometric grid of points from 1e-6 to 1e8; the
-    default is the grid every verdict and certificate is made on, built once
-    per process and read-only."""
-    if isinstance(points, int) and points == GRID_POINTS_DEFAULT:
-        return _certificate_grid()
-    return _geometric_w_grid(points)
+    default is the grid every verdict and certificate is made on.  Each grid
+    is built once per process and is read-only."""
+    return _read_only_w_grid(points)
 
 
-def _geometric_w_grid(points: int) -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(1e-6, 1e8, points)])
-
-
-@functools.cache
-def _certificate_grid() -> np.ndarray:
-    grid = _geometric_w_grid(GRID_POINTS_DEFAULT)
+# Cached apart from default_w_grid, which stays a plain function that
+# perfbench's tracer can wrap; typed, so a float count still raises in
+# np.geomspace when an equal int count is cached.
+@functools.lru_cache(maxsize=None, typed=True)
+def _read_only_w_grid(points: int) -> np.ndarray:
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e8, points)])
     grid.flags.writeable = False
     return grid
 

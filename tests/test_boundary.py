@@ -330,8 +330,11 @@ class TestVerify:
         assert not grid.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             grid[1] = 1.0
-        other = default_w_grid(points=900)
-        assert other.flags.writeable and other is not default_w_grid(points=900)
+        assert not default_w_grid(points=900).flags.writeable
+        # a float count equal to a cached int count still raises
+        assert default_w_grid(np.int64(boundary.GRID_POINTS_DEFAULT)).shape == grid.shape
+        with pytest.raises(TypeError):
+            default_w_grid(np.float64(boundary.GRID_POINTS_DEFAULT))
 
 
 class TestLemmaWitness:
