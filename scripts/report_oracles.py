@@ -7,7 +7,8 @@ with report_oracles.pinned (written at the default thread cap of 1):
   known-variance routes and checks over fixed grids of (p, n), a, b, w, z
   and two rel_tol; an error is recorded as its type and message.
 - mc_reports: estimate_risk and domination_mc reports over fixed (p, n),
-  reps, models and threads 1, 2 and 4, plus a hash of sample_all's bytes.
+  reps, models and threads 1, 2 and 4, plus a hash of sample_all's bytes;
+  a SimConfig that rejects its reps is recorded as its error.
 - classification_matrix_p<p>_n<n>: what classification_matrix.py --json
   writes, at (5, 6), (3, 3) and (12, 19).
 - domination_paired and domination_certificate: the files of
@@ -30,7 +31,7 @@ from domination_experiment import experiment
 from sure_boundary import families
 from sure_boundary import known_variance as kv
 from sure_boundary.boundary import construct_dominator
-from sure_boundary.core import ProblemDims, constants
+from sure_boundary.core import InputError, ProblemDims, constants
 from sure_boundary.families import GBUnknown, PositivePartJS, Zero, make_shrinkage
 from sure_boundary.montecarlo import (
     Normal,
@@ -124,16 +125,20 @@ def mc_reports():
         spec = construct_dominator(zero, dims, 1.5)
         for reps in MC_REPS:
             for model in MC_MODELS:
-                config = SimConfig(dims=dims, theta_norm=1.0, sigma=1.3, reps=reps,
-                                   seed=20240817, model=model)
+                label = f"p={p} n={n} reps={reps} {encode_model(model)}"
+                try:
+                    config = SimConfig(dims=dims, theta_norm=1.0, sigma=1.3, reps=reps,
+                                       seed=20240817, model=model)
+                except InputError as exc:  # the message is part of the oracle
+                    yield f"{label} {type(exc).__name__}: {exc}"
+                    continue
                 for threads in MC_THREADS:
-                    label = f"p={p} n={n} reps={reps} {encode_model(model)} threads={threads}"
                     runs = [(name, estimate_risk(phi, config, threads))
                             for name, phi in members.items()]
                     runs.append(("dom", domination_mc(zero, spec, [config], threads)[0]))
                     for name, report in runs:
                         body = canonical_json(report).rstrip("\n")
-                        yield f"{label} {name} {body}"
+                        yield f"{label} threads={threads} {name} {body}"
     x, s = sample_all(SimConfig(dims=ProblemDims(5, 6), theta_norm=1.0, reps=1000,
                                 seed=3, model=StudentT(df=10.0)))
     yield f"sample_all {hashlib.sha256(x.tobytes() + s.tobytes()).hexdigest()}"

@@ -514,6 +514,10 @@ def brown_integral_numeric(
         increments.append(inc)
         total += inc
         checkpoints.append((10.0 ** (d + 1), total))
+    for d in (decades - 2, decades - 1):  # a zero increment would fail the slope's log10
+        if increments[d] == 0.0:
+            what = "the Brown integrand r^(2-p)/m(r) underflowed to 0 over the decade starting"
+            raise _range_error(what, 10.0**d, prior, p)
     slope = math.log10(increments[-1] / increments[-2])
     return BrownIntegralReport(
         checkpoints=tuple(checkpoints),

@@ -155,8 +155,8 @@ class SimConfig:
                 f"keeps its noise at (p, n) = ({self.dims.p}, {self.dims.n}) "
                 f"under {encode_model(self.model)}, got {self.theta_norm!r}"
             )
-        if self.reps < 1:
-            raise InputError("reps must be >= 1")
+        if self.reps < 2:  # one replication has no standard error
+            raise InputError(f"reps must be >= 2, got {self.reps}")
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must fit in 64 bits")
 
@@ -315,7 +315,7 @@ def _mean_se(
     stats = []
     for total, total_sq in zip(totals[::2], totals[1::2]):
         mean = total / count
-        var = max(total_sq - count * mean * mean, 0.0) / (count - 1) if count > 1 else 0.0
+        var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
         stats.append((mean, math.sqrt(var / count)))
     return stats
 
@@ -344,8 +344,6 @@ def sure_unbiasedness_test(
             "SURE is an unbiased risk estimate only under the Normal model; "
             "refusing to z-test a Student-t run"
         )
-    if config.reps < 2:  # one replication has no standard error to divide by
-        raise InputError(f"a SURE z-test needs reps >= 2, got {config.reps}")
     r = estimate_risk(phi, config, threads)
     denom = math.hypot(r.se_loss, r.se_sure)
     z = (r.mean_loss - r.sure_mean) / denom if denom > 0.0 else 0.0

@@ -2,10 +2,13 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -225,6 +228,64 @@ class TestConfigFile:
         assert json.loads(out)["config"]["seed"] == "2"
 
 
+def contract_rows():
+    """(exit, argv) of each row of cli_contract.txt, split as CI's shell loop splits it."""
+    rows = []
+    for line in Path(__file__).with_name("cli_contract.txt").read_text().splitlines():
+        words = line.split()
+        if words and not words[0].startswith("#"):
+            rows.append((int(words[0]), words[1:]))
+    return rows
+
+
+def readme_commands():
+    """argv of each sure-boundary command in README's bash blocks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", readme, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["sure-boundary"]:
+                commands.append(words[1:])
+    return commands
+
+
+CONTRACT = contract_rows()
+CONTRACT_IDS = [f"{want} {argv[0]} {argv[-2]} {argv[-1]}" for want, argv in CONTRACT]
+
+
+class TestContractTable:
+    """The exit contract of README, one row of tests/cli_contract.txt a run."""
+
+    @pytest.mark.parametrize("want, argv", CONTRACT, ids=CONTRACT_IDS)
+    def test_row(self, capsys, want, argv):
+        # a numpy RuntimeWarning would reach stderr; here it fails the run, and
+        # the error line must not be the warning's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # the parser rejected an argument
+                code = exc.code
+        captured = capsys.readouterr()
+        assert code == want
+        if want in (1, 64):
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("sure-boundary: error: ")
+            assert " encountered in " not in captured.err
+        else:
+            assert captured.out and captured.err == ""
+
+    def test_every_readme_example_is_a_row(self):
+        commands = readme_commands()
+        rows = [argv for _, argv in CONTRACT]
+        assert commands and [argv for argv in commands if argv not in rows] == []
+
+    def test_row_ids_are_unique(self):
+        # pytest would number a repeated id, so a new row could rename old ones
+        assert len(set(CONTRACT_IDS)) == len(CONTRACT_IDS)
+
+
 class TestExitCodes:
     def test_usage_error_is_64(self):
         proc = subprocess.run(
@@ -293,67 +354,6 @@ class TestExitCodes:
         assert code == 64 and captured.out == ""
         message = "rel_tol must be positive and finite, got inf"
         assert captured.err == f"sure-boundary: error: {message}\n"
-
-    VERIFY = ["verify", *D56, "--phi", "zero", "--b", "1.5", "--nu", "0.5", "--w-sharp", "4",
-              "--ramp-width", "4", "--w-star", "4"]
-
-    @pytest.mark.parametrize("argv", [
-        ["classify", *D56, "--phi", "zero", "--margin", "2"],
-        ["classify", *D56, "--phi", "zero", "--margin", "1e-17"],
-        ["classify", *D56, "--phi", "zero", "--rel-tol", "inf"],
-        ["classify", *D56, "--phi", "zero", "--rel-tol", "0"],
-        [*VERIFY, "--nu", "2"],
-        [*VERIFY, "--ramp-width", "0"],
-        [*VERIFY, "--b", "1"],
-        [*VERIFY, "--w-sharp", "inf"],
-        [*VERIFY, "--w-star", "nan"],
-        [*VERIFY, "--w-sharp", "-4"],
-        ["dominate", *D56, "--phi", "zero", "--b", "1"],
-        ["crosscheck", *D56, "--identity", "psi", "--v", "10", "--b", "-1"],
-        ["crosscheck", *D56, "--identity", "psi", "--b", "1", "--v", "-1"],
-        ["crosscheck", *D56, "--identity", "saigo4", "--b", "1", "--w", "-1"],
-        ["crosscheck", *D56, "--identity", "saigo4", "--b", "1", "--w", "0"],
-    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
-    def test_rejected_argument_is_one_typed_line(self, capsys, argv):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 64 and captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("sure-boundary: error: ")
-
-    PSI = ["crosscheck", *D56, "--identity", "psi", "--b", "1", "--v", "10"]
-
-    @pytest.mark.parametrize("argv, want", [
-        ([*VERIFY, "--grid-points", "-5"], 64),
-        (["asymptotics", *D56, "--phi", "zero", "--points", "-1"], 64),
-        ([*PSI, "--tol", "nan"], 64),
-        ([*PSI, "--tol", "-1"], 64),
-        (["dominate", *D56, "--phi", "zero", "--b", "inf"], 64),
-        (["simulate", *D56, "--phi", "zero", "--sigma", "1e308"], 64),
-        (["sure-check", *D56, "--phi", "zero", "--sigma", "5e-324"], 64),
-        (["sure-check", *D56, "--phi", "zero", "--reps", "1"], 64),
-        # finite squares, but an extreme draw would overflow ||X||^2 or leave S subnormal
-        (["simulate", *D56, "--phi", "zero", "--reps", "1000", "--sigma", "1e154"], 64),
-        (["simulate", *D56, "--phi", "zero", "--reps", "1000", "--sigma", "1e-160"], 64),
-        # lambda**q (log 1/lambda)**b overflows at the smallest node for q < 0
-        (["classify", *D56, "--phi", "gb:a=-3.4,b=100"], 1),
-        (["known-variance", "--p", "5", "--a", "-3.4", "--L", "logpow:b=100"], 1),
-        ([*VERIFY, "--ramp-width", "5e-324"], 0),
-    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]) if isinstance(argv, list) else None)
-    def test_edge_value_exits_cleanly(self, capsys, argv, want):
-        # a numpy RuntimeWarning would reach stderr; here it fails the run, and
-        # the error line must not be the warning's
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv)
-        captured = capsys.readouterr()
-        assert code == want
-        if want:
-            assert captured.out == "" and captured.err.count("\n") == 1
-            assert captured.err.startswith("sure-boundary: error: ")
-            assert " encountered in " not in captured.err
-        else:
-            assert captured.out and captured.err == ""
 
     @pytest.mark.parametrize("argv", [
         ["classify", *D56, "--phi", "gb:a=-2,b=1e308"],

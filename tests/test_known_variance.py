@@ -228,6 +228,18 @@ class TestBrownNumeric:
         decades = round(math.log10(last))
         assert [r for r, _ in rep.checkpoints] == [10.0**k for k in range(1, decades + 1)]
 
+    # r^(2-p)/m(r) is 0 from r = 5.9e4 and r = 12.3: the last decade's
+    # increment is 0 at p = 70, both last two are at p = 300
+    @pytest.mark.parametrize("p,a,decade", [(70, -34.0, 1e5), (300, -149.0, 1e4)])
+    def test_integrand_underflow_is_typed_error(self, p, a, decade):
+        with pytest.raises(EvaluationError) as err:
+            brown_integral_numeric(PriorSpec(a=a), p)
+        assert str(err.value) == (
+            "known-variance: the Brown integrand r^(2-p)/m(r) underflowed to 0 over the "
+            f"decade starting at z={decade!r} for (p, a, L) = ({p}, {a!r}, one)"
+        )
+        assert err.value.w == decade
+
     @pytest.mark.parametrize("r_max", [math.inf, math.nan])
     def test_non_finite_r_max_named(self, r_max):
         with pytest.raises(ValueError, match="r_max must be finite"):

@@ -284,9 +284,8 @@ class TestSureCheck:
 
     def test_single_replication_refused(self):
         # one replication has no standard error, so z would be 0/0
-        cfg = replace(BASE, reps=1)
-        with pytest.raises(InputError, match="reps >= 2"):
-            sure_unbiasedness_test(make_shrinkage(Zero(), DIMS), cfg)
+        with pytest.raises(InputError, match="reps must be >= 2, got 1"):
+            replace(BASE, reps=1)
 
     def test_student_t_refused(self):
         cfg = SimConfig(dims=DIMS, reps=100, model=StudentT(df=5.0))
