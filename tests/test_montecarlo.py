@@ -283,7 +283,7 @@ class TestSureCheck:
         assert gaps[-1] < gaps[0]
 
     def test_single_replication_refused(self):
-        # one replication has no standard error, so z would be 0/0
+        # one replication has no standard error (a z-test would divide 0 by 0)
         with pytest.raises(InputError, match="reps must be >= 2, got 1"):
             replace(BASE, reps=1)
 
