@@ -284,7 +284,8 @@ def _tail_start(grid: np.ndarray, vals: np.ndarray, dims: ProblemDims, b: float)
     """
     grid, vals = grid[grid > 1.0], vals[grid > 1.0]  # the tail needs log w > 0
     k = constants(dims)
-    tail = k.c_pn - b * k.beta_star / np.log(grid)
+    with np.errstate(over="ignore"):  # a tail of -inf fails the inequality
+        tail = k.c_pn - b * k.beta_star / np.log(grid)
     ok = vals <= tail if b > 1.0 else vals >= tail
     fails = np.flatnonzero(~ok)
     start = fails[-1] + 1 if fails.size else 0

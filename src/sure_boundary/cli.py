@@ -7,10 +7,12 @@ reproduce it, or, for ``simulate --format csv``, one row of the simulation
 columns (SIMULATE_CSV_HEADER), which leaves out p, n, phi and rel_tol.
 Identical configs produce byte-identical reports.
 
-scipy is needed only by the Monte Carlo layer (ndtri, gammaincinv), so
-only the commands that compute with it import it: simulate and sure-check.
-Every other command, gb members and the known-variance layer included,
-runs without loading scipy.
+Start-up loads nothing numerical: the command line is parsed with argparse
+alone, so --version, --help and a rejected command line never import numpy.
+Each command then imports only the layers it runs.  scipy is needed only by
+the Monte Carlo layer (ndtri, gammaincinv), so only simulate and sure-check
+load it; known-variance and crosscheck --identity psi load neither families
+nor boundary, and crosscheck --identity saigo4 does not load boundary.
 
 Exit status: 0 success, 2 classification came back Indeterminate, 1 runtime
 error, a certificate whose verdict is false (the report is still written) or
@@ -30,30 +32,10 @@ import math
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
-
 from . import __version__
-from .boundary import (
-    GRID_POINTS_DEFAULT,
-    DominatorSpec,
-    MARGIN_DEFAULT,
-    classify,
-    construct_dominator,
-    default_w_grid,
-    verify_domination,
-)
-from .core import InputError, ProblemDims, ShrinkageFunction
-from .families import (
-    make_shrinkage,
-    parse_phi_spec,
-    phi_gb_identity_saigo4,
-    phi_gb_unknown,
-    tail_profile,
-)
-from .quadrature import QuadratureConfig
-from .reports import canonical_csv, canonical_json, write_text
 
 if TYPE_CHECKING:
+    from .core import ProblemDims, ShrinkageFunction
     from .montecarlo import SimConfig
 
 USAGE_EXIT = 64
@@ -158,7 +140,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="quasi-admissibility verdict")
     _add_common(p)
     p.add_argument("--phi", required=True, help="shrinkage spec, e.g. zero, gb:a=-2,b=1.0")
-    p.add_argument("--margin", type=float, default=MARGIN_DEFAULT,
+    # left unset here; classify fills in boundary.MARGIN_DEFAULT
+    p.add_argument("--margin", type=float,
                    help="dead zone half-width around the critical coefficient 1")
 
     p = sub.add_parser("dominate", help="construct and verify a dominating perturbation")
@@ -175,7 +158,8 @@ def build_parser() -> _Parser:
     p.add_argument("--w-sharp", dest="w_sharp", type=float, required=True)
     p.add_argument("--ramp-width", dest="ramp_width", type=float, required=True)
     p.add_argument("--w-star", dest="w_star", type=float, required=True)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=GRID_POINTS_DEFAULT)
+    # left unset here; verify fills in boundary.GRID_POINTS_DEFAULT
+    p.add_argument("--grid-points", dest="grid_points", type=int)
 
     p = sub.add_parser("simulate", help="Monte Carlo risk of one configuration")
     _add_common(p)
@@ -221,12 +205,18 @@ def build_parser() -> _Parser:
 
 
 def _problem(args: argparse.Namespace) -> tuple[ProblemDims, ShrinkageFunction]:
+    from .core import ProblemDims
+    from .families import make_shrinkage, parse_phi_spec
+    from .quadrature import QuadratureConfig
+
     dims = ProblemDims(args.p, args.n)
     return dims, make_shrinkage(parse_phi_spec(args.phi), dims, QuadratureConfig(args.rel_tol))
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
     if args.out:
+        from .reports import write_text
+
         write_text(args.out, text)
     else:
         sys.stdout.write(text)
@@ -235,6 +225,8 @@ def _write(args: argparse.Namespace, text: str) -> None:
 def _emit(args: argparse.Namespace, body: dict[str, Any]) -> None:
     """Write the JSON report: body plus the command and the config that
     reproduces the run (every parsed option that is set)."""
+    from .reports import canonical_json
+
     config = {
         key: str(value)  # str of a float is its round-trip repr
         for key, value in vars(args).items()
@@ -244,6 +236,10 @@ def _emit(args: argparse.Namespace, body: dict[str, Any]) -> None:
 
 
 def _cmd_classify(args) -> int:
+    from .boundary import MARGIN_DEFAULT, classify
+
+    if args.margin is None:
+        args.margin = MARGIN_DEFAULT
     dims, phi = _problem(args)
     verdict = classify(phi, dims, margin=args.margin)
     _emit(args, {"verdict": verdict, "tail_profile": phi.tail})
@@ -251,6 +247,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
+    from .boundary import construct_dominator, verify_domination
+
     dims, phi = _problem(args)
     spec = construct_dominator(phi, dims, args.b)
     cert = verify_domination(phi, spec, dims)
@@ -259,6 +257,10 @@ def _cmd_dominate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .boundary import GRID_POINTS_DEFAULT, DominatorSpec, default_w_grid, verify_domination
+
+    if args.grid_points is None:
+        args.grid_points = GRID_POINTS_DEFAULT
     _require_positive(args, "grid_points")
     dims, phi = _problem(args)
     spec = DominatorSpec(
@@ -285,6 +287,7 @@ def _sim_config(args, dims: ProblemDims) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     from .montecarlo import encode_model, estimate_risk
+    from .reports import canonical_csv
 
     dims, phi = _problem(args)
     config = _sim_config(args, dims)
@@ -312,6 +315,8 @@ def _cmd_sure_check(args) -> int:
 def _require_positive(args, *dests: str) -> None:
     """Reject a non-finite or non-positive bound or point count of a grid,
     naming its option, before the grid is built."""
+    from .core import InputError
+
     for dest in dests:
         value = getattr(args, dest)
         option = "--" + dest.replace("_", "-")
@@ -322,6 +327,10 @@ def _require_positive(args, *dests: str) -> None:
 
 
 def _cmd_asymptotics(args) -> int:
+    import numpy as np
+
+    from .families import tail_profile
+
     _require_positive(args, "w_lo", "w_hi", "points")
     dims, phi = _problem(args)
     grid = np.geomspace(args.w_lo, args.w_hi, args.points)
@@ -330,6 +339,8 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_known_variance(args) -> int:
+    import numpy as np
+
     from .known_variance import (
         PriorSpec,
         brown_classify,
@@ -339,6 +350,7 @@ def _cmd_known_variance(args) -> int:
         parse_l_family,
         tauberian_check,
     )
+    from .quadrature import QuadratureConfig
 
     _require_positive(args, "z_max")
     prior = PriorSpec(a=args.a, L=parse_l_family(args.L))
@@ -362,11 +374,16 @@ def _cmd_known_variance(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    from .core import InputError, ProblemDims
+    from .quadrature import QuadratureConfig
+
     if not 0.0 <= args.tol < math.inf:  # also rejects nan
         raise InputError(f"argument --tol: must be finite and >= 0, got {args.tol!r}")
     dims = ProblemDims(args.p, args.n)
     cfg = QuadratureConfig(args.rel_tol)
     if args.identity == "saigo4":
+        from .families import phi_gb_identity_saigo4, phi_gb_unknown
+
         at = [args.w] if args.w is not None else [1.0, 10.0, 1e3, 1e6]
         routes = (lambda w: phi_gb_unknown(-2.0, args.b, w, dims, cfg),
                   lambda w: phi_gb_identity_saigo4(args.b, w, dims, cfg))
@@ -424,6 +441,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     unused = _unused_option(args)
     if unused:
         parser.error(unused)
+    from .core import InputError  # parsed: from here on a command loads numpy
+
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:

@@ -189,16 +189,20 @@ def tail_profile(
 ) -> TailProfile:
     """Estimate phi_limit and the critical-tail coefficient b_hat from a grid.
 
-    The grid must pass core.require_grid, span at least [1e3, 1e8] and
-    hold >= 20 points.  b_hat is the least-squares (constant-model) fit of
-    (log w)(c_pn - phi(w)) ~ b beta_star over the top half of the grid in
-    log w; the limit converges at O(1/log w) so early points would bias it.
+    The grid must pass core.require_grid, span at least [1e3, 1e8], hold
+    >= 20 points and >= 2 of them in its top decade.  b_hat is the
+    least-squares (constant-model) fit of (log w)(c_pn - phi(w)) ~ b beta_star
+    over the top half of the grid in log w; the limit converges at
+    O(1/log w) so early points would bias it.
     """
     w = require_grid("w_grid", w_grid)
     if len(w) < 20:
         raise InputError("w_grid must hold at least 20 points")
     if w[0] > 1e3 or w[-1] < 1e8:
         raise InputError("w_grid must span at least [1e3, 1e8]")
+    top = w >= w[-1] / 10.0  # the decade whose log-log slope detects growth
+    if np.count_nonzero(top) < 2:
+        raise InputError("w_grid must hold at least 2 points in its top decade")
     k = constants(dims)
     vals = np.asarray(phi.eval(w), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -206,7 +210,6 @@ def tail_profile(
         raise EvaluationError(f"phi non-finite at w={w_bad}", w_bad)
 
     # unbounded growth: positive log-log slope across the top decade
-    top = w >= w[-1] / 10.0
     if np.all(vals[top] > 0.0):
         slope = np.polyfit(np.log(w[top]), np.log(vals[top]), 1)[0]
     else:

@@ -154,8 +154,11 @@ def _exp_kernel(c, lam):
 
 
 def _squares(z: np.ndarray) -> np.ndarray:
-    """zi**2 rounded as the single-point routes round it (pow, not z*z)."""
-    return np.array([zi**2 for zi in z])
+    """zi**2 rounded as the single-point routes round it (pow, not z*z).
+    A square past the float range is inf, without numpy's overflow warning:
+    its marginal underflows to 0, which the caller reports."""
+    with np.errstate(over="ignore"):
+        return np.array([zi**2 for zi in z])
 
 
 def _marginals(z: np.ndarray, prior: PriorSpec, p: int, cfg: QuadratureConfig) -> np.ndarray:

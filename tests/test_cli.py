@@ -11,10 +11,9 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
-from sure_boundary.boundary import default_w_grid
+from sure_boundary.boundary import GRID_POINTS_DEFAULT, default_w_grid
 from sure_boundary.cli import build_parser, main
 from sure_boundary.montecarlo import THREADS_ENV_VAR
 
@@ -98,12 +97,17 @@ class TestDominateAndVerify:
         assert code == 0
         assert json.loads(out)["certificate"]["verdict"] is True
 
-    def test_verify_grid_points_default_is_the_certificate_grid(self):
-        args = build_parser().parse_args(
-            ["verify", *D56, "--phi", "zero", "--b", "1.5", "--nu", "0.5",
-             "--w-sharp", "4.0", "--ramp-width", "4.0", "--w-star", "4.0"]
-        )
-        assert np.array_equal(default_w_grid(points=args.grid_points), default_w_grid())
+    def test_verify_grid_points_default_is_the_certificate_grid(self, capsys):
+        argv = ["verify", *D56, "--phi", "zero", "--b", "1.5", "--nu", "0.5",
+                "--w-sharp", "4.0", "--ramp-width", "4.0", "--w-star", "4.0"]
+        # the parser leaves --grid-points unset, so that start-up needs no
+        # numerical layer; verify fills in boundary's default before the report
+        assert build_parser().parse_args(argv).grid_points is None
+        code, out = run_cli(argv, capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert [w for w, _ in report["certificate"]["grid"]] == default_w_grid().tolist()
+        assert report["config"]["grid_points"] == str(GRID_POINTS_DEFAULT)
 
     # dominate builds and certifies GB_FALSE on one grid, default_w_grid();
     # GB_FALSE_SPEC ramps up from a slightly smaller w_sharp, and on that
@@ -552,23 +556,51 @@ class TestAsymptoticsCommand:
 STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+argvs, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if any(m == w or m.startswith(w + ".") for w in watched))
 
 from sure_boundary import cli
-loaded = {"import": scipy_modules()}
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    loaded[" ".join(argv)] = scipy_modules()
-import sure_boundary.montecarlo
-loaded["montecarlo"] = scipy_modules()
-print(json.dumps(loaded))
+seen = {"import": loaded()}
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:  # --version, --help and parser rejections exit
+            pass
+    seen[" ".join(argv)] = loaded()
+import sure_boundary.known_variance, sure_boundary.montecarlo, sure_boundary.reports
+seen["every layer"] = loaded()
+print(json.dumps(seen))
 """
 
 
+def modules_loaded(argvs, watched):
+    """Watched modules (a name or a package) loaded after importing cli, after
+    cli.main on each argv in turn, all in one fresh interpreter, and last
+    after importing every layer, which loads each of them."""
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, json.dumps(argvs), json.dumps(watched)],
+        capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(proc.stdout)
+    # the check itself sees each watched module once a layer imports it
+    last = seen.pop("every layer")
+    assert all(any(m == w or m.startswith(w + ".") for m in last) for w in watched)
+    assert len(seen) == 1 + len(argvs)
+    return seen
+
+
+LAYERS = ["sure_boundary." + layer for layer in
+          ("core", "quadrature", "families", "boundary", "known_variance", "montecarlo",
+           "reports")]
+
+
 class TestStartUp:
-    """Commands that do not compute with scipy run without importing it."""
+    """The CLI parses its command line before it loads numpy, and each command
+    loads only the layers it runs: scipy only for the Monte Carlo layer."""
 
     ARGVS = [
         ["classify", *D56, "--phi", "gb:a=-2,b=2.0"],
@@ -581,15 +613,28 @@ class TestStartUp:
     ]
 
     def test_no_scipy_at_start_up(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", STARTUP_SCRIPT, json.dumps(self.ARGVS)],
-            capture_output=True, text=True, check=True,
-        )
-        loaded = json.loads(proc.stdout)
-        # the check itself sees scipy once a layer that needs it is imported
-        assert "scipy.special" in loaded.pop("montecarlo")
-        assert len(loaded) == 1 + len(self.ARGVS)
-        assert all(modules == [] for modules in loaded.values()), loaded
+        seen = modules_loaded(self.ARGVS, ["scipy"])
+        assert all(modules == [] for modules in seen.values()), seen
+
+    def test_no_numpy_before_a_command_runs(self, tmp_path):
+        argvs = [
+            ["--version"],
+            ["--help"],
+            ["classify", "--help"],
+            ["classify", "--p", "5"],  # rejected by the parser
+            ["classify", "--config", str(tmp_path / "missing.cfg"), *D56, "--phi", "zero"],
+        ]
+        seen = modules_loaded(argvs, ["numpy", *LAYERS])
+        assert all(modules == [] for modules in seen.values()), seen
+
+    def test_each_command_loads_only_its_layers(self):
+        argvs = [
+            ["known-variance", "--p", "5", "--a", "-2", "--L", "logpow:b=1.0"],
+            ["crosscheck", *D56, "--identity", "psi", "--b", "1.0"],
+            ["crosscheck", *D56, "--identity", "saigo4", "--b", "1.0"],
+        ]
+        seen = modules_loaded(argvs, ["sure_boundary.families", "sure_boundary.boundary"])
+        assert list(seen.values()) == [[], [], [], ["sure_boundary.families"]], seen
 
     def test_families_imports_no_scipy(self):
         import ast

@@ -506,6 +506,9 @@ class TestTailProfile:
             tail_profile(phi, DIMS, np.geomspace(1e4, 1e8, 30))
         with pytest.raises(ValueError):
             tail_profile(phi, DIMS, np.geomspace(1e3, 1e6, 30))
+        # 48 points over 305 decades leave one in the top decade: no slope to fit
+        with pytest.raises(ValueError, match="at least 2 points in its top decade"):
+            tail_profile(phi, DIMS, np.geomspace(1e3, 1e308, 48))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_grid_point_named(self, bad):
