@@ -497,10 +497,11 @@ def boundary_floor(spec: BoundaryPhi, dims: ProblemDims) -> float:
     crossing exp(b beta_star / c_pn) of its tail, capped at e^2.
 
     The floor is never above the crossing, which is what keeps phi(0) = 0
-    (assumption a1); a fixed floor independent of b would not.
+    (assumption a1); a fixed floor independent of b would not.  The cap is
+    taken on the exponent, so a crossing past the float range is e^2 too.
     """
     k = constants(dims)
-    return min(math.exp(2.0), math.exp(spec.b * k.beta_star / k.c_pn))
+    return math.exp(min(2.0, spec.b * k.beta_star / k.c_pn))
 
 
 def make_shrinkage(
@@ -543,17 +544,19 @@ def make_shrinkage(
         coeff = spec.b * k.beta_star
 
         # phi vanishes at the floor, the zero crossing; the exp/log round trip
-        # alone would leave it at ~1e-17 below the floor
+        # alone would leave it at ~1e-17 below the floor.  A floor that rounds
+        # to 1 makes log 0 at and below it, where the masks give 0.
         @elementwise
         def ev(w):
-            out = np.maximum(0.0, k.c_pn - coeff / np.log(np.maximum(w, floor)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.maximum(0.0, k.c_pn - coeff / np.log(np.maximum(w, floor)))
             return np.where(w <= floor, 0.0, out)
 
         @elementwise
         def dv(w):
             lw = np.log(np.maximum(w, floor))
-            active = (w > floor) & (k.c_pn - coeff / lw > 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
+                active = (w > floor) & (k.c_pn - coeff / lw > 0.0)
                 slope = coeff / (w * lw**2)
             return np.where(active, slope, 0.0)
 

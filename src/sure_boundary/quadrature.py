@@ -35,10 +35,10 @@ point, run each integral once; grids are not kept.
 
 The two passes share their levels, stopping rule and endpoint check but stay
 two loops on purpose, because each is the faster one for its own use and
-neither can replace the other; both give the same bits.  A grid pass holds
-each slice of rows for all exponents in one array and reduces it in one
-call; like a point pass, it reduces a slice with no value whose sign bit is
-set once, taking its sums as its L1 sums.  A point run as a one-row batch is
+neither can replace the other; both give the same bits.  The stopping rule
+needs only the running integral: a level is reduced once, in a point pass
+and in each slice of a grid pass, which holds the slice for all exponents
+in one array and reduces it in one call.  A point run as a one-row batch is
 5 to 7 times slower, because the batch's per-level calls and bookkeeping
 outweigh one point (two exponents of the unknown-scale kernel at w in {0.7,
 30, 1e4}, medians of 15: 61-143 against 432-792 us).  A 508-node gb table
@@ -77,8 +77,8 @@ _T_MAX = 6.0
 _H0 = 0.5
 # Weakest endpoint exponent the fixed horizon supports at full accuracy.
 _MIN_EXPONENT = -0.95
-# Absolute tolerance of the stopping rule (against the L1 mass, see
-# _stop_rule) and the last level a pass runs.
+# Floor of the stopping rule's relative tolerance (see _stop_rule) and the
+# last level a pass runs.
 _ABS_TOL = 1e-14
 _MAX_LEVEL = 12
 # Values per exponent in each slice of rows of _tanh_sinh_batch: a level is
@@ -91,8 +91,9 @@ _BATCH_ELEMENTS = 8192
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Relative tolerance of the adaptive rule; its absolute tolerance
-    (_ABS_TOL) and refinement budget (_MAX_LEVEL) are fixed."""
+    """Relative tolerance of the adaptive rule, against |integral|; a
+    tolerance below _ABS_TOL (1e-14) acts as _ABS_TOL, and the refinement
+    budget (_MAX_LEVEL) is fixed."""
 
     rel_tol: float = 1e-10
 
@@ -197,24 +198,26 @@ def _kept_power(block: int, log: bool, exponent: float) -> np.ndarray:
     return out
 
 
-def _refine(value, scale, h, s, l1):
-    """Fold one level's node sums into (value, L1 mass); also return the error.
+def _refine(value, h, s):
+    """Fold one level's node sum into value; return (value, error estimate).
 
     Works on floats and, elementwise, on arrays of independent integrals.
     """
     new_value = 0.5 * value + h * s
-    return new_value, 0.5 * scale + h * l1, abs(new_value - value)
+    return new_value, abs(new_value - value)
 
 
-def _stop_rule(err, value, scale, hit, cfg: QuadratureConfig):
+def _stop_rule(err, value, hit, tol: float):
     """Advance the consecutive-hit count; return (hit, converged).
 
-    A level hits when err <= max(_ABS_TOL * L1 mass, rel_tol * |value|).  Two
-    consecutive hits are needed (one suffices when err is exactly 0), which
-    guards against sharply peaked integrands whose coarse levels agree before
-    seeing the peak.  Works on floats and, elementwise, on arrays.
+    A level hits when err <= tol * |value|, where a pass sets tol to
+    max(_ABS_TOL, rel_tol).  Two consecutive hits are needed (one suffices
+    when err is exactly 0), which guards against sharply peaked integrands
+    whose coarse levels agree before seeing the peak.  An integral of 0
+    converges only at an err of exactly 0.  Works on floats and,
+    elementwise, on arrays.
     """
-    ok = (err <= _ABS_TOL * scale) | (err <= cfg.rel_tol * abs(value))
+    ok = err <= tol * abs(value)
     hit = (hit + 1) * ok
     return hit, ok & ((hit >= 2) | (err == 0.0))
 
@@ -247,52 +250,48 @@ def _not_converged(value: float, err: float):
     )
 
 
-def _level_sums(
-    vals: np.ndarray, lam: np.ndarray, cut: slice, signed: bool
-) -> tuple[float, float]:
-    """(sum, L1 sum) of one level's weighted integrand values, vals[cut].
+def _level_sum(vals: np.ndarray, lam: np.ndarray, cut: slice) -> float:
+    """The sum of one level's weighted integrand values, vals[cut].
 
-    Unless signed (some value of vals has its sign bit set), abs() leaves
-    vals bit for bit as they are, so the L1 sum is the sum and is reduced
-    once.  A non-finite value makes the L1 sum non-finite, so the values are
-    only scanned when that sum is.
+    A non-finite value makes the sum non-finite, so the values are only
+    scanned when the sum is.
     """
     vals = vals[cut]
-    l1 = float(np.add.reduce(np.abs(vals) if signed else vals))
-    if not math.isfinite(l1) and not np.isfinite(vals).all():
+    s = float(np.add.reduce(vals))
+    if not math.isfinite(s) and not np.isfinite(vals).all():
         bad = lam[cut][~np.isfinite(vals)]
         raise QuadratureError(f"integrand non-finite near lambda={float(bad[0])!r}")
-    return (float(np.add.reduce(vals)) if signed else l1), l1
+    return s
 
 
 def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig) -> list[float]:
     """power_log_integrals at a scalar x: the list of len(qs) floats, in one pass.
 
-    cfg sets the relative tolerance; a level also hits when its error
-    estimate is at most _ABS_TOL (1e-14) times the L1 mass of the
-    transformed integrand, and a pass that has not converged after level
-    _MAX_LEVEL (12) raises QuadratureConvergenceError.  The endpoint
-    behaviour (the smallest q, and b) is checked before any level runs.
+    A level hits when its error estimate is at most max(_ABS_TOL,
+    cfg.rel_tol) times |value|, the running integral (_stop_rule), and a
+    pass that has not converged after level _MAX_LEVEL (12) raises
+    QuadratureConvergenceError.  The endpoint behaviour (the smallest q,
+    and b) is checked before any level runs.
 
     The kernel is called once per block of levels: first for the 385 nodes
     of levels 0 to _BLOCK_LEVEL as one array, then once for each later
     level.  Each exponent folds the levels of a block into its estimate one
     at a time, over their contiguous slices, and stops at its own level: the
     levels after it are neither summed nor checked for finite values, and
-    later blocks do not evaluate it.  A level's L1 sum is its sum when no
-    value of the block has its sign bit set, and is then not reduced again.
-    An elementwise kernel gives each level the bits it gets when called for
-    that level alone, so each exponent gets the float it gets alone, in any
-    blocks.  Errors are raised as passes of the exponents one after another
-    would raise them: an error of exponent k wins over any of a later one.
+    later blocks do not evaluate it.  An elementwise kernel gives each level
+    the bits it gets when called for that level alone, so each exponent gets
+    the float it gets alone, in any blocks.  Errors are raised as passes of
+    the exponents one after another would raise them: an error of exponent
+    k wins over any of a later one.
     """
     _check_endpoint(min(qs), b)
-    # _ABS_TOL is measured against the L1 mass of the transformed integrand,
-    # not against 1.0: the integrals here can be legitimately tiny (e.g. the
-    # generalized Bayes numerators at w ~ 1e8 have total mass ~ 1e-12) and a
-    # raw absolute floor would accept them long before the peak is resolved.
+    # Both tolerances are relative to the integral, not to 1.0: the integrals
+    # here can be legitimately tiny (e.g. the generalized Bayes numerators at
+    # w ~ 1e8 have total mass ~ 1e-12) and an absolute floor would accept them
+    # long before the peak is resolved.
+    tol = max(_ABS_TOL, cfg.rel_tol)
     n = len(qs)
-    value, scale = [0.0] * n, [0.0] * n
+    value = [0.0] * n
     err, hit = [math.inf] * n, [0] * n
     errors: list[Exception | None] = [None] * n
     running = [True] * n
@@ -307,19 +306,18 @@ def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig)
                 continue
             f = power(block, False, qs[k]) * kern
             vals = (f if log_b is None else f * log_b) * weight
-            signed = np.signbit(vals).any()
             for level, cut in levels:
                 h = _H0 / 2**level
                 try:
-                    s, l1 = _level_sums(vals, lam, cut, signed)
+                    s = _level_sum(vals, lam, cut)
                 except QuadratureError as exc:
                     errors[k], running[k], failed = exc, False, True
                     break
                 if level == 0:
-                    value[k], scale[k] = h * s, h * l1
+                    value[k] = h * s
                     continue
-                value[k], scale[k], err[k] = _refine(value[k], scale[k], h, s, l1)
-                hit[k], done = _stop_rule(err[k], value[k], scale[k], hit[k], cfg)
+                value[k], err[k] = _refine(value[k], h, s)
+                hit[k], done = _stop_rule(err[k], value[k], hit[k], tol)
                 if done:
                     running[k] = False
                     break
@@ -356,11 +354,10 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
     axis.  Checks the endpoint and raises errors as tanh_sinh_unit does.
     """
     _check_endpoint(min(qs), b)
+    tol = max(_ABS_TOL, cfg.rel_tol)
     h = _H0
     active = np.ones((len(qs), x.size), dtype=bool)
-    s, l1 = _batch_level_sums(x, qs, b, kernel, 0, np.arange(x.size), active)
-    value = h * s
-    scale = h * l1
+    value = h * _batch_level_sums(x, qs, b, kernel, 0, np.arange(x.size), active)
     err = np.full_like(value, math.inf)
     hit = np.zeros(value.shape, dtype=int)
     for level in range(1, _MAX_LEVEL + 1):
@@ -369,10 +366,10 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
             break
         h *= 0.5
         live = active[:, rows]
-        s, l1 = _batch_level_sums(x, qs, b, kernel, level, rows, live)
-        v, sc, e = _refine(value[:, rows], scale[:, rows], h, s, l1)
-        new_hit, done = _stop_rule(e, v, sc, hit[:, rows], cfg)
-        for state, update in zip((value, scale, err, hit), (v, sc, e, new_hit)):
+        s = _batch_level_sums(x, qs, b, kernel, level, rows, live)
+        v, e = _refine(value[:, rows], h, s)
+        new_hit, done = _stop_rule(e, v, hit[:, rows], tol)
+        for state, update in zip((value, err, hit), (v, e, new_hit)):
             state[:, rows] = np.where(live, update, state[:, rows])
         active[:, rows] = live & ~done
     if active.any():
@@ -382,20 +379,17 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
 
 
 def _batch_level_sums(x, qs, b, kernel, level, rows, live):
-    """Node sums and L1 sums, shape (len(qs), len(rows)), of one batched level.
+    """Node sums, shape (len(qs), len(rows)), of one batched level.
 
     lambda**q and (log 1/lambda)**b are computed once per level, and the
     kernel once per slice of rows.  A slice holds all exponents as one
     array (len(qs), rows, nodes), built with the elementwise operations of
-    a point pass and reduced along its last axis in one call; as in
-    _level_sums, a slice with no value whose sign bit is set takes its sums
-    as its L1 sums and is reduced once.
+    a point pass and reduced along its last axis in one call.
     """
     lam, weight, log_l = _nodes(level)
     lam_qs = np.array([lam**q for q in qs])[:, None, :]
     log_b = log_l**b if b != 0.0 else None
     s = np.empty(live.shape)
-    l1 = np.empty(live.shape)
     step = max(1, _BATCH_ELEMENTS // lam.size)
     for start in range(0, rows.size, step):
         cut = slice(start, start + step)
@@ -404,15 +398,13 @@ def _batch_level_sums(x, qs, b, kernel, level, rows, live):
             vals *= log_b
         vals *= weight
         s[:, cut] = np.add.reduce(vals, axis=2)
-        signed = np.signbit(vals).any()
-        l1[:, cut] = np.add.reduce(np.abs(vals), axis=2) if signed else s[:, cut]
-        if not np.isfinite(l1[:, cut]).all():  # as _level_sums, per exponent and row
+        if not np.isfinite(s[:, cut]).all():  # as _level_sum, per exponent and row
             bad = ~np.isfinite(vals).all(axis=2) & live[:, cut]
             if bad.any():
                 k, row = np.argwhere(bad)[0]
                 near = float(lam[~np.isfinite(vals[k, row])][0])
                 raise QuadratureError(f"integrand non-finite near lambda={near!r}")
-    return s, l1
+    return s
 
 
 def log_recip(lam: np.ndarray, lam_c: np.ndarray) -> np.ndarray:

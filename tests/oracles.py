@@ -18,6 +18,7 @@ from scipy.special import gammainc, gammaln
 
 from sure_boundary.core import _as_w_array, _eval_pair, constants
 from sure_boundary.quadrature import (
+    _ABS_TOL,
     _H0,
     _MAX_LEVEL,
     QuadratureError,
@@ -71,8 +72,9 @@ def marginal_m_closed_one(z_norm, a, p):
 def tanh_sinh_per_level(x, qs, b, kernel, cfg):
     """tanh_sinh_unit with one call of the kernel per level."""
     _check_endpoint(min(qs), b)
+    tol = max(_ABS_TOL, cfg.rel_tol)
     n = len(qs)
-    value, scale = [0.0] * n, [0.0] * n
+    value = [0.0] * n
     err, hit = [math.inf] * n, [0] * n
     errors = [None] * n
     running = [True] * n
@@ -86,7 +88,6 @@ def tanh_sinh_per_level(x, qs, b, kernel, cfg):
                 continue
             f = lam ** qs[k] * kern
             vals = (f if b == 0.0 else f * log_l**b) * weight
-            l1 = float(np.add.reduce(np.abs(vals)))
             if not np.isfinite(vals).all():
                 errors[k], running[k], failed = QuadratureError(
                     f"integrand non-finite near lambda={float(lam[~np.isfinite(vals)][0])!r}"
@@ -94,10 +95,10 @@ def tanh_sinh_per_level(x, qs, b, kernel, cfg):
                 continue
             s = float(np.add.reduce(vals))
             if level == 0:
-                value[k], scale[k] = h * s, h * l1
+                value[k] = h * s
                 continue
-            value[k], scale[k], err[k] = _refine(value[k], scale[k], h, s, l1)
-            hit[k], done = _stop_rule(err[k], value[k], scale[k], hit[k], cfg)
+            value[k], err[k] = _refine(value[k], h, s)
+            hit[k], done = _stop_rule(err[k], value[k], hit[k], tol)
             running[k] = not done
         if failed:
             _raise_first(errors, running)

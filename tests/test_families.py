@@ -159,8 +159,10 @@ class TestNonnegativity:
                     phi = make_shrinkage(BoundaryPhi(b=b), dims)
                     floor = boundary_floor(BoundaryPhi(b=b), dims)
                     assert phi.eval(0.0) == phi.eval(floor) == 0.0
-        # the crossing cap: floor never exceeds e^2
-        assert boundary_floor(BoundaryPhi(b=10.0), DIMS) == pytest.approx(math.e**2)
+        # the crossing cap: floor never exceeds e^2, also where the crossing
+        # itself would overflow
+        for b in (10.0, 1e3, 1e308):
+            assert boundary_floor(BoundaryPhi(b=b), DIMS) == math.exp(2.0)
 
 
 class TestGBUnknown:

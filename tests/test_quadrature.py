@@ -112,6 +112,25 @@ def test_sharply_peaked_integrand_resolved():
     assert abs(ours - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize(
+    "kernel, xs",
+    [
+        *((families._gb_kernel(m), (0.0, 5e-324, 1.0, 1e13, 1e300))
+          for m in (4.0, 6.5, 7.5, 151.0)),
+        (kv._exp_kernel, (0.0, 5e-324, 1e300, math.inf)),
+    ],
+    ids=["gb-m4", "gb-m6.5", "gb-m7.5", "gb-m151", "exp"],
+)
+def test_library_integrands_set_no_sign_bit(kernel, xs):
+    # the stopping rule takes |value| as the integrand's L1 mass, which it is
+    # while no node, weight, log(1/lambda) or kernel value is negative or -0
+    for level in range(_MAX_LEVEL + 1):
+        nodes = _nodes(level)
+        assert not any(np.signbit(a).any() for a in nodes)
+        for x in xs:
+            assert not np.signbit(kernel(x, nodes[0])).any()
+
+
 def test_halving_rel_tol_self_consistency():
     loose = point(np.ones_like, q=-0.4, b=1.5, cfg=QuadratureConfig(rel_tol=1e-6))
     tight = point(np.ones_like, q=-0.4, b=1.5, cfg=QuadratureConfig(rel_tol=5e-7))
@@ -239,14 +258,12 @@ class TestBatch:
     def _hex(rows):
         return [[float(v).hex() for v in row] for row in rows]
 
-    def test_signed_slices_of_three_exponents(self):
-        # a kernel that changes sign, whose L1 sums are not its sums; its
-        # integral at q = 0 is 0, so the stopping rule rests on them there
+    def test_slices_of_three_exponents(self):
         qs, b = (1.5, 0.0, -0.5), 0.0
         per_level = {}  # rows of each kernel call, by the level's node count
 
         def kernel(x, lam):
-            return np.cos(2.0 * np.pi * lam) * np.log1p(x)
+            return (1.0 + np.cos(2.0 * np.pi * lam)) * np.log1p(x)
 
         def counted(x, lam):
             per_level.setdefault(lam.size, []).append(len(x))
@@ -636,8 +653,8 @@ class TestBlocks:
         assert np.array_equal(calls[0], first)
         assert all(lam is _nodes(lv)[0] for lv, lam in enumerate(calls[1:], _BLOCK_LEVEL + 1))
 
-    # the power-log kernels, one that changes sign, whose L1 sums are not its
-    # sums, and a step that no pass resolves, which runs through every level
+    # the power-log kernels, one that changes sign, and a step that no pass
+    # resolves, which runs through every level
     ALL_KERNELS = {
         **KERNELS,
         "signed": lambda x, lam: np.cos(4.0 * np.log1p(x * lam)) - 0.25,
@@ -662,11 +679,17 @@ class TestBlocks:
 
     @pytest.mark.parametrize("g", [lambda lam: np.cos(2.0 * np.pi * lam), lambda lam: lam - 0.5])
     def test_signed_integrand_with_zero_integral(self, g):
-        # the stopping rule then rests on the L1 sums, which are not the sums
+        # the tolerance is relative to the running integral, which tends to 0,
+        # so both passes run out of levels, with the same estimates
         def run(pass_):
             return _outcome(lambda: pass_(0.0, (0.0,), 0.0, lambda x, lam: g(lam), DEFAULT_CONFIG))
 
-        assert run(tanh_sinh_unit) == run(tanh_sinh_per_level)
+        def grid(x, qs, b, kernel, cfg):
+            return _tanh_sinh_batch(np.array([x]), qs, b, kernel, cfg)[:, 0].tolist()
+
+        point = run(tanh_sinh_unit)
+        assert point[0] == "budget"
+        assert point == run(grid) == run(tanh_sinh_per_level)
 
     @settings(max_examples=60, deadline=None)
     @given(
