@@ -200,9 +200,9 @@ def thread_cap_from_env() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(message) from None
+        raise InputError(message) from None
     if cap < 1:
-        raise ValueError(message)
+        raise InputError(message)
     return cap
 
 

@@ -23,30 +23,28 @@ power_log_integrals is the one primitive for the generalized-Bayes and known-
 variance integrals, int_0^1 lambda**q (log 1/lambda)**b K(x, lambda).  Its
 two passes take the same arguments (x, qs, b, kernel, cfg) and build that
 integrand themselves: tanh_sinh_unit at a single point, _tanh_sinh_batch over
-a grid.  Each call of the kernel serves all exponents.  A point pass calls it
-once for levels 0 to 4 (385 nodes) and once for each later level, and a grid
-pass once per level and slice of rows.  log(1/lambda) is computed once per
-level and kept with the nodes.  A point's lambda**q and (log 1/lambda)**b
-depend only on the block of levels and the exponent, so they are kept too
-(_kept_power), and the passes of many points share them.  The integrals of
-single points are kept as well, the last _POINTS_KEPT of them, so the
-two-route identities, which integrate the same denominator at the same
-point, run each integral once; grids are not kept.
+a grid.  Each call of the kernel serves all exponents.  A point pass runs
+its exponents one after another and calls the kernel once per block of
+levels reached: levels 0 to 4 (385 nodes), then each later level alone.  A
+grid pass calls it once per level and slice of rows, holds the slice for all
+exponents in one array and reduces it in one call.  log(1/lambda) is
+computed once per level and kept with the nodes.  A point's lambda**q and
+(log 1/lambda)**b depend only on the block and the exponent, so they are
+kept too (_kept_power), and the passes of many points share them.  The
+integrals of single points are kept as well, the last _POINTS_KEPT of them,
+so the two-route identities, which integrate the same denominator at the
+same point, run each integral once; grids are not kept.
 
 The two passes share their levels, stopping rule and endpoint check but stay
-two loops on purpose, because each is the faster one for its own use and
-neither can replace the other; both give the same bits.  The stopping rule
-needs only the running integral: a level is reduced once, in a point pass
-and in each slice of a grid pass, which holds the slice for all exponents
-in one array and reduces it in one call.  A point run as a one-row batch is
-5 to 7 times slower, because the batch's per-level calls and bookkeeping
-outweigh one point (two exponents of the unknown-scale kernel at w in {0.7,
-30, 1e4}, medians of 15: 61-143 against 432-792 us).  A 508-node gb table
-run as point passes is about 4 times slower than one batched pass, which
-pays those calls once per level and slice for all rows and exponents ((a,
-b, p, n) in {(-2, 2, 5, 6), (-2, 0.5, 3, 3), (-1, 1.3, 12, 19), (-3, 1,
-20, 20)}, medians of 7: 56-89 against 13-22 ms).  Both measured on a shared
-2-core x86-64 Xeon.
+two loops on purpose, because each is the faster one for its own use; both
+give the same values.  A point run as a one-row batch is 5 to 7 times
+slower, because the batch's per-level calls and bookkeeping outweigh one
+point (two exponents of the unknown-scale kernel at w in {0.7, 30, 1e4},
+medians of 15: 61-143 against 432-792 us).  A 508-node gb table run as point
+passes is about 4 times slower than one batched pass, which pays those calls
+once per level and slice for all rows and exponents ((a, b, p, n) in {(-2,
+2, 5, 6), (-2, 0.5, 3, 3), (-1, 1.3, 12, 19), (-3, 1, 20, 20)}, medians of
+7: 56-89 against 13-22 ms).  Both measured on a shared 2-core x86-64 Xeon.
 """
 
 from __future__ import annotations
@@ -268,21 +266,22 @@ def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig)
     """power_log_integrals at a scalar x: the list of len(qs) floats, in one pass.
 
     A level hits when its error estimate is at most max(_ABS_TOL,
-    cfg.rel_tol) times |value|, the running integral (_stop_rule), and a
-    pass that has not converged after level _MAX_LEVEL (12) raises
+    cfg.rel_tol) times |value|, the running integral (_stop_rule), and an
+    exponent that has not converged after level _MAX_LEVEL (12) raises
     QuadratureConvergenceError.  The endpoint behaviour (the smallest q,
     and b) is checked before any level runs.
 
-    The kernel is called once per block of levels: first for the 385 nodes
-    of levels 0 to _BLOCK_LEVEL as one array, then once for each later
-    level.  Each exponent folds the levels of a block into its estimate one
-    at a time, over their contiguous slices, and stops at its own level: the
-    levels after it are neither summed nor checked for finite values, and
-    later blocks do not evaluate it.  An elementwise kernel gives each level
-    the bits it gets when called for that level alone, so each exponent gets
-    the float it gets alone, in any blocks.  Errors are raised as passes of
-    the exponents one after another would raise them: an error of exponent
-    k wins over any of a later one.
+    The exponents run one after another, each as a pass of its own that
+    raises its error at once, over blocks of levels: the 385 nodes of
+    levels 0 to _BLOCK_LEVEL as one array, then each later level alone.
+    The kernel values of a block, and its (log 1/lambda)**b, are computed
+    when the first exponent reaches it and shared by the later ones, so the
+    kernel is called once per block reached.  An exponent folds the levels
+    of a block into its estimate one at a time, over their contiguous
+    slices, and stops at its own level: the levels after it are neither
+    summed nor checked for finite values.  An elementwise kernel gives each
+    level the bits it gets when called for that level alone, so each
+    exponent gets the float it gets alone.
     """
     _check_endpoint(min(qs), b)
     # Both tolerances are relative to the integral, not to 1.0: the integrals
@@ -290,57 +289,31 @@ def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig)
     # w ~ 1e8 have total mass ~ 1e-12) and an absolute floor would accept them
     # long before the peak is resolved.
     tol = max(_ABS_TOL, cfg.rel_tol)
-    n = len(qs)
-    value = [0.0] * n
-    err, hit = [math.inf] * n, [0] * n
-    errors: list[Exception | None] = [None] * n
-    running = [True] * n
-    failed = False
-    for block in range(_BLOCK_LEVEL, _MAX_LEVEL + 1):
-        lam, weight, _, levels = _block(block)
-        kern = kernel(x, lam)
-        power = _kept_power if block <= _KEPT_LEVEL else _power
-        log_b = None if b == 0.0 else power(block, True, b)
-        for k in range(n):
-            if not running[k]:
-                continue
-            f = power(block, False, qs[k]) * kern
+    shared = {}  # block -> (kernel values, (log 1/lambda)**b or None)
+
+    def integral(q: float) -> float:
+        value, err, hit = 0.0, math.inf, 0
+        for block in range(_BLOCK_LEVEL, _MAX_LEVEL + 1):
+            lam, weight, _, levels = _block(block)
+            power = _kept_power if block <= _KEPT_LEVEL else _power
+            if block not in shared:
+                shared[block] = kernel(x, lam), None if b == 0.0 else power(block, True, b)
+            kern, log_b = shared[block]
+            f = power(block, False, q) * kern
             vals = (f if log_b is None else f * log_b) * weight
             for level, cut in levels:
                 h = _H0 / 2**level
-                try:
-                    s = _level_sum(vals, lam, cut)
-                except QuadratureError as exc:
-                    errors[k], running[k], failed = exc, False, True
-                    break
+                s = _level_sum(vals, lam, cut)
                 if level == 0:
-                    value[k] = h * s
+                    value = h * s
                     continue
-                value[k], err[k] = _refine(value[k], h, s)
-                hit[k], done = _stop_rule(err[k], value[k], hit[k], tol)
+                value, err = _refine(value, h, s)
+                hit, done = _stop_rule(err, value, hit, tol)
                 if done:
-                    running[k] = False
-                    break
-        if failed:
-            _raise_first(errors, running)
-        if not any(running):
-            return value
-    for k in range(n):
-        if running[k]:
-            errors[k], running[k] = _not_converged(value[k], err[k]), False
-    _raise_first(errors, running)
+                    return value
+        raise _not_converged(value, err)
 
-
-def _raise_first(errors, running) -> None:
-    """Raise the error of exponent k once no exponent before k still runs.
-
-    Run one after another, those exponents would all have finished first.
-    """
-    for exc, still in zip(errors, running):
-        if exc is not None:
-            raise exc
-        if still:
-            return
+    return [integral(q) for q in qs]
 
 
 def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndarray:
@@ -351,7 +324,12 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
     converges; rows whose integrands have all converged are no longer
     evaluated.  A level is evaluated in slices of at most _BATCH_ELEMENTS
     values per exponent, and each row is summed along the contiguous last
-    axis.  Checks the endpoint and raises errors as tanh_sinh_unit does.
+    axis.  Checks the endpoint as tanh_sinh_unit does, but raises the first
+    error by level, not by exponent: a non-finite value at the earliest
+    level where one occurs, in the first slice of rows there, of the first
+    exponent, at its first row; once all levels have run, the first row
+    that has not converged, at its first such exponent.  So where several
+    exponents fail, a later exponent's error can win.
     """
     _check_endpoint(min(qs), b)
     tol = max(_ABS_TOL, cfg.rel_tol)

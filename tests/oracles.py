@@ -7,8 +7,8 @@
 * ``marginal_m_closed_one``: the known-variance marginal m(z; a, One) in
   closed form, through the lower incomplete gamma function.
 * ``tanh_sinh_per_level``: the point tanh-sinh pass that calls its kernel
-  once per level, which ``quadrature.tanh_sinh_unit`` must match bit for
-  bit, errors included.
+  once per level, one exponent after another, which
+  ``quadrature.tanh_sinh_unit`` must match bit for bit, errors included.
 """
 
 import math
@@ -25,7 +25,6 @@ from sure_boundary.quadrature import (
     _check_endpoint,
     _nodes,
     _not_converged,
-    _raise_first,
     _refine,
     _stop_rule,
 )
@@ -70,41 +69,32 @@ def marginal_m_closed_one(z_norm, a, p):
 
 
 def tanh_sinh_per_level(x, qs, b, kernel, cfg):
-    """tanh_sinh_unit with one call of the kernel per level."""
+    """tanh_sinh_unit with one call of the kernel per level: the exponents run
+    one after another and share each level's kernel values."""
     _check_endpoint(min(qs), b)
     tol = max(_ABS_TOL, cfg.rel_tol)
-    n = len(qs)
-    value = [0.0] * n
-    err, hit = [math.inf] * n, [0] * n
-    errors = [None] * n
-    running = [True] * n
-    failed = False
-    for level in range(_MAX_LEVEL + 1):
-        h = _H0 / 2**level
-        lam, weight, log_l = _nodes(level)
-        kern = kernel(x, lam)
-        for k in range(n):
-            if not running[k]:
-                continue
-            f = lam ** qs[k] * kern
+    kern = {}  # level -> kernel values
+
+    def integral(q):
+        value, err, hit = 0.0, math.inf, 0
+        for level in range(_MAX_LEVEL + 1):
+            h = _H0 / 2**level
+            lam, weight, log_l = _nodes(level)
+            if level not in kern:
+                kern[level] = kernel(x, lam)
+            f = lam**q * kern[level]
             vals = (f if b == 0.0 else f * log_l**b) * weight
             if not np.isfinite(vals).all():
-                errors[k], running[k], failed = QuadratureError(
-                    f"integrand non-finite near lambda={float(lam[~np.isfinite(vals)][0])!r}"
-                ), False, True
-                continue
+                near = float(lam[~np.isfinite(vals)][0])
+                raise QuadratureError(f"integrand non-finite near lambda={near!r}")
             s = float(np.add.reduce(vals))
             if level == 0:
-                value[k] = h * s
+                value = h * s
                 continue
-            value[k], err[k] = _refine(value[k], h, s)
-            hit[k], done = _stop_rule(err[k], value[k], hit[k], tol)
-            running[k] = not done
-        if failed:
-            _raise_first(errors, running)
-        if not any(running):
-            return value
-    for k in range(n):
-        if running[k]:
-            errors[k], running[k] = _not_converged(value[k], err[k]), False
-    _raise_first(errors, running)
+            value, err = _refine(value, h, s)
+            hit, done = _stop_rule(err, value, hit, tol)
+            if done:
+                return value
+        raise _not_converged(value, err)
+
+    return [integral(q) for q in qs]

@@ -13,8 +13,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from sure_boundary import __version__
 from sure_boundary.boundary import GRID_POINTS_DEFAULT, default_w_grid
-from sure_boundary.cli import build_parser, main
+from sure_boundary.cli import build_parser, entrypoint, main
 from sure_boundary.montecarlo import THREADS_ENV_VAR
 
 D56 = ["--p", "5", "--n", "6"]
@@ -290,6 +291,33 @@ class TestContractTable:
         assert len(set(CONTRACT_IDS)) == len(CONTRACT_IDS)
 
 
+class TestEntryPoints:
+    """`python -m sure_boundary` and the console script's `cli.entrypoint`."""
+
+    @staticmethod
+    def run_module(*args):
+        return subprocess.run([sys.executable, "-m", "sure_boundary", *args],
+                              capture_output=True, text=True)
+
+    def test_module_prints_version(self):
+        proc = self.run_module("--version")
+        assert proc.returncode == 0
+        assert proc.stdout == f"{__version__}\n"
+
+    def test_module_usage_error_is_64(self):
+        assert self.run_module("classify", "--p", "5").returncode == 64
+
+    def test_entrypoint_exits_with_the_code_of_main(self, capsys, monkeypatch):
+        argv = ["classify", *D56, "--phi", "boundary:b=1.0"]
+        code = main(argv)
+        report = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["sure-boundary", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == code == 2
+        assert capsys.readouterr().out == report
+
+
 class TestExitCodes:
     def test_usage_error_is_64(self):
         proc = subprocess.run(
@@ -298,6 +326,15 @@ class TestExitCodes:
             text=True,
         )
         assert proc.returncode == 64
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_malformed_thread_cap_is_64(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(THREADS_ENV_VAR, raw)
+        code = main(["simulate", *D56, "--phi", "zero", "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == (f"sure-boundary: error: {THREADS_ENV_VAR} must be an "
+                                f"integer >= 1, got {raw!r}\n")
 
     def test_runtime_error_is_1(self, capsys):
         code, _ = run_cli(

@@ -382,17 +382,25 @@ class TestSharedPass:
 
     def test_stopped_integrand_is_not_evaluated(self, monkeypatch):
         # at w = 1e8, q = 10 stops inside the first block (levels 0 to 4) and
-        # q = 0.5 goes on, one level per block
+        # q = 0.5 goes on, one level per block; the kernel sees each block up
+        # to the later stop once, in order
         qs = (10.0, 0.5)
         alone = [tanh_sinh_unit(1e8, (q,), 0.0, _peak, DEFAULT_CONFIG)[0] for q in qs]
         blocks, power = {q: [] for q in qs}, quadrature._power
         monkeypatch.setattr(quadrature, "_power",
                             lambda block, log, q: blocks[q].append(block) or power(block, log, q))
         _kept_power.cache_clear()  # so that each lambda**q is computed, once per block
-        assert tanh_sinh_unit(1e8, qs, 0.0, _peak, DEFAULT_CONFIG) == alone
+        calls = []
+
+        def kernel(w, lam):
+            calls.append(lam)
+            return _peak(w, lam)
+
+        assert tanh_sinh_unit(1e8, qs, 0.0, kernel, DEFAULT_CONFIG) == alone
         assert blocks[10.0] == [_BLOCK_LEVEL]
         assert blocks[0.5] == list(range(_BLOCK_LEVEL, _BLOCK_LEVEL + len(blocks[0.5])))
         assert len(blocks[0.5]) > 1
+        assert all(lam is _block(block)[0] for block, lam in zip(blocks[0.5], calls, strict=True))
 
     def test_earlier_exponent_error_wins(self):
         # the step runs q = 0.5 out of levels; a kernel value of 1e300 at the
@@ -407,9 +415,14 @@ class TestSharedPass:
                 tanh_sinh_unit(0.0, (0.5, -0.5), 0.0, kernel, DEFAULT_CONFIG)
             with pytest.raises(QuadratureError) as first_bad:
                 tanh_sinh_unit(0.0, (-0.5, 0.5), 0.0, kernel, DEFAULT_CONFIG)
+            # a grid raises by level: the overflow at level 0 wins
+            with pytest.raises(QuadratureError) as grid:
+                _tanh_sinh_batch(np.array([0.0]), (0.5, -0.5), 0.0, kernel, DEFAULT_CONFIG)
         assert shared.value.best_estimate == alone.value.best_estimate
         assert shared.value.error_estimate == alone.value.error_estimate
         assert type(first_bad.value) is QuadratureError
+        assert type(grid.value) is QuadratureError
+        assert str(grid.value) == str(first_bad.value)
 
     def test_cached_log_is_log_recip(self):
         for level in range(_MAX_LEVEL + 1):
