@@ -6,6 +6,9 @@ with report_oracles.pinned (written at the default thread cap of 1):
 - exact_routes: the gb table, gb, saigo4 and derivative routes and the
   known-variance routes and checks over fixed grids of (p, n), a, b, w, z
   and two rel_tol; an error is recorded as its type and message.
+- gb_interpolant: the compiled gb member of each (p, n), a and b of
+  exact_routes, at the default rel_tol: a hash of phi.eval and phi.deriv at
+  every table node, every node midpoint, 0, 1e-12 and 1e14.
 - mc_reports: estimate_risk and domination_mc reports over fixed (p, n),
   reps, models and threads 1, 2 and 4, plus a hash of sample_all's bytes;
   a SimConfig that rejects its reps is recorded as its error.
@@ -22,6 +25,7 @@ of two such directories shows the moved lines.
 
 import argparse
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -66,7 +70,7 @@ def outcome(f, *args):
         out = f(*args)
     except Exception as exc:  # the message is part of the oracle
         return f"{type(exc).__name__}: {exc}"
-    if isinstance(out, tuple):  # the gb table: (log-w grid, values)
+    if isinstance(out, tuple):  # a gb table (log-w grid, values), or (phi, phi') at w
         return hashlib.sha256(out[0].tobytes() + out[1].tobytes()).hexdigest()
     return repr(out)
 
@@ -113,6 +117,22 @@ def exact_routes():
     yield f"custom v {outcome(kv._psi_tail, 1.5, 5, np.geomspace(1.5, 1e9, 11), DEFAULT_CONFIG)}"
 
 
+def _compiled_gb(a, b, dims, w):
+    phi = make_shrinkage(GBUnknown(a=a, b=b), dims)
+    return phi.eval(w), phi.deriv(w)
+
+
+def gb_interpolant():
+    x = np.arange(families._GB_LOG_LO, families._GB_LOG_HI + families._GB_STEP / 2,
+                  families._GB_STEP)
+    logs = [*x, *(0.5 * (x[:-1] + x[1:]))]
+    w = np.array([0.0, 1e-12, *(math.exp(xi) for xi in logs), 1e14])
+    for p, n in DIMS:
+        for a in A:
+            for b in B:
+                yield f"p={p} n={n} a={a} b={b} {outcome(_compiled_gb, a, b, ProblemDims(p, n), w)}"
+
+
 def mc_reports():
     for p, n in MC_DIMS:
         dims = ProblemDims(p, n)
@@ -147,6 +167,7 @@ def mc_reports():
 def oracles():
     """(name, text) of each oracle, in the order of the pinned file."""
     yield "exact_routes", "\n".join(exact_routes()) + "\n"
+    yield "gb_interpolant", "\n".join(gb_interpolant()) + "\n"
     yield "mc_reports", "\n".join(mc_reports()) + "\n"
     for p, n in MATRIX_DIMS:
         yield f"classification_matrix_p{p}_n{n}", canonical_json(verdicts(ProblemDims(p, n)))
