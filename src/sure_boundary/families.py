@@ -43,20 +43,21 @@ is part of the test suite.
 ``make_shrinkage`` compiles a spec into a vectorized ShrinkageFunction whose
 eval and deriv are ndarray bodies lifted by core.elementwise.  The
 generalized Bayes member is tabulated once on a dense log-spaced grid and
-interpolated with a not-a-knot cubic spline in log w (linear below the grid,
+interpolated with a cubic Hermite spline in log w (linear below the grid,
 constant above), which keeps Monte Carlo evaluation cheap; the spline and its
 exact derivative are used consistently so SURE identities hold for the
-compiled function itself.  The spline is the module's own, so families
+compiled function itself.  Its node slopes come from seven-node finite
+differences of the table, so the fit needs no linear solve and families
 imports no scipy; its coefficients and values equal those of
-scipy.interpolate.CubicSpline bit for bit, which the tests check against
-CubicSpline itself.  Every integral above is quadrature.power_log_integrals
-with kernel (1 + w lambda)^-m, one kernel object per m (_gb_kernel), so at one
-w the integrals that phi, phi' and the a = -2 identity share (N, D, and D
-again as the identity's denominator) come from the point memo after their
-first pass; N(w) and D(w) at all 508 grid nodes run in one batched pass,
-bit-identical to phi_gb_unknown at every node.  When D(w) underflows to 0
-(large p + n near the top of the grid) both routes raise EvaluationError;
-so do the defining routes where N(w) does.
+scipy.interpolate.CubicHermiteSpline with the same slopes bit for bit, which
+the tests check against CubicHermiteSpline itself.  Every integral above is
+quadrature.power_log_integrals with kernel (1 + w lambda)^-m, one kernel
+object per m (_gb_kernel), so at one w the integrals that phi, phi' and the
+a = -2 identity share (N, D, and D again as the identity's denominator) come
+from the point memo after their first pass; N(w) and D(w) at all 508 grid
+nodes run in one batched pass, bit-identical to phi_gb_unknown at every
+node.  When D(w) underflows to 0 (large p + n near the top of the grid) both
+routes raise EvaluationError; so do the defining routes where N(w) does.
 """
 
 from __future__ import annotations
@@ -369,62 +370,36 @@ def _gb_grid_values(
     return x, w * num / den
 
 
-def _tridiagonal_solve(dl, d, du, b) -> np.ndarray:
-    """x with A x = b, A tridiagonal with sub-, main and superdiagonal dl, d, du.
-
-    Gaussian elimination with partial pivoting, then back substitution, in
-    the operation order of LAPACK dgtsv for one right-hand side: rows i and
-    i+1 swap when |dl[i]| > |d[i]|, dl[i] then holds the swap's fill-in on
-    the second superdiagonal, and is 0 where no swap occurs.  The result
-    equals scipy.linalg.solve_banded((1, 1), ...), which calls dgtsv, bit for
-    bit.
-    """
-    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    b[n - 1] = b[n - 1] / d[n - 1]
-    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return np.array(b)
+# dy/dx at nodes 0, 1 and 2 of seven and at the middle one, times 60 _GB_STEP:
+# sixth-order differences, exact up to degree 6 (Fornberg, Math. Comp. 51, 1988)
+_SLOPE_WEIGHTS = np.array([
+    [-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0],
+    [-10.0, -77.0, 150.0, -100.0, 50.0, -15.0, 2.0],
+    [2.0, -24.0, -35.0, 80.0, -30.0, 8.0, -1.0],
+    [-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0],
+])
 
 
-def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients (4, len(x) - 1) of the not-a-knot cubic spline through (x, y).
+def _node_slopes(y: np.ndarray) -> np.ndarray:
+    """dy/dx at the nodes of the gb grid: central differences, but one-sided
+    ones at the 3 nodes of each end, mirrored with a sign flip at the top.
+    The sums run in a fixed order, not through BLAS, so the bits do not
+    depend on the host."""
+    ends, central = _SLOPE_WEIGHTS[:3], _SLOPE_WEIGHTS[3]
+    lo = hi = mid = 0.0
+    for k in range(7):
+        lo = lo + ends[:, k] * y[k]
+        hi = hi - ends[:, k] * y[-1 - k]
+        mid = mid + central[k] * y[k : len(y) - 6 + k]
+    return np.concatenate((lo, mid, hi[::-1])) / (60 * _GB_STEP)
 
-    Row k multiplies (x - x[i])**(3 - k) on [x[i], x[i+1]].  The node slopes
-    solve the tridiagonal system whose interior rows ask for a continuous
-    second derivative and whose end rows ask for a continuous third
-    derivative at x[1] and x[-2] (de Boor, A Practical Guide to Splines,
-    1978); the Hermite form on each interval follows.  Every expression is
-    the one scipy.interpolate.CubicSpline(x, y) evaluates, so the
-    coefficients equal its ``c`` bit for bit; len(x) >= 4.
-    """
-    n = len(x)
+
+def _hermite(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Coefficients (4, len(x) - 1) of the cubic through (x, y) with slopes s;
+    row k multiplies (x - x[i])**(3 - k) on [x[i], x[i+1]].  The expressions
+    are scipy's CubicHermiteSpline(x, y, s), so they equal its ``c`` bit for bit."""
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    dl, d, du, rhs = np.empty(n - 1), np.empty(n), np.empty(n - 1), np.empty(n)
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    du[1:] = dx[:-1]
-    dl[:-1] = dx[1:]
-    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d[0], du[0] = dx[1], x[2] - x[0]
-    rhs[0] = ((dx[0] + 2 * du[0]) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / du[0]
-    d[-1], dl[-1] = dx[-2], x[-1] - x[-3]
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * dl[-1] + dx[-1]) * dx[-2] * slope[-1]) / dl[-1]
-    s = _tridiagonal_solve(dl, d, du, rhs)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
@@ -435,7 +410,7 @@ def _gb_spline(c: np.ndarray, nodes: np.ndarray, x):
     Each x falls in [nodes[i], nodes[i+1]), the top node in the last
     interval, and nan gives nan.  The sum runs as scipy's PPoly runs it,
     0.0 + c[-1], then rising powers of s = x - nodes[i], so a spline from
-    _not_a_knot evaluates as CubicSpline does, bit for bit.
+    _hermite evaluates as CubicHermiteSpline does, bit for bit.
     """
     last = len(nodes) - 2
     # the step locates x to within one interval; fmin/fmax send nan to a
@@ -458,7 +433,7 @@ _GB_TABLES_KEPT = 64
 @lru_cache(maxsize=_GB_TABLES_KEPT)
 def _gb_table(a: float, b: float, p: int, n: int, cfg: QuadratureConfig):
     x, vals = _gb_grid_values(a, b, ProblemDims(p, n), cfg)
-    c = _not_a_knot(x, vals)
+    c = _hermite(x, vals, _node_slopes(vals))
     dc = np.array([3.0, 2.0, 1.0])[:, None] * c[:-1]
     return x, c, dc, float(vals[0]), float(vals[-1])
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sure_boundary import families
-from sure_boundary.core import EvaluationError, ProblemDims, constants
+from sure_boundary.core import EvaluationError, InputError, ProblemDims, constants
 from sure_boundary.families import (
     BoundaryPhi,
     GBUnknown,
@@ -336,15 +336,16 @@ class TestGBTable:
 
 
 def _reference_gb(a, b, dims):
-    """eval and deriv of a gb member built on scipy's CubicSpline.
+    """eval and deriv of a gb member built on scipy's CubicHermiteSpline.
 
     The reference the compiled member must equal bit for bit: linear below
-    the table, the not-a-knot spline in log w on it, constant above.
+    the table, the Hermite cubic in log w on it, through the table values
+    with the slopes of families._node_slopes, constant above.
     """
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import CubicHermiteSpline
 
     x, vals = families._gb_grid_values(a, b, dims, QuadratureConfig())
-    spline = CubicSpline(x, vals)
+    spline = CubicHermiteSpline(x, vals, families._node_slopes(vals))
     dspline = spline.derivative()
     x_lo, x_hi = x[0], x[-1]
     w_lo = math.exp(x_lo)
@@ -367,7 +368,7 @@ def _reference_gb(a, b, dims):
 
 
 class TestGBSpline:
-    """The compiled gb member equals the CubicSpline reference bit for bit."""
+    """The compiled gb member equals the CubicHermiteSpline reference bit for bit."""
 
     @pytest.mark.parametrize(
         "a,b,p,n",
@@ -415,29 +416,49 @@ class TestGBSpline:
             out, caught = _with_warnings(got, math.nan)
             assert caught == [] and isinstance(out, float) and math.isnan(out)
 
-    def test_tridiagonal_solve_equals_solve_banded(self):
-        # the gb grid never pivots; these systems swap rows in about half
-        # the steps, the last one included
-        from scipy.linalg import solve_banded
+    def test_node_slopes_exact_for_polynomials(self):
+        x = np.arange(families._GB_LOG_LO, families._GB_LOG_HI + families._GB_STEP / 2,
+                      families._GB_STEP)
+        rng = np.random.default_rng(6)
+        for nodes in (x, x[:14]):
+            half = 0.5 * (nodes[-1] - nodes[0])
+            u = (nodes - nodes[0]) / half - 1.0
+            errs = []
+            for degree in range(8):
+                poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
+                slopes = families._node_slopes(poly(u))
+                errs.append(np.max(np.abs(slopes - poly.deriv()(u) / half)))
+            assert max(errs[:7]) < 1e-12, len(nodes)
+        # on the first 14 nodes a term of degree 7 shows the stencils' order
+        assert errs[7] > 1e-6
 
-        rng = np.random.default_rng(3)
-        for n in (2, 3, 4, 9, 40):
-            for _ in range(25):
-                dl, du = rng.normal(size=n - 1), rng.normal(size=n - 1)
-                d, b = rng.normal(size=n), rng.normal(size=n)
-                ab = np.zeros((3, n))
-                ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-                want = solve_banded((1, 1), ab, b)
-                assert np.array_equal(families._tridiagonal_solve(dl, d, du, b), want)
 
-    def test_coefficients_equal_cubic_spline(self):
-        from scipy.interpolate import CubicSpline
-
-        rng = np.random.default_rng(4)
-        for n in (4, 5, 30):
-            x = np.cumsum(rng.uniform(0.01, 1.0, n))
-            y = rng.normal(size=n)
-            assert np.array_equal(families._not_a_knot(x, y), CubicSpline(x, y).c)
+class TestGBTableAccuracy:
+    def test_relative_error_against_exact_route(self):
+        # the compiled member against the batched exact route on 2000
+        # log-uniform points of the table window: below 1e-7 for every
+        # member, and over the whole window at small p + n.  Near w = 1 the
+        # 0.1 step alone leaves up to 3.6e-6 at large p + n with b <= 0.5.
+        w = np.geomspace(1e-9, 1e13, 2000)
+        small = ((3, 3), (5, 6), (10, 3), (3, 40))
+        checked = 0
+        for p, n in (*small, (20, 20), (40, 40), (46, 46)):
+            dims = ProblemDims(p, n)
+            pts = w if (p, n) in small else w[w <= 1e-7]
+            for a in (-3.0, -2.0, -1.5, -1.0):
+                for b in (0.0, 0.5, 2.0):
+                    spec = GBUnknown(a=a, b=b)
+                    try:
+                        spec.validate_for(dims)
+                        phi = make_shrinkage(spec, dims)
+                    except (InputError, EvaluationError):  # p/2 + a + 1 <= 0, or N underflows
+                        continue
+                    _, _, num, den = families._gb_num_den(a, b, pts, dims, QuadratureConfig())
+                    rel = np.abs(phi.eval(pts) / (pts * num / den) - 1.0)
+                    assert rel[pts <= 1e-7].max() < 5e-7, (p, n, a, b)
+                    assert rel.max() < 1e-6, (p, n, a, b)
+                    checked += 1
+        assert checked == 73
 
 
 def _with_warnings(f, w):
