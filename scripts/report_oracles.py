@@ -123,8 +123,7 @@ def _compiled_gb(a, b, dims, w):
 
 
 def gb_interpolant():
-    x = np.arange(families._GB_LOG_LO, families._GB_LOG_HI + families._GB_STEP / 2,
-                  families._GB_STEP)
+    x = families._GB_NODES
     logs = [*x, *(0.5 * (x[:-1] + x[1:]))]
     w = np.array([0.0, 1e-12, *(math.exp(xi) for xi in logs), 1e14])
     for p, n in DIMS:

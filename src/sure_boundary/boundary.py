@@ -244,8 +244,8 @@ def check_assumptions(phi: ShrinkageFunction) -> AssumptionReport:
     a3 = bool(np.all(np.isfinite(derivs)))
 
     # oscillation count: derivative values below the resolution floor are
-    # numerical dust (e.g. spline noise where the true slope underflows),
-    # not local extrema
+    # numerical dust (e.g. rounding in the gb table's finite-difference
+    # slopes where the true slope underflows), not local extrema
     floor = 1e-12 * max(1.0, float(np.max(np.abs(derivs))))
     signs = np.sign(derivs)
     signs = signs[np.abs(derivs) > floor]

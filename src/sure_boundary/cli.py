@@ -329,9 +329,13 @@ def _require_positive(args, *dests: str) -> None:
 def _cmd_asymptotics(args) -> int:
     import numpy as np
 
-    from .families import tail_profile
+    from .core import InputError
+    from .families import _GB_NODES, GBUnknown, parse_phi_spec, tail_profile
 
     _require_positive(args, "w_lo", "w_hi", "points")
+    w_top = math.exp(_GB_NODES[-1])
+    if args.w_hi > w_top and isinstance(parse_phi_spec(args.phi), GBUnknown):
+        raise InputError(f"argument --w-hi: a gb table ends at w = {w_top!r}, got {args.w_hi!r}")
     dims, phi = _problem(args)
     grid = np.geomspace(args.w_lo, args.w_hi, args.points)
     _emit(args, {"tail_profile": tail_profile(phi, dims, grid)})

@@ -46,11 +46,10 @@ generalized Bayes member is tabulated once on a dense log-spaced grid and
 interpolated with a cubic Hermite spline in log w (linear below the grid,
 constant above), which keeps Monte Carlo evaluation cheap; the spline and its
 exact derivative are used consistently so SURE identities hold for the
-compiled function itself.  Its node slopes come from seven-node finite
-differences of the table, so the fit needs no linear solve and families
-imports no scipy; its coefficients and values equal those of
-scipy.interpolate.CubicHermiteSpline with the same slopes bit for bit, which
-the tests check against CubicHermiteSpline itself.  Every integral above is
+compiled function itself.  Its node slopes are seven-node finite differences
+of the table, so the fit needs no linear solve and no scipy; its coefficients
+equal those of scipy.interpolate.CubicHermiteSpline with the same slopes bit
+for bit, which the tests check.  Every integral above is
 quadrature.power_log_integrals with kernel (1 + w lambda)^-m, one kernel
 object per m (_gb_kernel), so at one w the integrals that phi, phi' and the
 a = -2 identity share (N, D, and D again as the identity's denominator) come
@@ -349,10 +348,12 @@ def phi_gb_identity_saigo4(
 # compiled (vectorized) shrinkage functions
 # ---------------------------------------------------------------------------
 
-# tabulation window for the generalized Bayes spline, in log w
+# tabulation window for the generalized Bayes spline, in log w, and its 508 nodes
 _GB_LOG_LO = math.log(1e-9)
 _GB_LOG_HI = math.log(1e13)
 _GB_STEP = 0.1
+_GB_NODES = np.arange(_GB_LOG_LO, _GB_LOG_HI + _GB_STEP / 2, _GB_STEP)
+_GB_NODES.flags.writeable = False
 
 
 def _gb_grid_values(
@@ -364,7 +365,7 @@ def _gb_grid_values(
     power_log_integrals, so the values are
     [phi_gb_unknown(a, b, exp(x), dims, cfg) for x in grid] exactly.
     """
-    x = np.arange(_GB_LOG_LO, _GB_LOG_HI + _GB_STEP / 2, _GB_STEP)
+    x = _GB_NODES
     w = np.array([math.exp(xi) for xi in x])
     _, _, num, den = _gb_num_den(a, b, w, dims, cfg)
     return x, w * num / den

@@ -589,6 +589,22 @@ class TestAsymptoticsCommand:
         assert code == 0
         assert json.loads(out)["tail_profile"]["phi_limit"] == "inf"
 
+    def test_gb_w_hi_above_table_top_rejected(self, capsys):
+        # above its top node a compiled gb member is constant, with phi' = 0,
+        # so a fit reaching there would read the table's end as the tail
+        from sure_boundary.families import _GB_NODES
+
+        top = math.exp(_GB_NODES[-1])
+        argv = ["asymptotics", *D56, "--phi", "gb:a=-2,b=2.0", "--w-hi"]
+        assert main([*argv, "1e20"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"sure-boundary: error: argument --w-hi: a gb table ends at w = {top!r}, got 1e+20\n"
+        )
+        assert run_cli([*argv, repr(top)], capsys)[0] == 0
+        assert run_cli(["asymptotics", *D56, "--phi", "zero", "--w-hi", "1e20"], capsys)[0] == 0
+
 
 STARTUP_SCRIPT = """
 import contextlib, io, json, sys

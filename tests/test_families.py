@@ -417,8 +417,7 @@ class TestGBSpline:
             assert caught == [] and isinstance(out, float) and math.isnan(out)
 
     def test_node_slopes_exact_for_polynomials(self):
-        x = np.arange(families._GB_LOG_LO, families._GB_LOG_HI + families._GB_STEP / 2,
-                      families._GB_STEP)
+        x = families._GB_NODES
         rng = np.random.default_rng(6)
         for nodes in (x, x[:14]):
             half = 0.5 * (nodes[-1] - nodes[0])
