@@ -46,17 +46,17 @@ generalized Bayes member is tabulated once on a dense log-spaced grid and
 interpolated with a cubic Hermite spline in log w (linear below the grid,
 constant above), which keeps Monte Carlo evaluation cheap; the spline and its
 exact derivative are used consistently so SURE identities hold for the
-compiled function itself.  Its node slopes are seven-node finite differences
-of the table, so the fit needs no linear solve and no scipy; its coefficients
-equal those of scipy.interpolate.CubicHermiteSpline with the same slopes bit
-for bit, which the tests check.  Every integral above is
+compiled function itself.  Its node values and slopes come from Chebyshev
+series of log phi through phi at 32 nodes on each piece of the window (192
+to 512 samples a table, not its 508 nodes), so the fit needs no solve and no
+scipy; the spline equals scipy's CubicHermiteSpline with those values and
+slopes bit for bit, which the tests check.  Every integral above is
 quadrature.power_log_integrals with kernel (1 + w lambda)^-m, one kernel
-object per m (_gb_kernel), so at one w the integrals that phi, phi' and the
-a = -2 identity share (N, D, and D again as the identity's denominator) come
-from the point memo after their first pass; N(w) and D(w) at all 508 grid
-nodes run in one batched pass, bit-identical to phi_gb_unknown at every
-node.  When D(w) underflows to 0 (large p + n near the top of the grid) both
-routes raise EvaluationError; so do the defining routes where N(w) does.
+object per m (_gb_kernel), so the integrals that phi, phi' and the a = -2
+identity share at one w (N, D, and D again as its denominator) come from
+the point memo after their first pass; a table's samples run in batched
+passes, equal to phi_gb_unknown bit for bit.  Where D(w), or for the
+defining routes N(w), underflows to 0, the routes raise EvaluationError.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import numpy as np
 
 from .core import EvaluationError, InputError, ProblemDims, ShrinkageFunction, constants
 from .core import elementwise, encode_spec, parse_spec, require_finite, require_grid
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
+from .quadrature import _ABS_TOL, DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
 
 __all__ = [
     "Zero",
@@ -348,51 +348,89 @@ def phi_gb_identity_saigo4(
 # compiled (vectorized) shrinkage functions
 # ---------------------------------------------------------------------------
 
-# tabulation window for the generalized Bayes spline, in log w, and its 508 nodes
+# window of the generalized Bayes table, in log w, and its spline's 508 nodes
 _GB_LOG_LO = math.log(1e-9)
 _GB_LOG_HI = math.log(1e13)
 _GB_STEP = 0.1
 _GB_NODES = np.arange(_GB_LOG_LO, _GB_LOG_HI + _GB_STEP / 2, _GB_STEP)
 _GB_NODES.flags.writeable = False
 
+# phi is sampled at _CHEB_N first-kind Chebyshev nodes of each piece of the
+# window: _GB_PIECES equal pieces, each halved at most _GB_MAX_SPLITS times,
+# so a table runs at most _GB_MAX_SPLITS + 1 batched passes
+_CHEB_N, _GB_PIECES, _GB_MAX_SPLITS = 32, 4, 4
+_CHEB_ANGLES = [math.pi * (_CHEB_N - 0.5 - j) / _CHEB_N for j in range(_CHEB_N)]
+_CHEB_T = np.array([math.cos(th) for th in _CHEB_ANGLES])  # ascending in (-1, 1)
+# row j: the weights of the sample at _CHEB_T[j] in the series' coefficients
+_CHEB_WEIGHTS = np.array([[(2.0 - (k == 0)) / _CHEB_N * math.cos(k * th)
+                           for k in range(_CHEB_N)] for th in _CHEB_ANGLES])
 
-def _gb_grid_values(
-    a: float, b: float, dims: ProblemDims, cfg: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """The log-w grid and phi_{a,b} on it, equal to the exact route bit for bit.
 
-    N(w) and D(w) for the whole grid come from one batched pass of
-    power_log_integrals, so the values are
-    [phi_gb_unknown(a, b, exp(x), dims, cfg) for x in grid] exactly.
+def _cheb_coefs(f: np.ndarray) -> np.ndarray:
+    """Coefficients (pieces, _CHEB_N) of the Chebyshev series through the rows
+    of f at _CHEB_T, summed in a fixed order, not through BLAS, so that the
+    bits do not depend on the host."""
+    c = 0.0
+    for j in range(_CHEB_N):
+        c = c + f[:, j, None] * _CHEB_WEIGHTS[j]
+    return c
+
+
+def _cheb_eval(edges: np.ndarray, c: np.ndarray, at: np.ndarray):
+    """The series with coefficients c[i] on [edges[i], edges[i+1]] and its
+    derivative at the points `at` within the edges, by Clenshaw's recurrence
+    for the sum and, differentiated, for the derivative."""
+    i = np.clip(np.searchsorted(edges, at, side="right") - 1, 0, len(edges) - 2)
+    c, half = c[i].T, 0.5 * (edges[i + 1] - edges[i])
+    t = (at - 0.5 * (edges[i] + edges[i + 1])) / half
+    t2, b1, b2, d1, d2 = 2.0 * t, 0.0, 0.0, 0.0, 0.0
+    for k in range(_CHEB_N - 1, 0, -1):
+        b1, b2, d1, d2 = c[k] + t2 * b1 - b2, b1, 2.0 * b1 + t2 * d1 - d2, d1
+    return c[0] + t * b1 - b2, (b1 + t * d1 - d2) / half
+
+
+def _gb_samples(a: float, b: float, dims: ProblemDims, cfg: QuadratureConfig):
+    """Piece edges in log w, and sample nodes x and phi_{a,b} at them, ascending.
+
+    A piece is halved while the largest of the last three coefficients of
+    the series of log phi through its samples exceeds the tolerance the
+    quadrature stops on.  Each new set of pieces is one batched pass of
+    power_log_integrals in ascending w, so the values are
+    [phi_gb_unknown(a, b, exp(xi), dims, cfg) for xi in x] exactly, and an
+    underflow names the smallest w of its pass where N or D is 0.
     """
-    x = _GB_NODES
-    w = np.array([math.exp(xi) for xi in x])
-    _, _, num, den = _gb_num_den(a, b, w, dims, cfg)
-    return x, w * num / den
+    edges = np.linspace(_GB_NODES[0], _GB_NODES[-1], _GB_PIECES + 1)
+    lo, hi, kept = edges[:-1], edges[1:], []
+    for depth in range(_GB_MAX_SPLITS + 1):
+        x = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _CHEB_T
+        w = np.array([math.exp(xi) for xi in x.ravel()])
+        _, _, num, den = _gb_num_den(a, b, w, dims, cfg)
+        vals = (w * num / den).reshape(x.shape)
+        tail = np.abs(_cheb_coefs(np.log(vals))[:, -3:]).max(axis=1)
+        split = (tail > max(cfg.rel_tol, _ABS_TOL)) & (depth < _GB_MAX_SPLITS)
+        kept += zip(lo[~split], x[~split], vals[~split])
+        if not split.any():
+            break
+        mid = 0.5 * (lo + hi)[split]  # each piece's halves, in ascending order
+        lo, hi = np.c_[lo[split], mid].ravel(), np.c_[mid, hi[split]].ravel()
+    lo, x, vals = zip(*sorted(kept, key=lambda piece: piece[0]))
+    return np.array([*lo, edges[-1]]), np.concatenate(x), np.concatenate(vals)
 
 
-# dy/dx at nodes 0, 1 and 2 of seven and at the middle one, times 60 _GB_STEP:
-# sixth-order differences, exact up to degree 6 (Fornberg, Math. Comp. 51, 1988)
-_SLOPE_WEIGHTS = np.array([
-    [-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0],
-    [-10.0, -77.0, 150.0, -100.0, 50.0, -15.0, 2.0],
-    [2.0, -24.0, -35.0, 80.0, -30.0, 8.0, -1.0],
-    [-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0],
-])
-
-
-def _node_slopes(y: np.ndarray) -> np.ndarray:
-    """dy/dx at the nodes of the gb grid: central differences, but one-sided
-    ones at the 3 nodes of each end, mirrored with a sign flip at the top.
-    The sums run in a fixed order, not through BLAS, so the bits do not
-    depend on the host."""
-    ends, central = _SLOPE_WEIGHTS[:3], _SLOPE_WEIGHTS[3]
-    lo = hi = mid = 0.0
-    for k in range(7):
-        lo = lo + ends[:, k] * y[k]
-        hi = hi - ends[:, k] * y[-1 - k]
-        mid = mid + central[k] * y[k : len(y) - 6 + k]
-    return np.concatenate((lo, mid, hi[::-1])) / (60 * _GB_STEP)
+def _gb_series(a: float, b: float, dims: ProblemDims, cfg: QuadratureConfig):
+    """phi_{a,b} and dphi/d(log w) at _GB_NODES, from the series of log phi
+    on each piece of _gb_samples.  A piece whose tail still exceeds the
+    tolerance at the split bound holds noise, as where N(w) is subnormal near
+    the top of the window; its coefficients no larger than the largest of its
+    upper half are dropped, so the noise does not reach the slopes."""
+    edges, _, vals = _gb_samples(a, b, dims, cfg)
+    c = _cheb_coefs(np.log(vals).reshape(-1, _CHEB_N))
+    mag = np.abs(c)
+    noisy = mag[:, -3:].max(axis=1) > max(cfg.rel_tol, _ABS_TOL)
+    noise = np.where(noisy, mag[:, _CHEB_N // 2:].max(axis=1), 0.0)
+    f, df = _cheb_eval(edges, np.where(mag > noise[:, None], c, 0.0), _GB_NODES)
+    y = np.exp(f)
+    return y, y * df
 
 
 def _hermite(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -433,10 +471,10 @@ _GB_TABLES_KEPT = 64
 
 @lru_cache(maxsize=_GB_TABLES_KEPT)
 def _gb_table(a: float, b: float, p: int, n: int, cfg: QuadratureConfig):
-    x, vals = _gb_grid_values(a, b, ProblemDims(p, n), cfg)
-    c = _hermite(x, vals, _node_slopes(vals))
+    y, s = _gb_series(a, b, ProblemDims(p, n), cfg)
+    c = _hermite(_GB_NODES, y, s)
     dc = np.array([3.0, 2.0, 1.0])[:, None] * c[:-1]
-    return x, c, dc, float(vals[0]), float(vals[-1])
+    return _GB_NODES, c, dc, float(y[0]), float(y[-1])
 
 
 def _make_gb(spec: GBUnknown, dims: ProblemDims, cfg: QuadratureConfig) -> ShrinkageFunction:

@@ -40,11 +40,12 @@ two loops on purpose, because each is the faster one for its own use; both
 give the same values.  A point run as a one-row batch is 5 to 7 times
 slower, because the batch's per-level calls and bookkeeping outweigh one
 point (two exponents of the unknown-scale kernel at w in {0.7, 30, 1e4},
-medians of 15: 61-143 against 432-792 us).  A 508-node gb table run as point
-passes is about 4 times slower than one batched pass, which pays those calls
-once per level and slice for all rows and exponents ((a, b, p, n) in {(-2,
-2, 5, 6), (-2, 0.5, 3, 3), (-1, 1.3, 12, 19), (-3, 1, 20, 20)}, medians of
-7: 56-89 against 13-22 ms).  Both measured on a shared 2-core x86-64 Xeon.
+medians of 15: 61-143 against 432-792 us).  The 128 samples of a gb table's
+first pass run as point passes are about 3 times slower than one batched
+pass, which pays those calls once per level and slice for all rows and
+exponents ((a, b, p, n) in {(-2, 2, 5, 6), (-2, 0.5, 3, 3), (-1, 1.3, 12,
+19), (-3, 1, 20, 20)}, medians of 7: 6.5-21 against 2.4-6.4 ms).  Both
+measured on a shared 2-core x86-64 Xeon.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ _ABS_TOL = 1e-14
 _MAX_LEVEL = 12
 # Values per exponent in each slice of rows of _tanh_sinh_batch: a level is
 # cut into slices of at most this many values per exponent, and a slice
-# holds all exponents at once, which bounds the batch's temporaries
-# (evaluating all 508 rows of a gb table at once adds ~17 MB of peak memory,
-# at no gain in speed).
+# holds all exponents at once, which bounds the batch's temporaries (the
+# 128 rows of a gb table's first pass take 1.2 MB of peak memory at once,
+# 0.4 MB in slices).
 _BATCH_ELEMENTS = 8192
 
 

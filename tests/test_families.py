@@ -241,20 +241,20 @@ class TestGBTable:
     )
     def test_batched_table_equals_exact_route(self, a, b, p, n):
         dims = ProblemDims(p, n)
-        x, vals = families._gb_grid_values(a, b, dims, QuadratureConfig())
+        edges, x, vals = families._gb_samples(a, b, dims, QuadratureConfig())
         exact = [phi_gb_unknown(a, b, math.exp(xi), dims) for xi in x]
-        assert len(x) == 508
+        assert len(x) == families._CHEB_N * (len(edges) - 1)
         assert np.array_equal(vals, exact)
 
     def test_table_keyed_and_built_on_rel_tol(self, monkeypatch):
         seen = []
-        build = families._gb_grid_values
+        build = families._gb_samples
 
         def spy(a, b, dims, cfg):
             seen.append(cfg)
             return build(a, b, dims, cfg)
 
-        monkeypatch.setattr(families, "_gb_grid_values", spy)
+        monkeypatch.setattr(families, "_gb_samples", spy)
         spec, dims = GBUnknown(a=-2.0, b=0.8125), ProblemDims(4, 7)
         loose = QuadratureConfig(rel_tol=1e-8)
         tight = QuadratureConfig(rel_tol=1e-10)
@@ -264,9 +264,10 @@ class TestGBTable:
         assert seen == [loose, tight]
 
     def test_table_cache_is_bounded(self, monkeypatch):
-        # tables of a short stand-in grid, so that more than the cache holds build fast
-        x = np.arange(8.0)
-        monkeypatch.setattr(families, "_gb_grid_values", lambda a, b, dims, cfg: (x, b * x**2))
+        # tables of one stand-in piece, so that more than the cache holds build fast
+        edges = families._GB_NODES[[0, -1]]
+        x = edges.mean() + 0.5 * (edges[1] - edges[0]) * families._CHEB_T
+        monkeypatch.setattr(families, "_gb_samples", lambda a, b, dims, cfg: (edges, x, b * np.exp(x)))
         bound = families._gb_table.cache_info().maxsize
         assert bound == families._GB_TABLES_KEPT
         families._gb_table.cache_clear()
@@ -313,17 +314,18 @@ class TestGBTable:
 
     def test_largest_square_dims_still_build(self):
         # (46, 46) is the largest square that builds; at (48, 48) N(w)
-        # underflows at the top of the table, where phi would read 0
+        # underflows at the top of the table, where phi would read 0, and the
+        # error names the first sample there
         dims = ProblemDims(46, 46)
         phi = make_shrinkage(GBUnknown(a=-2.0, b=2.0), dims)
         assert np.all(np.isfinite(phi.eval(np.geomspace(1e-9, 1e13, 50))))
-        _, vals = families._gb_grid_values(-2.0, 2.0, dims, QuadratureConfig())
-        top = vals[-100:]
+        _, x, vals = families._gb_samples(-2.0, 2.0, dims, QuadratureConfig())
+        top = vals[x > math.log(1e11)]
         assert np.all(np.diff(top) > 0.0) and top[-1] < phi_gb_limit(-2.0, dims)
         with pytest.raises(EvaluationError, match=r"N\(w\) underflowed") as err:
             make_shrinkage(GBUnknown(a=-2.0, b=2.0), ProblemDims(48, 48))
         assert "(48, 48, -2.0, 2.0)" in str(err.value)
-        assert 1.27e12 < err.value.w < 1.29e12
+        assert 1.30e12 < err.value.w < 1.31e12
 
     @pytest.mark.parametrize("a,b,w,p", [(-2.0, 2.0, 400.0, 200), (-1.0, 1.3, 1e30, 20)])
     def test_n_underflow_is_typed(self, a, b, w, p):
@@ -339,13 +341,14 @@ def _reference_gb(a, b, dims):
     """eval and deriv of a gb member built on scipy's CubicHermiteSpline.
 
     The reference the compiled member must equal bit for bit: linear below
-    the table, the Hermite cubic in log w on it, through the table values
-    with the slopes of families._node_slopes, constant above.
+    the table, the Hermite cubic in log w on it, through the values and
+    slopes of the series at the table nodes, constant above.
     """
     from scipy.interpolate import CubicHermiteSpline
 
-    x, vals = families._gb_grid_values(a, b, dims, QuadratureConfig())
-    spline = CubicHermiteSpline(x, vals, families._node_slopes(vals))
+    x = families._GB_NODES
+    vals, slopes = families._gb_series(a, b, dims, QuadratureConfig())
+    spline = CubicHermiteSpline(x, vals, slopes)
     dspline = spline.derivative()
     x_lo, x_hi = x[0], x[-1]
     w_lo = math.exp(x_lo)
@@ -416,20 +419,62 @@ class TestGBSpline:
             out, caught = _with_warnings(got, math.nan)
             assert caught == [] and isinstance(out, float) and math.isnan(out)
 
-    def test_node_slopes_exact_for_polynomials(self):
-        x = families._GB_NODES
+    def test_one_piece_reproduces_polynomials(self):
+        # _CHEB_N samples fix a series of degree < _CHEB_N, so one piece gives
+        # back the values and slopes of such a polynomial in x at the nodes
+        nodes = families._GB_NODES
+        edges = nodes[[0, -1]]
+        half = 0.5 * (edges[1] - edges[0])
+        x = edges.mean() + half * families._CHEB_T
         rng = np.random.default_rng(6)
-        for nodes in (x, x[:14]):
-            half = 0.5 * (nodes[-1] - nodes[0])
-            u = (nodes - nodes[0]) / half - 1.0
-            errs = []
-            for degree in range(8):
-                poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
-                slopes = families._node_slopes(poly(u))
-                errs.append(np.max(np.abs(slopes - poly.deriv()(u) / half)))
-            assert max(errs[:7]) < 1e-12, len(nodes)
-        # on the first 14 nodes a term of degree 7 shows the stencils' order
-        assert errs[7] > 1e-6
+        for degree in (0, 1, 6, 20, families._CHEB_N - 1):
+            poly = np.polynomial.Polynomial(rng.normal(size=degree + 1), domain=edges)
+            c = families._cheb_coefs(poly(x)[None])
+            y, dy = families._cheb_eval(edges, c, nodes)
+            assert np.max(np.abs(y - poly(nodes))) < 1e-12, degree
+            assert np.max(np.abs(dy - poly.deriv()(nodes))) < 1e-12, degree
+
+    def test_piece_with_slowly_decaying_tail_is_split(self, monkeypatch):
+        # log phi = |log w - 1|**3 / 100 is a cubic on three of the first four
+        # pieces, but on the one holding log w = 1 its coefficients decay as
+        # k**-4: that piece is halved, down to the bound, and no other is
+        passes = []
+
+        def stand_in(a, b, w, dims, cfg):
+            passes.append(len(w))
+            return 0.0, 0.0, np.exp(np.abs(np.log(w) - 1.0) ** 3 / 100) / w, np.ones_like(w)
+
+        monkeypatch.setattr(families, "_gb_num_den", stand_in)
+        edges, x, _ = families._gb_samples(-2.0, 1.0, DIMS, QuadratureConfig())
+        first = np.linspace(edges[0], edges[-1], families._GB_PIECES + 1)
+        assert len(passes) == families._GB_MAX_SPLITS + 1
+        assert np.all(np.diff(x) > 0.0) and np.isin(first, edges).all()
+        inner = edges[(edges > first[1]) & (edges < first[2])]
+        assert first[1] < 1.0 < first[2] and len(inner) == families._GB_MAX_SPLITS
+        assert len(edges) == len(first) + families._GB_MAX_SPLITS
+        width = np.diff(edges).min()
+        assert width == pytest.approx((first[1] - first[0]) / 2**families._GB_MAX_SPLITS)
+
+    def test_noisy_top_builds_within_split_bound(self, monkeypatch):
+        # N(w) is subnormal near the top of the window here, so the samples
+        # there are noise that no split resolves; the build stops at the
+        # bound, and the chopped series keeps that noise out of the slopes
+        # (unchopped, the error at w = 1e13 was 1.1e-5)
+        passes = []
+        num_den = families._gb_num_den
+
+        def spy(a, b, w, dims, cfg):
+            passes.append(len(w))
+            return num_den(a, b, w, dims, cfg)
+
+        monkeypatch.setattr(families, "_gb_num_den", spy)
+        families._gb_table.cache_clear()
+        dims = ProblemDims(46, 46)
+        phi = make_shrinkage(GBUnknown(a=-1.5, b=2.0), dims)
+        assert len(passes) == families._GB_MAX_SPLITS + 1
+        w = np.geomspace(1e11, 1e13, 200)
+        _, _, num, den = num_den(-1.5, 2.0, w, dims, QuadratureConfig())
+        assert np.max(np.abs(phi.eval(w) / (w * num / den) - 1.0)) < 1e-6
 
 
 class TestGBTableAccuracy:
