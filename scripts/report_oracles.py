@@ -3,9 +3,12 @@
 
 Prints `<name> <k> lines, sha256 <hex>` for each oracle, which CI compares
 with report_oracles.pinned (written at the default thread cap of 1):
-- exact_routes: the gb table, gb, saigo4 and derivative routes and the
-  known-variance routes and checks over fixed grids of (p, n), a, b, w, z
-  and two rel_tol; an error is recorded as its type and message.
+- exact_routes: the gb table samples, gb, saigo4 and derivative routes and
+  the known-variance routes and checks over fixed grids of (p, n), a, b, w,
+  z and two rel_tol; a table line is `table <k> samples <sha256>`, the
+  number of samples and a hash of their log-w nodes and values, so a change
+  of the split rule shows as a count; an error is recorded as its type and
+  message.
 - gb_interpolant: the compiled gb member of each (p, n), a and b of
   exact_routes, at the default rel_tol: a hash of phi.eval and phi.deriv at
   every table node, every node midpoint, 0, 1e-12 and 1e14.
@@ -70,8 +73,9 @@ def outcome(f, *args):
         out = f(*args)
     except Exception as exc:  # the message is part of the oracle
         return f"{type(exc).__name__}: {exc}"
-    if isinstance(out, tuple):  # a gb table (log-w grid, values), or (phi, phi') at w
-        return hashlib.sha256(out[0].tobytes() + out[1].tobytes()).hexdigest()
+    if isinstance(out, tuple):  # a gb table's (edges, nodes, values), or (phi, phi') at w
+        digest = hashlib.sha256(out[-2].tobytes() + out[-1].tobytes()).hexdigest()
+        return digest if len(out) == 2 else f"{len(out[1])} samples {digest}"
     return repr(out)
 
 
@@ -83,7 +87,7 @@ def exact_routes():
             for a in A:
                 for b in B:
                     head = f"{tag} p={p} n={n} a={a} b={b}"
-                    yield f"{head} table {outcome(families._gb_grid_values, a, b, dims, cfg)}"
+                    yield f"{head} table {outcome(families._gb_samples, a, b, dims, cfg)}"
                     for w in W:
                         vals = [outcome(families.phi_gb_unknown, a, b, w, dims, cfg),
                                 outcome(families.phi_gb_unknown_deriv, a, b, w, dims, cfg)]
