@@ -70,7 +70,7 @@ import numpy as np
 
 from .core import EvaluationError, InputError, ProblemDims, ShrinkageFunction, constants
 from .core import elementwise, encode_spec, parse_spec, require_finite, require_grid
-from .quadrature import _ABS_TOL, DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, power_log_integrals
 
 __all__ = [
     "Zero",
@@ -407,7 +407,7 @@ def _gb_samples(a: float, b: float, dims: ProblemDims, cfg: QuadratureConfig):
         _, _, num, den = _gb_num_den(a, b, w, dims, cfg)
         vals = (w * num / den).reshape(x.shape)
         tail = np.abs(_cheb_coefs(np.log(vals))[:, -3:]).max(axis=1)
-        split = (tail > max(cfg.rel_tol, _ABS_TOL)) & (depth < _GB_MAX_SPLITS)
+        split = (tail > cfg.tol) & (depth < _GB_MAX_SPLITS)
         kept += zip(lo[~split], x[~split], vals[~split])
         if not split.any():
             break
@@ -426,7 +426,7 @@ def _gb_series(a: float, b: float, dims: ProblemDims, cfg: QuadratureConfig):
     edges, _, vals = _gb_samples(a, b, dims, cfg)
     c = _cheb_coefs(np.log(vals).reshape(-1, _CHEB_N))
     mag = np.abs(c)
-    noisy = mag[:, -3:].max(axis=1) > max(cfg.rel_tol, _ABS_TOL)
+    noisy = mag[:, -3:].max(axis=1) > cfg.tol
     noise = np.where(noisy, mag[:, _CHEB_N // 2:].max(axis=1), 0.0)
     f, df = _cheb_eval(edges, np.where(mag > noise[:, None], c, 0.0), _GB_NODES)
     y = np.exp(f)

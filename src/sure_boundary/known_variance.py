@@ -290,11 +290,15 @@ def tauberian_check(
 ) -> TauberianReport:
     """Ratio of m to its Tauberian form along an ascending z grid (into >= 1e4).
 
-    The trend flag records whether |ratio - 1| is non-increasing over the top
-    decade of the grid.
+    The form needs z > 1, where (2/z^2)^s and L(z^2) = (log z^2)^b are
+    positive and finite; a grid with a norm <= 1 raises InputError naming
+    the first.  The trend flag records whether |ratio - 1| is non-increasing
+    over the top decade of the grid.
     """
     prior.validate_for(p)
     z = _z_grid(z_grid)
+    if z[0] <= 1.0:
+        raise InputError(f"z_grid of the Tauberian form must hold norms > 1, got {float(z[0])!r}")
     ratios = np.array([  # point by point, so faults are raised in grid order
         _tauberian_ratio(zi, mi, prior, p) for zi, mi in zip(z, _marginals(z, prior, p, cfg))
     ])

@@ -90,8 +90,8 @@ _BATCH_ELEMENTS = 8192
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Relative tolerance of the adaptive rule, against |integral|; a
-    tolerance below _ABS_TOL (1e-14) acts as _ABS_TOL, and the refinement
+    """Relative tolerance of the adaptive rule, against |integral|; the rule
+    stops on tol, which floors it at _ABS_TOL (1e-14), and the refinement
     budget (_MAX_LEVEL) is fixed."""
 
     rel_tol: float = 1e-10
@@ -99,6 +99,11 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < math.inf):  # also rejects nan
             raise InputError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+
+    @property
+    def tol(self) -> float:
+        """rel_tol, or _ABS_TOL where rel_tol is smaller."""
+        return max(_ABS_TOL, self.rel_tol)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -210,7 +215,7 @@ def _stop_rule(err, value, hit, tol: float):
     """Advance the consecutive-hit count; return (hit, converged).
 
     A level hits when err <= tol * |value|, where a pass sets tol to
-    max(_ABS_TOL, rel_tol).  Two consecutive hits are needed (one suffices
+    QuadratureConfig.tol.  Two consecutive hits are needed (one suffices
     when err is exactly 0), which guards against sharply peaked integrands
     whose coarse levels agree before seeing the peak.  An integral of 0
     converges only at an err of exactly 0.  Works on floats and,
@@ -266,11 +271,11 @@ def _level_sum(vals: np.ndarray, lam: np.ndarray, cut: slice) -> float:
 def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig) -> list[float]:
     """power_log_integrals at a scalar x: the list of len(qs) floats, in one pass.
 
-    A level hits when its error estimate is at most max(_ABS_TOL,
-    cfg.rel_tol) times |value|, the running integral (_stop_rule), and an
-    exponent that has not converged after level _MAX_LEVEL (12) raises
-    QuadratureConvergenceError.  The endpoint behaviour (the smallest q,
-    and b) is checked before any level runs.
+    A level hits when its error estimate is at most cfg.tol times |value|,
+    the running integral (_stop_rule), and an exponent that has not
+    converged after level _MAX_LEVEL (12) raises QuadratureConvergenceError.
+    The endpoint behaviour (the smallest q, and b) is checked before any
+    level runs.
 
     The exponents run one after another, each as a pass of its own that
     raises its error at once, over blocks of levels: the 385 nodes of
@@ -289,7 +294,7 @@ def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig)
     # here can be legitimately tiny (e.g. the generalized Bayes numerators at
     # w ~ 1e8 have total mass ~ 1e-12) and an absolute floor would accept them
     # long before the peak is resolved.
-    tol = max(_ABS_TOL, cfg.rel_tol)
+    tol = cfg.tol
     shared = {}  # block -> (kernel values, (log 1/lambda)**b or None)
 
     def integral(q: float) -> float:
@@ -333,7 +338,7 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
     exponents fail, a later exponent's error can win.
     """
     _check_endpoint(min(qs), b)
-    tol = max(_ABS_TOL, cfg.rel_tol)
+    tol = cfg.tol
     h = _H0
     active = np.ones((len(qs), x.size), dtype=bool)
     value = h * _batch_level_sums(x, qs, b, kernel, 0, np.arange(x.size), active)

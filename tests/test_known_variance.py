@@ -85,6 +85,13 @@ class TestTauberian:
         with pytest.raises(ValueError):
             tauberian_check(PriorSpec(a=-2.0), P, np.geomspace(10.0, 100.0, 5))
 
+    @pytest.mark.parametrize("L", [One(), LogPow(1.5)])
+    @pytest.mark.parametrize("z0", [0.0, 0.5, 1.0])
+    def test_grid_must_lie_above_one(self, L, z0):
+        # (2/z^2)^s needs z > 0 and (log z^2)^b needs z > 1
+        with pytest.raises(InputError, match="z_grid"):
+            tauberian_check(PriorSpec(a=-2.0, L=L), P, np.array([z0, 10.0, 1e4]))
+
     def test_log_gamma_is_scipys_bit_for_bit(self):
         from scipy.special import gammaln
 
