@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,6 @@ from sure_boundary.known_variance import (
     LogPow,
     One,
     PriorSpec,
-    _lgam,
     brown_classify,
     brown_integral_numeric,
     encode_l_family,
@@ -92,18 +92,18 @@ class TestTauberian:
         with pytest.raises(InputError, match="z_grid"):
             tauberian_check(PriorSpec(a=-2.0, L=L), P, np.array([z0, 10.0, 1e4]))
 
-    def test_log_gamma_is_scipys_bit_for_bit(self):
-        from scipy.special import gammaln
-
-        rng = np.random.default_rng(20)
-        x = np.concatenate([
-            np.arange(1, 4001) * 0.5,  # every p/2 + a + 1 of a half-integer a
-            rng.uniform(0.0, 13.0, 20000),  # the recurrence branch
-            rng.uniform(13.0, 2000.0, 10000),  # Stirling with the A series
-            np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 10000)),
-        ])
-        ours = np.array([_lgam(float(xi)) for xi in x])
-        assert np.array_equal(ours, gammaln(x))
+    @pytest.mark.parametrize("p,L", [(65, One()), (59, LogPow(1.5))])
+    def test_ratio_is_the_marginal_over_the_exact_form(self, p, L):
+        # s = p/2 + a + 1 = 31.5 and 28.5, where exp(log Gamma(s)) is 1e-14 to 2e-14 off
+        prior = PriorSpec(a=-2.0, L=L)
+        rep = tauberian_check(prior, p, np.geomspace(10.0, 1e4, 4))
+        with mpmath.workdps(40):
+            s = mpmath.mpf(p) / 2 - 1
+            for z, ratio in zip(rep.z_grid, rep.ratios):
+                z2 = mpmath.mpf(z) ** 2
+                form = mpmath.gamma(s) * (2 / z2) ** s * mpmath.log(z2) ** prior.log_power
+                want = marginal_m(z, prior, p) / form
+                assert abs(ratio - want) <= 4e-15 * want
 
 
 class TestGradientBound:
