@@ -338,7 +338,6 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
     exponents fail, a later exponent's error can win.
     """
     _check_endpoint(min(qs), b)
-    tol = cfg.tol
     h = _H0
     active = np.ones((len(qs), x.size), dtype=bool)
     value = h * _batch_level_sums(x, qs, b, kernel, 0, np.arange(x.size), active)
@@ -352,7 +351,7 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
         live = active[:, rows]
         s = _batch_level_sums(x, qs, b, kernel, level, rows, live)
         v, e = _refine(value[:, rows], h, s)
-        new_hit, done = _stop_rule(e, v, hit[:, rows], tol)
+        new_hit, done = _stop_rule(e, v, hit[:, rows], cfg.tol)
         for state, update in zip((value, err, hit), (v, e, new_hit)):
             state[:, rows] = np.where(live, update, state[:, rows])
         active[:, rows] = live & ~done
