@@ -17,7 +17,8 @@ and 1 - lambda accurate down to ~1e-276 (no cancellation against 1.0).
 
 Refinement halves the step h; levels reuse all previous evaluations, and the
 difference between consecutive levels serves as the (conservative) error
-estimate.
+estimate: it is about the error of the coarser level, so the first level
+where it meets the tolerance ends the pass.
 
 power_log_integrals is the one primitive for the generalized-Bayes and known-
 variance integrals, int_0^1 lambda**q (log 1/lambda)**b K(x, lambda).  Its
@@ -211,19 +212,16 @@ def _refine(value, h, s):
     return new_value, abs(new_value - value)
 
 
-def _stop_rule(err, value, hit, tol: float):
-    """Advance the consecutive-hit count; return (hit, converged).
+def _stop_rule(err, value, tol: float):
+    """Whether a level ends the pass: err <= tol * |value|.
 
-    A level hits when err <= tol * |value|, where a pass sets tol to
-    QuadratureConfig.tol.  Two consecutive hits are needed (one suffices
-    when err is exactly 0), which guards against sharply peaked integrands
-    whose coarse levels agree before seeing the peak.  An integral of 0
-    converges only at an err of exactly 0.  Works on floats and,
-    elementwise, on arrays.
+    A pass sets tol to QuadratureConfig.tol.  One such level suffices: a
+    tanh-sinh level roughly doubles the correct digits, so the level after
+    the first that meets tol would only re-confirm a value already far
+    inside it.  An err of exactly 0 stops the pass at once, and an integral
+    of 0 converges only there.  Works on floats and, elementwise, on arrays.
     """
-    ok = err <= tol * abs(value)
-    hit = (hit + 1) * ok
-    return hit, ok & ((hit >= 2) | (err == 0.0))
+    return err <= tol * abs(value)
 
 
 def _check_endpoint(q: float, b: float) -> None:
@@ -271,9 +269,10 @@ def _level_sum(vals: np.ndarray, lam: np.ndarray, cut: slice) -> float:
 def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig) -> list[float]:
     """power_log_integrals at a scalar x: the list of len(qs) floats, in one pass.
 
-    A level hits when its error estimate is at most cfg.tol times |value|,
-    the running integral (_stop_rule), and an exponent that has not
-    converged after level _MAX_LEVEL (12) raises QuadratureConvergenceError.
+    An exponent stops at the first level whose error estimate is at most
+    cfg.tol times |value|, the running integral (_stop_rule), and one that
+    has not converged after level _MAX_LEVEL (12) raises
+    QuadratureConvergenceError.
     The endpoint behaviour (the smallest q, and b) is checked before any
     level runs.
 
@@ -298,7 +297,7 @@ def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig)
     shared = {}  # block -> (kernel values, (log 1/lambda)**b or None)
 
     def integral(q: float) -> float:
-        value, err, hit = 0.0, math.inf, 0
+        value, err = 0.0, math.inf
         for block in range(_BLOCK_LEVEL, _MAX_LEVEL + 1):
             lam, weight, _, levels = _block(block)
             power = _kept_power if block <= _KEPT_LEVEL else _power
@@ -314,8 +313,7 @@ def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig)
                     value = h * s
                     continue
                 value, err = _refine(value, h, s)
-                hit, done = _stop_rule(err, value, hit, tol)
-                if done:
+                if _stop_rule(err, value, tol):
                     return value
         raise _not_converged(value, err)
 
@@ -342,7 +340,6 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
     active = np.ones((len(qs), x.size), dtype=bool)
     value = h * _batch_level_sums(x, qs, b, kernel, 0, np.arange(x.size), active)
     err = np.full_like(value, math.inf)
-    hit = np.zeros(value.shape, dtype=int)
     for level in range(1, _MAX_LEVEL + 1):
         rows = np.flatnonzero(active.any(axis=0))
         if rows.size == 0:
@@ -351,10 +348,9 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
         live = active[:, rows]
         s = _batch_level_sums(x, qs, b, kernel, level, rows, live)
         v, e = _refine(value[:, rows], h, s)
-        new_hit, done = _stop_rule(e, v, hit[:, rows], cfg.tol)
-        for state, update in zip((value, err, hit), (v, e, new_hit)):
+        for state, update in zip((value, err), (v, e)):
             state[:, rows] = np.where(live, update, state[:, rows])
-        active[:, rows] = live & ~done
+        active[:, rows] = live & ~_stop_rule(e, v, cfg.tol)
     if active.any():
         row, k = np.argwhere(active.T)[0]
         raise _not_converged(value[k, row], err[k, row])

@@ -76,7 +76,7 @@ def tanh_sinh_per_level(x, qs, b, kernel, cfg):
     kern = {}  # level -> kernel values
 
     def integral(q):
-        value, err, hit = 0.0, math.inf, 0
+        value, err = 0.0, math.inf
         for level in range(_MAX_LEVEL + 1):
             h = _H0 / 2**level
             lam, weight, log_l = _nodes(level)
@@ -92,8 +92,7 @@ def tanh_sinh_per_level(x, qs, b, kernel, cfg):
                 value = h * s
                 continue
             value, err = _refine(value, h, s)
-            hit, done = _stop_rule(err, value, hit, tol)
-            if done:
+            if _stop_rule(err, value, tol):
                 return value
         raise _not_converged(value, err)
 
