@@ -7,7 +7,9 @@ byte for byte with ``tests/golden/<case>.json``.  Regenerate the corpus
     PYTHONPATH=src python tests/test_golden.py
 
 The corpus records the Python, numpy and scipy versions it was generated
-with; a mismatching case prints both sets of versions.
+with, and numpy's enabled SIMD dispatch targets, which can move the last
+bits of a report on a host with other CPU features; a mismatching case
+prints both records.
 """
 
 import collections
@@ -26,6 +28,8 @@ import jsonschema
 import numpy as np
 import pytest
 import scipy
+
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from sure_boundary import cli
 
@@ -94,6 +98,7 @@ CASES = {
 def versions() -> dict:
     return {
         "numpy": np.__version__,
+        "numpy_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__[t]],
         "python": platform.python_version(),
         "scipy": scipy.__version__,
     }

@@ -368,7 +368,7 @@ class TestSharedPass:
         return value, len(levels)
 
     def test_each_exponent_gets_its_own_bits(self):
-        qs = (1.5, 0.5)
+        qs = (10.0, 0.5)
         stop_levels = set()
         for kernel in KERNELS.values():
             for b in (-0.6, 0.0, 0.4, 1.7):
@@ -470,15 +470,16 @@ class TestKeptPowers:
         assert _kept_power.cache_info().currsize <= info.maxsize
 
     def test_levels_above_the_cut_off_are_not_kept(self):
+        # exp(-c lambda) at c = 1e12 is resolved only past _KEPT_LEVEL
         qs, b, sizes = (1.5, 0.5), 0.4, []
-        kernel = KERNELS["unknown scale"]
+        kernel = KERNELS["known variance"]
 
-        def counted(w, lam):
+        def counted(c, lam):
             sizes.append(lam.size)
-            return kernel(w, lam)
+            return kernel(c, lam)
 
         _kept_power.cache_clear()
-        power_log_integrals(1e8, qs, b, counted)
+        power_log_integrals(1e12, qs, b, counted)
         # one kernel call for levels 0 to _BLOCK_LEVEL, then one per level
         last = _BLOCK_LEVEL + len(sizes) - 1
         assert sizes[0] == sum(_nodes(level)[0].size for level in range(_BLOCK_LEVEL + 1)) == 385
