@@ -7,8 +7,9 @@
 * ``marginal_m_closed_one``: the known-variance marginal m(z; a, One) in
   closed form, through the lower incomplete gamma function.
 * ``tanh_sinh_per_level``: the point tanh-sinh pass that calls its kernel
-  once per level, one exponent after another, which
-  ``quadrature.tanh_sinh_unit`` must match bit for bit, errors included.
+  once per level, one exponent after another, each stopping at the first
+  level that meets its tolerance, which ``quadrature.tanh_sinh_unit`` must
+  match bit for bit, errors included.
 """
 
 import math

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +111,49 @@ def test_sharply_peaked_integrand_resolved():
     (ours,) = tanh_sinh_unit(w, (0.5,), 0.0, _peak, DEFAULT_CONFIG)
     ref = (768.0 / 10395.0) * w**-1.5
     assert abs(ours - ref) <= 1e-12 * abs(ref)
+
+
+class TestClosedForms:
+    """Both passes of power_log_integrals at b = 0 against mpmath at 40 digits,
+    within 1e-13 relative: the first level that meets rel_tol (1e-10) is
+    already far more accurate than it, because a level about doubles the
+    correct digits.
+
+    The unknown-scale kernel keeps q + 1 < m, the regime of every gb route,
+    where m - q - 1 = n/2 - a - 1 > 0 and the integrand falls off in w."""
+
+    QS = (-0.9, -0.5, 0.0, 0.5, 1.5, 4.0, 8.0, 18.0)
+
+    @staticmethod
+    def _both_passes(xs, qs, kernel):
+        """Rows (x, integrals of qs): the grid pass's, then each point pass's."""
+        grid = power_log_integrals(xs, qs, 0.0, kernel)
+        points = [power_log_integrals(float(x), qs, 0.0, kernel) for x in xs]
+        return [*zip(xs, grid.T), *zip(xs, points)]
+
+    @staticmethod
+    def _assert_close(got, ref):
+        assert abs(got - float(ref)) <= 1e-13 * float(ref)
+
+    @pytest.mark.parametrize("m", [3.0, 4.0, 6.5, 11.0, 21.0, 41.0])
+    def test_unknown_scale_kernel(self, m):
+        # int_0^1 lambda**q (1 + w lambda)**-m = 2F1(m, q+1; q+2; -w) / (q+1)
+        qs = tuple(q for q in self.QS if q + 1.0 < m)
+        ws = 10.0 ** np.arange(-9, 14)
+        for w, values in self._both_passes(ws, qs, families._gb_kernel(m)):
+            with mpmath.workdps(40):
+                for q, value in zip(qs, values):
+                    ref = mpmath.hyp2f1(m, q + 1, q + 2, -mpmath.mpf(w)) / (q + 1)
+                    self._assert_close(value, ref)
+
+    def test_known_variance_kernel(self):
+        # int_0^1 lambda**q exp(-c lambda) = gamma(q+1, 0, c) / c**(q+1), the
+        # lower incomplete gamma function
+        for c, values in self._both_passes(np.geomspace(1e-9, 5e11, 23), self.QS, kv._exp_kernel):
+            with mpmath.workdps(40):
+                c = mpmath.mpf(c)
+                for q, value in zip(self.QS, values):
+                    self._assert_close(value, mpmath.gammainc(q + 1, 0, c) / c ** (q + 1))
 
 
 @pytest.mark.parametrize(
