@@ -107,14 +107,19 @@ class ProblemDims:
             raise InputError(f"require p >= 3 and n >= 3, got p={self.p}, n={self.n}")
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def require_finite(spec: Any) -> None:
     """Raise InputError naming the first numeric field of spec that is not
     finite; each spec dataclass calls this first in ``__post_init__``."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
+    for name in _field_names(type(spec)):
+        value = getattr(spec, name)
         # an int is always finite (and may be too large for math.isfinite)
         if isinstance(value, float) and not math.isfinite(value):
-            raise InputError(f"{type(spec).__name__}: non-finite parameter {f.name!r} = {value!r}")
+            raise InputError(f"{type(spec).__name__}: non-finite parameter {name!r} = {value!r}")
 
 
 def require_grid(name: str, grid: ArrayLike) -> np.ndarray:

@@ -368,12 +368,9 @@ _CHEB_WEIGHTS = np.array([[(2.0 - (k == 0)) / _CHEB_N * math.cos(k * th)
 
 def _cheb_coefs(f: np.ndarray) -> np.ndarray:
     """Coefficients (pieces, _CHEB_N) of the Chebyshev series through the rows
-    of f at _CHEB_T, summed in a fixed order, not through BLAS, so that the
-    bits do not depend on the host."""
-    c = 0.0
-    for j in range(_CHEB_N):
-        c = c + f[:, j, None] * _CHEB_WEIGHTS[j]
-    return c
+    of f at _CHEB_T, summed over j in order (numpy so reduces an axis that is
+    not the last), not through BLAS, so that the bits do not depend on the host."""
+    return np.add.reduce(f[:, :, None] * _CHEB_WEIGHTS, axis=1)
 
 
 def _cheb_eval(edges: np.ndarray, c: np.ndarray, at: np.ndarray):

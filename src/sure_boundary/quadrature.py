@@ -26,7 +26,7 @@ two passes take the same arguments (x, qs, b, kernel, cfg) and build that
 integrand themselves: tanh_sinh_unit at a single point, _tanh_sinh_batch over
 a grid.  Each call of the kernel serves all exponents.  A point pass runs
 its exponents one after another and calls the kernel once per block of
-levels reached: levels 0 to 4 (385 nodes), then each later level alone.  A
+levels reached: levels 0 to 5 (769 nodes), then each later level alone.  A
 grid pass calls it once per level and slice of rows, holds the slice for all
 exponents in one array and reduces it in one call.  log(1/lambda) is
 computed once per level and kept with the nodes.  A point's lambda**q and
@@ -46,7 +46,8 @@ first pass run as point passes are about 3 times slower than one batched
 pass, which pays those calls once per level and slice for all rows and
 exponents ((a, b, p, n) in {(-2, 2, 5, 6), (-2, 0.5, 3, 3), (-1, 1.3, 12,
 19), (-3, 1, 20, 20)}, medians of 7: 6.5-21 against 2.4-6.4 ms).  Both
-measured on a shared 2-core x86-64 Xeon.
+measured on a shared 2-core x86-64 Xeon.  A point pass is bound by numpy's
+fixed cost per call, not by its arithmetic, so its first block is large.
 """
 
 from __future__ import annotations
@@ -144,6 +145,15 @@ def _level_abscissae(level: int) -> np.ndarray:
     return np.concatenate([-odd[::-1], odd]) * h
 
 
+def log_recip(lam: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
+    """log(1/lambda) computed stably at both endpoints of (0, 1)."""
+    near_one = lam > 0.5
+    out = np.empty_like(lam)
+    out[~near_one] = -np.log(lam[~near_one])
+    out[near_one] = -np.log1p(-lam_c[near_one])
+    return out
+
+
 @functools.cache
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda, dlambda/dt, log(1/lambda)) at a level's new nodes."""
@@ -153,10 +163,12 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lam, lam * lam_c * math.pi * np.cosh(t), log_recip(lam, lam_c)
 
 
-# A point pass evaluates levels 0 to _BLOCK_LEVEL (385 nodes) in one call of
-# its kernel; about half the passes of the exact routes reach level 4 and
-# five in six reach level 3.  Each later level is a call of its own.
-_BLOCK_LEVEL = 4
+# A point pass evaluates levels 0 to _BLOCK_LEVEL (769 nodes) in one call of
+# its kernel, and each later level in a call of its own.  A call's fixed
+# cost outweighs the nodes it adds: over the exact routes, against a block
+# that ends at level 4, one at 5 took 3 % less time, 3 took 9 % more and 6
+# the same, though only 46 % of their integrals reach level 5.
+_BLOCK_LEVEL = 5
 
 
 @functools.cache
@@ -177,8 +189,7 @@ def _block(last: int):
 
 
 # Exponent-only powers are kept for blocks that end at a level up to
-# _KEPT_LEVEL, which hold at most 12 * 2**_KEPT_LEVEL = 768 nodes each; most
-# passes stop there.
+# _KEPT_LEVEL, which hold at most 769 nodes each; most passes stop there.
 _KEPT_LEVEL = 6
 
 
@@ -196,7 +207,7 @@ def _power(block: int, log: bool, exponent: float) -> np.ndarray:
 def _kept_power(block: int, log: bool, exponent: float) -> np.ndarray:
     """_power at a block up to _KEPT_LEVEL, computed once and kept read-only.
 
-    At most 512 arrays of at most 768 floats: 3.1 MB in the worst case.
+    At most 512 arrays of at most 769 floats: 3.1 MB in the worst case.
     """
     out = _power(block, log, exponent)
     out.flags.writeable = False
@@ -224,6 +235,11 @@ def _stop_rule(err, value, tol: float):
     return err <= tol * abs(value)
 
 
+# _check_endpoint's bounds: the largest log(1/lambda), its log, log(float max)
+_LOG_MAX = float(_nodes(0)[2][0])
+_LOG_LOG_MAX, _LOG_FLOAT_MAX = math.log(_LOG_MAX), math.log(sys.float_info.max)
+
+
 def _check_endpoint(q: float, b: float) -> None:
     """Reject lambda**q (log 1/lambda)**b that the fixed horizon cannot take:
     q too singular, or the product overflowing at the smallest node, where
@@ -234,12 +250,11 @@ def _check_endpoint(q: float, b: float) -> None:
             f"endpoint exponent {q} too singular for the "
             f"fixed tanh-sinh horizon (needs > {_MIN_EXPONENT})"
         )
-    log_max = float(_nodes(0)[2][0])
-    if b * math.log(log_max) - min(q, 0.0) * log_max > math.log(sys.float_info.max):
+    if b * _LOG_LOG_MAX - min(q, 0.0) * _LOG_MAX > _LOG_FLOAT_MAX:
         raise ValueError(
             f"log power {b} too large for the fixed tanh-sinh horizon at endpoint "
             f"exponent {q} (lambda**q (log 1/lambda)**b overflows at "
-            f"log(1/lambda) = {log_max!r})"
+            f"log(1/lambda) = {_LOG_MAX!r})"
         )
 
 
@@ -277,7 +292,7 @@ def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig)
     level runs.
 
     The exponents run one after another, each as a pass of its own that
-    raises its error at once, over blocks of levels: the 385 nodes of
+    raises its error at once, over blocks of levels: the 769 nodes of
     levels 0 to _BLOCK_LEVEL as one array, then each later level alone.
     The kernel values of a block, and its (log 1/lambda)**b, are computed
     when the first exponent reaches it and shared by the later ones, so the
@@ -336,25 +351,30 @@ def _tanh_sinh_batch(x: np.ndarray, qs: tuple, b: float, kernel, cfg) -> np.ndar
     exponents fail, a later exponent's error can win.
     """
     _check_endpoint(min(qs), b)
-    h = _H0
-    active = np.ones((len(qs), x.size), dtype=bool)
-    value = h * _batch_level_sums(x, qs, b, kernel, 0, np.arange(x.size), active)
+    h, tol = _H0, cfg.tol
+    # value, err and live hold only the rows x[rows] still running
+    rows = np.arange(x.size)
+    live = np.ones((len(qs), x.size), dtype=bool)
+    value = h * _batch_level_sums(x, qs, b, kernel, 0, rows, live)
     err = np.full_like(value, math.inf)
+    out = np.empty_like(value)
     for level in range(1, _MAX_LEVEL + 1):
-        rows = np.flatnonzero(active.any(axis=0))
-        if rows.size == 0:
+        if not rows.size:
             break
         h *= 0.5
-        live = active[:, rows]
         s = _batch_level_sums(x, qs, b, kernel, level, rows, live)
-        v, e = _refine(value[:, rows], h, s)
-        value[:, rows] = np.where(live, v, value[:, rows])
-        err[:, rows] = np.where(live, e, err[:, rows])
-        active[:, rows] = live & ~_stop_rule(e, v, cfg.tol)
-    if active.any():
-        row, k = np.argwhere(active.T)[0]
+        v, e = _refine(value, h, s)
+        value, err = np.where(live, v, value), np.where(live, e, err)
+        live &= ~_stop_rule(e, v, tol)
+        done = ~live.any(axis=0)
+        if done.any():
+            out[:, rows[done]] = value[:, done]
+            keep = ~done
+            rows, value, err, live = rows[keep], value[:, keep], err[:, keep], live[:, keep]
+    if rows.size:
+        row, k = np.argwhere(live.T)[0]
         raise _not_converged(value[k, row], err[k, row])
-    return value
+    return out
 
 
 def _batch_level_sums(x, qs, b, kernel, level, rows, live):
@@ -386,15 +406,6 @@ def _batch_level_sums(x, qs, b, kernel, level, rows, live):
     return s
 
 
-def log_recip(lam: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
-    """log(1/lambda) computed stably at both endpoints of (0, 1)."""
-    near_one = lam > 0.5
-    out = np.empty_like(lam)
-    out[~near_one] = -np.log(lam[~near_one])
-    out[near_one] = -np.log1p(-lam_c[near_one])
-    return out
-
-
 # Integrals of single points that power_log_integrals keeps, keyed by
 # (kernel, x, q, b, cfg); past this many the oldest is dropped.  An entry
 # holds one float, so the memo stays below about 0.3 MB.
@@ -423,25 +434,22 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
     exponent gets the bits it gets integrated on its own, so a value from
     the memo is the one a pass would give.
     """
-    x = np.asarray(x, dtype=float)
-    qs = tuple(float(q) for q in qs)
-    b = float(b)
-
-    if x.ndim == 0:
-        x = float(x)
-        keys = [(kernel, x, q, b, cfg) for q in qs]
-        with _points_lock:
-            found = {key: _points[key] for key in keys if key in _points}
-        missing = tuple(dict.fromkeys(key[2] for key in keys if key not in found))
-        if missing:
-            values = tanh_sinh_unit(x, missing, b, kernel, cfg)
-            with _points_lock:
-                for q, value in zip(missing, values):
-                    key = (kernel, x, q, b, cfg)
-                    found[key] = _points[key] = value
-                while len(_points) > _POINTS_KEPT:
-                    del _points[next(iter(_points))]
-        return [found[key] for key in keys]
-
-    return _tanh_sinh_batch(x, qs, b, kernel, cfg)
+    qs, b = tuple(map(float, qs)), float(b)
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return _tanh_sinh_batch(x, qs, b, kernel, cfg)
+    x = float(x)
+    keys = [(kernel, x, q, b, cfg) for q in qs]
+    with _points_lock:
+        found = [_points.get(key) for key in keys]
+    if None not in found:
+        return found
+    missing = {key[2]: key for key, value in zip(keys, found) if value is None}
+    new = dict(zip(missing.values(), tanh_sinh_unit(x, tuple(missing), b, kernel, cfg)))
+    with _points_lock:
+        _points.update(new)
+        while len(_points) > _POINTS_KEPT:
+            del _points[next(iter(_points))]
+    return [new[key] if value is None else value for key, value in zip(keys, found)]
 

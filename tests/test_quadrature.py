@@ -425,7 +425,7 @@ class TestSharedPass:
         assert any(len(set(levels)) > 1 for levels in stop_levels)
 
     def test_stopped_integrand_is_not_evaluated(self, monkeypatch):
-        # at w = 1e8, q = 10 stops inside the first block (levels 0 to 4) and
+        # at w = 1e8, q = 10 stops inside the first block (levels 0 to 5) and
         # q = 0.5 goes on, one level per block; the kernel sees each block up
         # to the later stop once, in order
         qs = (10.0, 0.5)
@@ -526,7 +526,8 @@ class TestKeptPowers:
         power_log_integrals(1e12, qs, b, counted)
         # one kernel call for levels 0 to _BLOCK_LEVEL, then one per level
         last = _BLOCK_LEVEL + len(sizes) - 1
-        assert sizes[0] == sum(_nodes(level)[0].size for level in range(_BLOCK_LEVEL + 1)) == 385
+        first = sum(_nodes(level)[0].size for level in range(_BLOCK_LEVEL + 1))
+        assert sizes[0] == first == 24 * 2**_BLOCK_LEVEL + 1  # 25 nodes, then 12 * 2**level
         assert sizes[1:] == [_nodes(level)[0].size for level in range(_BLOCK_LEVEL + 1, last + 1)]
         assert last > _KEPT_LEVEL
         # one array per exponent and kept block, and one per kept block for b
@@ -687,7 +688,7 @@ def _marked(g, target, mark=np.nan):
 
 
 class TestBlocks:
-    """The first call of the kernel gets levels 0 to 4 at once; the bits are
+    """The first call of the kernel gets levels 0 to 5 at once; the bits are
     the per-level loop's (tests/oracles.py)."""
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 6])
