@@ -99,8 +99,8 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < math.inf):  # also rejects nan
-            raise InputError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+        if not (0.0 < self.rel_tol < 1.0):  # also rejects nan
+            raise InputError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
 
     @property
     def tol(self) -> float:

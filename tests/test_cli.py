@@ -393,7 +393,7 @@ class TestExitCodes:
         code = main(["classify", *D56, "--phi", "gb:a=-2,b=2.0", "--rel-tol=inf"])
         captured = capsys.readouterr()
         assert code == 64 and captured.out == ""
-        message = "rel_tol must be positive and finite, got inf"
+        message = "rel_tol must lie in (0, 1), got inf"
         assert captured.err == f"sure-boundary: error: {message}\n"
 
     @pytest.mark.parametrize("argv", [

@@ -208,8 +208,8 @@ def test_precondition_validation():
         point(np.ones_like, q=-0.99)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
-    for value in (math.inf, math.nan):
-        message = f"^rel_tol must be positive and finite, got {value!r}$"
+    for value in (math.inf, math.nan, 1.0):
+        message = rf"^rel_tol must lie in \(0, 1\), got {value!r}$"
         with pytest.raises(ValueError, match=message):
             QuadratureConfig(rel_tol=value)
 
