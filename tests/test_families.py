@@ -434,6 +434,18 @@ class TestGBSpline:
             assert np.max(np.abs(y - poly(nodes))) < 1e-12, degree
             assert np.max(np.abs(dy - poly.deriv()(nodes))) < 1e-12, degree
 
+    def test_coefficients_are_the_sum_in_order(self):
+        # the one reduction over j gives the bits of this loop, which adds
+        # the terms one after another, for every piece count a table can hold
+        rng = np.random.default_rng(7)
+        weights = families._CHEB_WEIGHTS
+        for pieces in range(1, families._GB_PIECES * 2**families._GB_MAX_SPLITS + 1):
+            f = rng.normal(size=(pieces, families._CHEB_N)) * 10.0 ** rng.uniform(-3, 3)
+            c = 0.0
+            for j in range(families._CHEB_N):
+                c = c + f[:, j, None] * weights[j]
+            assert families._cheb_coefs(f).tobytes() == c.tobytes(), pieces
+
     def test_piece_with_slowly_decaying_tail_is_split(self, monkeypatch):
         # log phi = |log w - 1|**3 / 100 is a cubic on three of the first four
         # pieces, but on the one holding log w = 1 its coefficients decay as

@@ -294,6 +294,19 @@ class TestBatch:
         easy, hard = (tanh_sinh_unit(w, (0.5,), 0.0, _peak, DEFAULT_CONFIG)[0] for w in (0.0, 1e8))
         assert batch[0, 0] == batch[0, 2] == easy
         assert batch[0, 1] == hard
+        # two exponents at rows that finish out of index order: each row is
+        # written out at its own level, in its own place
+        x, qs = np.array([1e8, 0.0, 1e4, 0.0, 1e12, 1.0]), (0.5, 1.5)
+        batch = _tanh_sinh_batch(x, qs, 0.0, _peak, DEFAULT_CONFIG)
+        points = [tanh_sinh_unit(w, qs, 0.0, _peak, DEFAULT_CONFIG) for w in x]
+        assert self._hex(batch.T) == self._hex(points)
+        stops = []  # the last level each row runs
+        for w in x:
+            calls = []
+            tanh_sinh_per_level(w, qs, 0.0, lambda w, lam: calls.append(lam) or _peak(w, lam),
+                                DEFAULT_CONFIG)
+            stops.append(len(calls) - 1)
+        assert stops != sorted(stops) and len(set(stops)) > 2
 
     # more rows than two level-0 slices hold, so level 0 runs in three
     SLICES_X = np.geomspace(1e-3, 1e9, 2 * (_BATCH_ELEMENTS // _nodes(0)[0].size) + 5)
@@ -594,6 +607,19 @@ class TestPointMemo:
         assert power_log_integrals(x, qs, b, kernel) == cold
         assert power_log_integrals(x, qs, b, kernel) == cold
         assert cold == [power_log_integrals(x, (q,), b, kernel)[0] for q in qs]
+
+    def test_numpy_scalars_share_the_float_entry(self, monkeypatch):
+        # a 0-d array or numpy float is the point float(w): one pass, one
+        # entry per exponent, and Python floats back
+        calls = _counted(monkeypatch, "tanh_sinh_unit")
+        kernel, w, qs = KERNELS["unknown scale"], 37.0, (1.5, 0.5)
+        expected = power_log_integrals(w, qs, 0.0, kernel)
+        for x in (np.float64(w), np.array(w)):
+            values = power_log_integrals(x, qs, 0.0, kernel)
+            assert values == expected
+            assert all(type(v) is float for v in values)
+        assert len(calls) == 1
+        assert [type(key[1]) for key in _points] == [float, float]
 
     @pytest.mark.parametrize("kernel, kind", [
         (lambda x, lam: np.where(lam > 0.5, np.nan, 1.0), "non-finite"),
