@@ -1,18 +1,19 @@
 """Quasi-admissibility classification and constructive domination.
 
-The critical tail is c_pn - beta_star / log w.  With margin m (default 0.05):
+The critical tail is c_pn - beta_star / log w.  On default_w_grid():
 
-* quasi-inadmissible: some b > 1 + m has phi(w) <= c_pn - b beta_star / log w
+* quasi-inadmissible: some b > 1.05 has phi(w) <= c_pn - b beta_star / log w
   at every grid point from a threshold w_star onward (and then an explicit
   dominating perturbation exists);
-* quasi-admissible: some b < 1 - m has phi(w) >= c_pn - b beta_star / log w
+* quasi-admissible: some b < 0.95 has phi(w) >= c_pn - b beta_star / log w
   likewise, or phi diverges (unbounded phi is quasi-admissible directly);
-* otherwise indeterminate.  The margin is a deliberate dead zone: the theory
-  is silent exactly at b = 1, and finite grids cannot resolve it.
+* otherwise indeterminate.  The dead zone 1 +/- 0.05 (_MARGIN) is a
+  numerical device of this code, not a quantity of the paper: the theory
+  puts the boundary exactly at b = 1, and a finite grid cannot resolve it.
 
 Since the inequalities are monotone in b, testing at the edge witnesses
-b = 1 -/+ margin is sufficient: if the quasi-admissible inequality fails at
-b = 1 - margin it fails for every smaller b, and symmetrically.  A verdict
+b = 1 -/+ _MARGIN is sufficient: if the quasi-admissible inequality fails at
+b = 0.95 it fails for every smaller b, and symmetrically.  A verdict
 additionally requires the inequality to hold over at least the last two
 decades of the grid, so a one-point tail can never decide.  Verdicts,
 assumption checks and certificates share one grid, default_w_grid().  One
@@ -55,7 +56,6 @@ __all__ = [
     "DominationCertificate",
     "AssumptionReport",
     "ConstructionError",
-    "MARGIN_DEFAULT",
     "GRID_POINTS_DEFAULT",
     "nu_from_witness",
     "check_assumptions",
@@ -66,8 +66,9 @@ __all__ = [
     "default_w_grid",
 ]
 
-MARGIN_DEFAULT = 0.05
 GRID_POINTS_DEFAULT = 800
+# half-width of classify's dead zone around the critical coefficient 1
+_MARGIN = 0.05
 
 QUASI_ADMISSIBLE = "QuasiAdmissible"
 QUASI_INADMISSIBLE = "QuasiInadmissible"
@@ -197,11 +198,6 @@ def _read_only_w_grid(points: int) -> np.ndarray:
     return grid
 
 
-def _w_grid(w_grid: np.ndarray | None) -> np.ndarray:
-    """default_w_grid(), or w_grid once it passes core.require_grid."""
-    return default_w_grid() if w_grid is None else require_grid("w_grid", w_grid)
-
-
 # ---------------------------------------------------------------------------
 # assumption diagnostics
 # ---------------------------------------------------------------------------
@@ -294,30 +290,19 @@ def _tail_start(grid: np.ndarray, vals: np.ndarray, dims: ProblemDims, b: float)
     return float(grid[start])
 
 
-def classify(
-    phi: ShrinkageFunction,
-    dims: ProblemDims,
-    margin: float = MARGIN_DEFAULT,
-    w_grid: np.ndarray | None = None,
-) -> QuasiClass:
+def classify(phi: ShrinkageFunction, dims: ProblemDims) -> QuasiClass:
     """Place phi on the quasi-admissible / quasi-inadmissible side of the
-    critical tail, or report Indeterminate inside the margin dead zone.
+    critical tail, or report Indeterminate inside the dead zone 1 +/- 0.05.
 
-    It scans the grid's points above w = 1, where log w > 0; a verdict needs
-    its inequality over at least the last two decades of the grid.
+    It scans default_w_grid()'s points above w = 1, where log w > 0; a
+    verdict needs its inequality over at least the last two decades of it.
     """
-    if not 0.0 < margin < 1.0:
-        raise InputError(f"margin must lie in (0, 1), got {margin!r}")
-    if 1.0 + margin == 1.0:  # the witness b = 1 +/- margin must pick a side
-        raise InputError(f"margin {margin!r} leaves 1 + margin equal to 1")
-    grid = _w_grid(w_grid)
-    if not np.any(grid > 1.0):
-        raise InputError("w_grid must have a point above 1")
+    grid = default_w_grid()
     # unbounded phi shrinks past every critical tail eventually
     unbounded = math.isinf(_phi_limit(phi))
     vals = np.asarray(phi.eval(grid), dtype=float)
 
-    for b in (1.0 - margin,) if unbounded else (1.0 + margin, 1.0 - margin):
+    for b in (1.0 - _MARGIN,) if unbounded else (1.0 + _MARGIN, 1.0 - _MARGIN):
         w_star = _tail_start(grid, vals, dims, b)
         if w_star is not None:
             verdict = QuasiClass.inadmissible if b > 1.0 else QuasiClass.admissible
@@ -329,7 +314,7 @@ def classify(
             "stabilize on the grid"
         )
     return QuasiClass.indeterminate(
-        f"neither tail inequality holds for b outside 1 +/- {margin} "
+        f"neither tail inequality holds for b outside 1 +/- {_MARGIN} "
         f"over the final two decades of the grid"
     )
 
@@ -413,7 +398,7 @@ def verify_domination(
     there (bit-exact, asserted); the verdict additionally needs
     min Delta >= 0 over the grid points above w_sharp.
     """
-    grid = _w_grid(w_grid)
+    grid = default_w_grid() if w_grid is None else require_grid("w_grid", w_grid)
     if len(grid) < 500 or grid.min() > 0.0 or grid.max() < 1e8:
         raise InputError("verification grid must span [0, 1e8] with >= 500 points")
     return _certificate(spec, grid, delta(phi, dominator_g(spec), grid, dims))

@@ -119,16 +119,13 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 def _add_common(p: argparse.ArgumentParser, *, dims: bool = True) -> None:
     if dims:
-        p.add_argument("--p", "--mean-dim", dest="p", type=int, required=True,
-                       help="mean dimension p (>= 3)")
-        p.add_argument("--n", "--resid-df", dest="n", type=int, required=True,
+        p.add_argument("--p", type=int, required=True, help="mean dimension p (>= 3)")
+        p.add_argument("--n", type=int, required=True,
                        help="residual degrees of freedom n (>= 3)")
-    p.add_argument("--out", "-o", dest="out", default=None, help="report file path")
-    p.add_argument("--format", dest="format", default="json", choices=("json", "csv"),
-                   help="report format")
-    p.add_argument("--config", dest="config", default=None,
+    p.add_argument("--out", default=None, help="report file path")
+    p.add_argument("--config", default=None,
                    help="key=value file supplying defaults (flags override)")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10,
+    p.add_argument("--rel-tol", type=float, default=1e-10,
                    help="quadrature relative tolerance")
 
 
@@ -140,20 +137,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="quasi-admissibility verdict")
     _add_common(p)
     p.add_argument("--phi", required=True, help="shrinkage spec, e.g. zero, gb:a=-2,b=1.0")
-    # left unset here; classify fills in boundary.MARGIN_DEFAULT
-    p.add_argument("--margin", type=float,
-                   help="dead zone half-width around the critical coefficient 1")
 
     p = sub.add_parser("dominate", help="construct and verify a dominating perturbation")
     _add_common(p)
     p.add_argument("--phi", required=True)
-    p.add_argument("--b", "--tail-coeff", dest="b", type=float, required=True,
-                   help="quasi-inadmissibility witness (> 1)")
+    p.add_argument("--b", type=float, required=True, help="quasi-inadmissibility witness (> 1)")
 
     p = sub.add_parser("verify", help="verify an explicit dominator spec")
     _add_common(p)
     p.add_argument("--phi", required=True)
-    p.add_argument("--b", "--tail-coeff", dest="b", type=float, required=True)
+    p.add_argument("--b", type=float, required=True)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--w-sharp", dest="w_sharp", type=float, required=True)
     p.add_argument("--ramp-width", dest="ramp_width", type=float, required=True)
@@ -169,6 +162,7 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default="normal", help="normal or student-t:df=5")
+    p.add_argument("--format", default="json", choices=("json", "csv"), help="report format")
 
     p = sub.add_parser("sure-check", help="SURE unbiasedness z-score (Normal model)")
     _add_common(p)
@@ -187,8 +181,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("known-variance", help="known-variance prior analysis")
     _add_common(p, dims=False)
-    p.add_argument("--p", "--mean-dim", dest="p", type=int, required=True)
-    p.add_argument("--a", "--prior-power", dest="a", type=float, required=True)
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--a", type=float, required=True)
     p.add_argument("--L", dest="L", default="one", help="one or logpow:b=1.0")
     p.add_argument("--z-max", dest="z_max", type=float, default=1e8)
     p.add_argument("--r-max", dest="r_max", type=float, default=1e6)
@@ -196,7 +190,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("crosscheck", help="two-route identity agreement")
     _add_common(p)
     p.add_argument("--identity", required=True, choices=("saigo4", "psi"))
-    p.add_argument("--b", "--tail-coeff", dest="b", type=float, required=True)
+    p.add_argument("--b", type=float, required=True)
     p.add_argument("--w", type=float, default=None, help="evaluation point (saigo4)")
     p.add_argument("--v", type=float, default=None, help="evaluation point (psi)")
     p.add_argument("--tol", type=float, default=1e-8)
@@ -236,12 +230,10 @@ def _emit(args: argparse.Namespace, body: dict[str, Any]) -> None:
 
 
 def _cmd_classify(args) -> int:
-    from .boundary import MARGIN_DEFAULT, classify
+    from .boundary import classify
 
-    if args.margin is None:
-        args.margin = MARGIN_DEFAULT
     dims, phi = _problem(args)
-    verdict = classify(phi, dims, margin=args.margin)
+    verdict = classify(phi, dims)
     _emit(args, {"verdict": verdict, "tail_profile": phi.tail})
     return 2 if verdict.variant == "Indeterminate" else 0
 
@@ -425,8 +417,6 @@ def _unused_option(args: argparse.Namespace) -> str | None:
     """Usage error for an option the command accepts but would not use."""
     if args.config is not None:  # a second or abbreviated --config is never read
         return f"--config {args.config} would not be read: give one --config FILE in full"
-    if args.format == "csv" and args.command != "simulate":
-        return f"--format csv applies only to simulate, not {args.command}"
     other = {"saigo4": "v", "psi": "w"}.get(getattr(args, "identity", None))
     if other and getattr(args, other) is not None:
         return f"--{other} does not apply to --identity {args.identity}"

@@ -101,25 +101,18 @@ class TestClassify:
         phi = make_shrinkage(spec, dims)
         assert classify(phi, dims).variant == expected
 
-    def test_denser_grid_never_flips_verdicts(self):
-        for spec, dims, expected in EXPECTED_MATRIX:
-            phi = make_shrinkage(spec, dims)
-            coarse = classify(phi, dims, w_grid=np.geomspace(2.0, 1e8, 300))
-            dense = classify(phi, dims, w_grid=np.geomspace(2.0, 1e8, 2500))
-            flips = {coarse.variant, dense.variant}
-            assert flips != {"QuasiAdmissible", "QuasiInadmissible"}
-
     @pytest.mark.parametrize("spec,dims", [
         ("zero", ProblemDims(5, 6)),
         ("boundary:b=2.0", ProblemDims(6, 17)),
         ("gb:a=-2,b=3.0", ProblemDims(19, 16)),
     ], ids=["zero", "boundary", "gb"])
     def test_verdict_threshold_is_where_construction_starts(self, spec, dims):
-        # one scan on one grid: witness 1.5 gives the dominator's own w_star
+        # one scan on one grid: the verdict's witness gives the dominator's
+        # own w_star
         phi = make_shrinkage(parse_phi_spec(spec), dims)
-        verdict = classify(phi, dims, margin=0.5)
-        assert verdict.b_witness == 1.5
-        assert verdict.w_star == construct_dominator(phi, dims, 1.5).w_star
+        verdict = classify(phi, dims)
+        assert verdict.b_witness == pytest.approx(1.05)
+        assert verdict.w_star == construct_dominator(phi, dims, verdict.b_witness).w_star
 
     def test_witnesses_sit_at_margin_edges(self):
         v = classify(make_shrinkage(Zero(), DIMS), DIMS)
@@ -150,17 +143,11 @@ class TestClassify:
         (ASCENDING.reshape(7, 100), "w_grid must be 1-d, finite and strictly ascending"),
     ], ids=["descending", "nan", "2-d"])
     def test_malformed_grid_rejected(self, grid, message):
+        # classify reads default_w_grid() only; verify_domination is the one
+        # function that takes a grid
+        spec = DominatorSpec(nu=0.5, w_sharp=4.0, ramp_width=4.0, b=1.5, w_star=4.0)
         with pytest.raises(InputError, match=message):
-            classify(make_shrinkage(Zero(), DIMS), DIMS, w_grid=grid)
-
-    def test_grid_without_a_point_above_one_rejected(self):
-        with pytest.raises(ValueError, match="w_grid must have a point above 1"):
-            classify(make_shrinkage(Zero(), DIMS), DIMS, w_grid=np.linspace(0.0, 1.0, 700))
-
-    def test_margin_below_float_resolution_rejected(self):
-        # 1 + 1e-17 == 1.0, so neither witness would lie off b = 1
-        with pytest.raises(ValueError, match="leaves 1 \\+ margin equal to 1"):
-            classify(make_shrinkage(Zero(), DIMS), DIMS, margin=1e-17)
+            verify_domination(make_shrinkage(Zero(), DIMS), spec, DIMS, grid)
 
     def test_constructor_invariants(self):
         with pytest.raises(ValueError):

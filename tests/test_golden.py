@@ -43,11 +43,10 @@ SIM = [*D56, "--theta-norm", "1.5", "--reps", "2000", "--seed", "3"]
 CASES = {
     "classify-zero": ["classify", *D56, "--phi", "zero"],
     "classify-linear": ["classify", *D56, "--phi", "linear:alpha=0.5"],
-    "classify-gb": ["classify", *D56, "--phi", "gb:a=-2,b=2.5", "--margin", "0.1"],
+    "classify-gb": ["classify", *D56, "--phi", "gb:a=-2,b=2.5"],
     "classify-boundary": ["classify", *D56, "--phi", "boundary:b=1.0"],
     "classify-jsplus-admissible": ["classify", *D56, "--phi", "jsplus:a=0.375"],
-    "classify-jsplus-threshold": ["classify", *D56, "--phi", "jsplus:a=0.3",
-                                  "--margin", "0.15"],
+    "classify-jsplus-threshold": ["classify", *D56, "--phi", "jsplus:a=0.3"],
     "classify-bad-gb": ["classify", *D56, "--phi", "gb:a=-9,b=1"],
     "classify-d-underflow": ["classify", "--p", "60", "--n", "60", "--phi", "gb:a=-2,b=2.0"],
     "classify-missing-n": ["classify", "--p", "5"],
