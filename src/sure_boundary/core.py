@@ -101,6 +101,7 @@ class ProblemDims:
     n: int
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if int(self.p) != self.p or int(self.n) != self.n:
             raise InputError("p and n must be integers")
         if self.p < 3 or self.n < 3:

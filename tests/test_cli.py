@@ -223,6 +223,28 @@ class TestConfigFile:
             argv += [flag, str(path)]
         assert "would not be read" in usage_error(argv, capsys)
 
+    def test_comments_blank_lines_and_spaces_are_skipped(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# a comment\n\n  rel_tol = 1e-9 \n   \n# phi = linear:alpha=0.5\n")
+        flags = ["classify", *D56, "--phi", "zero"]
+        _, from_config = run_cli(flags + ["--config", str(path)], capsys)
+        assert from_config == run_cli(flags + ["--rel-tol", "1e-9"], capsys)[1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", *D56, "--phi", "zero", "--config", "{cfg}"],
+         "malformed config line 'rel_tol 1e-9' in {cfg}"),
+        (["--config", "{cfg}", "classify", *D56, "--phi", "zero"],
+         "--config must follow a subcommand"),
+        (["classify", *D56, "--phi", "zero", "--config"], "--config needs a file path"),
+    ], ids=["line-without-equals", "before-subcommand", "no-path"])
+    def test_config_error_is_one_line(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "run.cfg"
+        path.write_text("rel_tol 1e-9\n")
+        code = main([word.format(cfg=path) for word in argv])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == f"sure-boundary: config error: {message.format(cfg=path)}\n"
+
     def test_explicit_flags_override_config(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("p=5\nn=6\nphi=zero\nreps=1000\nseed=1\n")

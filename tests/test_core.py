@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import ZeroPerturbationError, delta1, delta2
 from sure_boundary.core import (
     EvaluationError,
+    InputError,
     ProblemDims,
     ShrinkageFunction,
     constants,
@@ -63,6 +64,17 @@ class TestConstants:
         with pytest.raises(ValueError):
             ProblemDims(5, 2)
 
+    @pytest.mark.parametrize("p, n, message", [
+        (math.inf, 6, "ProblemDims: non-finite parameter 'p' = inf"),
+        (5, math.nan, "ProblemDims: non-finite parameter 'n' = nan"),
+        (5.5, 6, "p and n must be integers"),
+    ], ids=["inf", "nan", "fraction"])
+    def test_dims_that_are_not_integers_rejected(self, p, n, message):
+        # a typed error, not int()'s OverflowError or its bare ValueError
+        with pytest.raises(InputError) as err:
+            ProblemDims(p, n)
+        assert str(err.value) == message
+
 
 class TestDPhi:
     def test_jsplus_flat_region(self):
@@ -86,6 +98,10 @@ class TestDPhi:
     def test_w_zero_rejected_when_phi_nonzero_at_zero(self):
         with pytest.raises(EvaluationError):
             d_phi(const_fn(0.3), 0.0, DIMS)
+
+    def test_negative_w_rejected(self):
+        with pytest.raises(InputError, match="^w must be >= 0$"):
+            d_phi(make_shrinkage(Zero(), DIMS), -1.0, DIMS)
 
     def test_pointwise_formula_no_hidden_state(self):
         # two functions agreeing at w give identical D_phi there

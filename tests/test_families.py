@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sure_boundary import families
-from sure_boundary.core import EvaluationError, InputError, ProblemDims, constants
+from sure_boundary.core import EvaluationError, InputError, ProblemDims, ShrinkageFunction
+from sure_boundary.core import constants, elementwise
 from sure_boundary.families import (
     BoundaryPhi,
     GBUnknown,
@@ -200,6 +201,10 @@ class TestGBUnknown:
 
     def test_deriv_positive_spot(self):
         assert phi_gb_unknown_deriv(-2.0, 1.0, 1.0, DIMS) > 0.0
+
+    def test_deriv_route_rejects_w_zero(self):
+        with pytest.raises(InputError, match="requires finite w > 0, got 0.0"):
+            phi_gb_unknown_deriv(-2.0, 1.0, 0.0, DIMS)
 
     def test_monotone_and_bounded_toward_limit(self):
         for a in (-2.0, -1.0, 0.0):
@@ -596,6 +601,17 @@ class TestTailProfile:
         w[-1] = bad
         with pytest.raises(ValueError, match=f"w_grid must be finite, got {bad!r}"):
             tail_profile(make_shrinkage(Zero(), DIMS), DIMS, w)
+
+    def test_infinite_phi_names_the_first_such_w(self):
+        w = np.geomspace(1e3, 1e8, 30)
+        blows_up = ShrinkageFunction(
+            eval=elementwise(lambda x: np.where(x > 1e6, np.inf, 0.0)),
+            deriv=elementwise(np.zeros_like), label="inf-above-1e6",
+        )
+        with pytest.raises(EvaluationError) as err:
+            tail_profile(blows_up, DIMS, w)
+        first = float(w[w > 1e6][0])
+        assert err.value.w == first and str(err.value) == f"phi non-finite at w={first}"
 
 
 class TestCrossInequality:
