@@ -5,7 +5,8 @@ known-variance, crosscheck.  Every run emits a single report: JSON by
 default, whose "config" block contains the exact key=value pairs needed to
 reproduce it, or, for ``simulate --format csv``, one row of the simulation
 columns (SIMULATE_CSV_HEADER), which leaves out p, n, phi and rel_tol.
-Identical configs produce byte-identical reports.
+Identical configs produce byte-identical reports.  Each option has one
+spelling, and only simulate takes --format.
 
 Start-up loads nothing numerical: the command line is parsed with argparse
 alone, so --version, --help and a rejected command line never import numpy.
