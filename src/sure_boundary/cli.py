@@ -2,9 +2,9 @@
 
 Subcommands: classify, dominate, verify, simulate, sure-check, asymptotics,
 known-variance, crosscheck.  Every run emits a single report: JSON by
-default, whose "config" block contains the exact key=value pairs needed to
-reproduce it, or, for ``simulate --format csv``, one row of the simulation
-columns (SIMULATE_CSV_HEADER), which leaves out p, n, phi and rel_tol.
+default, whose "config" block contains the options that reproduce it, or,
+for ``simulate --format csv``, one row of the simulation columns
+(SIMULATE_CSV_HEADER), which leaves out p, n, phi and rel_tol.
 Identical configs produce byte-identical reports.  Each option has one
 spelling, and only simulate takes --format.
 
@@ -71,51 +71,17 @@ class _NegativeNumber:
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    Indeterminate verdicts and use 64 (EX_USAGE) instead."""
+    Indeterminate verdicts and use 64 (EX_USAGE) instead.  Only the full
+    option string is accepted, never a prefix of it, so each option has one
+    spelling."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = _NegativeNumber
 
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
-
-
-def parse_config_file(path: str) -> list[str]:
-    """Expand a key=value file into CLI tokens (key -> --key value)."""
-    tokens: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"malformed config line {line!r} in {path}")
-            tokens.append("--" + key.strip().replace("_", "-"))
-            tokens.append(value.strip())
-    return tokens
-
-
-def _expand_config(argv: list[str]) -> list[str]:
-    """Splice the first --config FILE (or --config=FILE) into argv."""
-    for i, token in enumerate(argv):
-        flag, eq, path = token.partition("=")
-        if flag == "--config":
-            break
-    else:
-        return argv
-    if i == 0:
-        raise ValueError("--config must follow a subcommand")
-    if not eq:
-        if i + 1 >= len(argv):
-            raise ValueError("--config needs a file path")
-        path = argv[i + 1]
-    tokens = parse_config_file(path)
-    # config tokens go right after the subcommand so explicit flags win
-    rest = argv[:i] + argv[i + (1 if eq else 2) :]
-    return [rest[0]] + tokens + rest[1:]
 
 
 def _add_common(p: argparse.ArgumentParser, *, dims: bool = True) -> None:
@@ -124,8 +90,6 @@ def _add_common(p: argparse.ArgumentParser, *, dims: bool = True) -> None:
         p.add_argument("--n", type=int, required=True,
                        help="residual degrees of freedom n (>= 3)")
     p.add_argument("--out", default=None, help="report file path")
-    p.add_argument("--config", default=None,
-                   help="key=value file supplying defaults (flags override)")
     p.add_argument("--rel-tol", type=float, default=1e-10,
                    help="quadrature relative tolerance")
 
@@ -416,8 +380,6 @@ _COMMANDS = {
 
 def _unused_option(args: argparse.Namespace) -> str | None:
     """Usage error for an option the command accepts but would not use."""
-    if args.config is not None:  # a second or abbreviated --config is never read
-        return f"--config {args.config} would not be read: give one --config FILE in full"
     other = {"saigo4": "v", "psi": "w"}.get(getattr(args, "identity", None))
     if other and getattr(args, other) is not None:
         return f"--{other} does not apply to --identity {args.identity}"
@@ -425,13 +387,7 @@ def _unused_option(args: argparse.Namespace) -> str | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        argv = _expand_config(argv)
-    except (OSError, ValueError) as exc:
-        print(f"sure-boundary: config error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     args = parser.parse_args(argv)
     unused = _unused_option(args)
     if unused:

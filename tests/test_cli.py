@@ -190,68 +190,17 @@ ROUND_TRIPS = {
 }
 
 
-class TestConfigFile:
+class TestConfigBlock:
     @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
-    def test_config_file_reproduces_flag_run(self, case, capsys, tmp_path):
+    def test_config_block_reproduces_the_run(self, case, capsys):
         flags = ROUND_TRIPS[case]
         _, direct = run_cli(flags, capsys)
         config = json.loads(direct)["config"]
-        assert config["command"] == flags[0]
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "".join(f"{k}={v}\n" for k, v in config.items() if k != "command")
-        )
-        _, from_config = run_cli([flags[0], "--config", str(path)], capsys)
-        assert from_config == direct
-
-    def test_config_equals_form_is_read(self, capsys, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("rel_tol=1e-9\n")
-        flags = ["classify", *D56, "--phi", "zero"]
-        _, spaced = run_cli(flags + ["--config", str(path)], capsys)
-        _, joined = run_cli(flags + [f"--config={path}"], capsys)
-        assert joined == spaced
-        assert json.loads(joined)["config"]["rel_tol"] == "1e-09"
-
-    @pytest.mark.parametrize("flags", [["--conf"], ["--config", "--config"]],
-                             ids=["abbreviated", "twice"])
-    def test_unread_config_is_usage_error(self, capsys, tmp_path, flags):
-        path = tmp_path / "run.cfg"
-        path.write_text("rel_tol=1e-9\n")
-        argv = ["classify", *D56, "--phi", "zero"]
-        for flag in flags:
-            argv += [flag, str(path)]
-        assert "would not be read" in usage_error(argv, capsys)
-
-    def test_comments_blank_lines_and_spaces_are_skipped(self, capsys, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# a comment\n\n  rel_tol = 1e-9 \n   \n# phi = linear:alpha=0.5\n")
-        flags = ["classify", *D56, "--phi", "zero"]
-        _, from_config = run_cli(flags + ["--config", str(path)], capsys)
-        assert from_config == run_cli(flags + ["--rel-tol", "1e-9"], capsys)[1]
-
-    @pytest.mark.parametrize("argv, message", [
-        (["classify", *D56, "--phi", "zero", "--config", "{cfg}"],
-         "malformed config line 'rel_tol 1e-9' in {cfg}"),
-        (["--config", "{cfg}", "classify", *D56, "--phi", "zero"],
-         "--config must follow a subcommand"),
-        (["classify", *D56, "--phi", "zero", "--config"], "--config needs a file path"),
-    ], ids=["line-without-equals", "before-subcommand", "no-path"])
-    def test_config_error_is_one_line(self, capsys, tmp_path, argv, message):
-        path = tmp_path / "run.cfg"
-        path.write_text("rel_tol 1e-9\n")
-        code = main([word.format(cfg=path) for word in argv])
-        captured = capsys.readouterr()
-        assert code == 64 and captured.out == ""
-        assert captured.err == f"sure-boundary: config error: {message.format(cfg=path)}\n"
-
-    def test_explicit_flags_override_config(self, capsys, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("p=5\nn=6\nphi=zero\nreps=1000\nseed=1\n")
-        _, out = run_cli(
-            ["sure-check", "--config", str(path), "--seed", "2"], capsys
-        )
-        assert json.loads(out)["config"]["seed"] == "2"
+        assert config.pop("command") == flags[0]
+        rerun = [flags[0]]
+        for key, value in config.items():
+            rerun += ["--" + key.replace("_", "-"), value]
+        assert run_cli(rerun, capsys)[1] == direct
 
 
 def contract_rows():
@@ -280,6 +229,24 @@ CONTRACT = contract_rows()
 CONTRACT_IDS = [f"{want} {argv[0]} {argv[-2]} {argv[-1]}" for want, argv in CONTRACT]
 
 
+def prefix_variants(argv):
+    """argv with one option replaced by a proper prefix of it that is not
+    itself an option string of the subcommand, for every such prefix."""
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    options = subcommands[argv[0]]._option_string_actions
+    return [
+        argv[:i] + [word[:k]] + argv[i + 1:]
+        for i, word in enumerate(argv) if word.startswith("--") and word in options
+        for k in range(3, len(word)) if word[:k] not in options
+    ]
+
+
+# each exit-0 row whose long options have a prefix to try
+PREFIX_CASES = [pytest.param(variants, id=row_id)
+                for row_id, (want, argv) in zip(CONTRACT_IDS, CONTRACT)
+                if want == 0 and (variants := prefix_variants(argv))]
+
+
 class TestContractTable:
     """The exit contract of README, one row of tests/cli_contract.txt a run."""
 
@@ -301,6 +268,11 @@ class TestContractTable:
             assert " encountered in " not in captured.err
         else:
             assert captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("variants", PREFIX_CASES)
+    def test_prefix_of_an_option_is_rejected(self, capsys, variants):
+        for variant in variants:
+            assert usage_error(variant, capsys)
 
     def test_every_readme_example_is_a_row(self):
         commands = readme_commands()
@@ -691,13 +663,13 @@ class TestStartUp:
         seen = modules_loaded(self.ARGVS, ["scipy"])
         assert all(modules == [] for modules in seen.values()), seen
 
-    def test_no_numpy_before_a_command_runs(self, tmp_path):
+    def test_no_numpy_before_a_command_runs(self):
         argvs = [
             ["--version"],
             ["--help"],
             ["classify", "--help"],
             ["classify", "--p", "5"],  # rejected by the parser
-            ["classify", "--config", str(tmp_path / "missing.cfg"), *D56, "--phi", "zero"],
+            ["classify", *D56, "--ph", "zero"],  # a prefix, rejected by the parser
         ]
         seen = modules_loaded(argvs, ["numpy", *LAYERS])
         assert all(modules == [] for modules in seen.values()), seen
