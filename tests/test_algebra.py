@@ -3,7 +3,9 @@
 phi and g are undefined functions of w, and p and n are symbols, so each
 identity holds for every shrinkage function and every (p, n), not only at
 sample points.  ``D`` transcribes core's D_phi; one test pins it, and the
-closed forms of c_pn, d_n and beta_star, to what ``core`` evaluates.
+closed forms of c_pn, d_n and beta_star, to what ``core`` evaluates.  Two
+more checks derive the SURE statistic from its two lemmas and expand the
+rate of the critical tail, as ROADMAP item 3 states them.
 """
 
 import collections
@@ -55,3 +57,32 @@ def test_transcribed_d_is_core_d_phi():
     fn = ShrinkageFunction(eval=elementwise(lambda x: x / (1.0 + x)),
                            deriv=elementwise(lambda x: 1.0 / (1.0 + x) ** 2), label="w/(1+w)")
     assert d_phi(fn, 3.0, ProblemDims(5, 6)) == pytest.approx(want, rel=1e-15)
+
+
+def test_sure_from_stein_and_chi_square_lemmas():
+    # ROADMAP item 3: "Then `p - 2 div g + n k + 2 S dk/dS - (p + (n+2) D_phi(W)) = 0`."
+    # R = ||X||^2 and S are symbols and W = R/S.  Stein's identity turns the
+    # cross term into div h = p phi/W + 2 R d/dR (phi(W)/W), for the shift
+    # h = phi(W) X / W (the quote's g; g names the perturbation above); the
+    # chi-square identity E[S k(S)]/sigma^2 = E[n k + 2 S k'(S)], with
+    # k = phi(W)^2/W, replaces ||h||^2/sigma^2.
+    R, S = sympy.symbols("R S", positive=True)
+    W = R / S
+    phi_W = sympy.Function("phi")(W)
+    div_h = p * phi_W / W + 2 * R * sympy.diff(phi_W / W, R)
+    k = phi_W**2 / W
+    sure = p - 2 * div_h + n * k + 2 * S * sympy.diff(k, S)
+    target = p + (n + 2) * D(phi)
+    assert sympy.simplify((sure.subs(R, w * S) - target).doit()) == 0
+
+
+def test_critical_tail_rate():
+    # ROADMAP item 3: "the series is
+    # `s log s G'(s) = b + b^2 d_n/(2 log s) + O(log^-2 s)`", for
+    # phi = c_pn - b beta_star/log s and G' = 2 (c_pn - phi)/(d_n w (1+phi)).
+    x, b = sympy.symbols("x b", positive=True)  # x = 1/log s
+    tail = C_PN - b * (D_N * (1 + C_PN) / 2) * x
+    rate = 2 * (C_PN - tail) / (D_N * x * (1 + tail))
+    series = sympy.series(rate, x, 0, 2)
+    assert series.getO() == sympy.O(x**2)
+    assert sympy.simplify(series.removeO() - (b + b**2 * D_N * x / 2)) == 0
