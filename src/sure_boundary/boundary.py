@@ -116,7 +116,10 @@ class QuasiClass:
 
 @dataclass(frozen=True)
 class DominatorSpec:
-    """Parameters of the constructed perturbation g (see module docstring)."""
+    """Parameters of the constructed perturbation g (see module docstring).
+    g and a certificate's verdict read nu, w_sharp and ramp_width alone; b and
+    w_star record how construct_dominator built the spec (its witness and its
+    threshold), and are only checked for range and echoed into certificates."""
 
     nu: float
     w_sharp: float
