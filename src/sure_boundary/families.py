@@ -235,6 +235,12 @@ def tail_profile(
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
+def _validate_gb(a: float, b: float, dims: ProblemDims) -> None:
+    """GBUnknown(a=a, b=b).validate_for(dims), kept for the inputs that pass."""
+    GBUnknown(a=a, b=b).validate_for(dims)
+
+
+@lru_cache(maxsize=256)
 def _gb_kernel(m: float):
     """(1 + w lambda)**-m, one function object per m, so that the point memo
     of power_log_integrals finds the integrals of earlier calls.  m is
@@ -277,7 +283,7 @@ def phi_gb_unknown(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
     """The generalized Bayes multiplier phi_{a,b}(w) = w N(w)/D(w) (exact route)."""
-    GBUnknown(a=a, b=b).validate_for(dims)
+    _validate_gb(a, b, dims)
     if not 0.0 <= w < math.inf:
         raise InputError(f"w must be finite and >= 0, got {w!r}")
     if w == 0.0:
@@ -304,7 +310,7 @@ def phi_gb_unknown_deriv(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
     """d/dw of phi_{a,b} by differentiation under the integral sign."""
-    GBUnknown(a=a, b=b).validate_for(dims)
+    _validate_gb(a, b, dims)
     if not 0.0 < w < math.inf:
         raise InputError(f"derivative route requires finite w > 0, got {w!r}")
     m, q, num, den = _gb_num_den(a, b, w, dims, cfg)
@@ -326,7 +332,7 @@ def phi_gb_identity_saigo4(
     c_pn - (2b/(n+2)) R(w), minus the lambda = 1 boundary contribution
     (2/(n+2)) (1+w)^{-(p+n)/2} / D(w) which is nonzero only at b = 0.
     """
-    GBUnknown(a=-2.0, b=b).validate_for(dims)
+    _validate_gb(-2.0, b, dims)
     if not 0.0 < w < math.inf:
         raise InputError(f"identity route requires finite w > 0, got {w!r}")
     k = constants(dims)

@@ -38,15 +38,15 @@ same point, run each integral once; grids are not kept.
 
 The two passes share their levels, stopping rule and endpoint check but stay
 two loops on purpose, because each is the faster one for its own use; both
-give the same values.  A point run as a one-row batch is 5 to 7 times
+give the same values.  A point run as a one-row batch is 4.7 to 5.8 times
 slower, because the batch's per-level calls and bookkeeping outweigh one
 point (two exponents of the unknown-scale kernel at w in {0.7, 30, 1e4},
-medians of 15: 61-143 against 432-792 us).  The 128 samples of a gb table's
-first pass run as point passes are about 3 times slower than one batched
+medians of 15: 11-14 against 52-81 us).  The 128 samples of a gb table's
+first pass run as point passes are about 4 times slower than one batched
 pass, which pays those calls once per level and slice for all rows and
 exponents ((a, b, p, n) in {(-2, 2, 5, 6), (-2, 0.5, 3, 3), (-1, 1.3, 12,
-19), (-3, 1, 20, 20)}, medians of 7: 6.5-21 against 2.4-6.4 ms).  Both
-measured on a shared 2-core x86-64 Xeon.  A point pass is bound by numpy's
+19), (-3, 1, 20, 20)}, medians of 7: 1.7-2.9 against 0.40-0.73 ms).  Both
+measured on a shared 2-core x86-64 EPYC.  A point pass is bound by numpy's
 fixed cost per call, not by its arithmetic, so its first block is large.
 """
 
@@ -178,13 +178,14 @@ def _block(last: int):
 
     The first block holds levels 0 to _BLOCK_LEVEL, concatenated, and every
     later block level last alone; levels gives (level, slice of the block's
-    nodes) for each.
+    nodes, the level's step h) for each.
     """
     if last > _BLOCK_LEVEL:
-        return (*_nodes(last), ((last, slice(None)),))
+        return (*_nodes(last), ((last, slice(None), _H0 / 2**last),))
     nodes = [_nodes(level) for level in range(last + 1)]
     bounds = np.cumsum([0] + [lam.size for lam, *_ in nodes]).tolist()
-    levels = tuple((level, slice(bounds[level], bounds[level + 1])) for level in range(last + 1))
+    levels = tuple((level, slice(bounds[level], bounds[level + 1]), _H0 / 2**level)
+                   for level in range(last + 1))
     return (*(np.concatenate(arrays) for arrays in zip(*nodes)), levels)
 
 
@@ -218,6 +219,7 @@ def _refine(value, h, s):
     """Fold one level's node sum into value; return (value, error estimate).
 
     Works on floats and, elementwise, on arrays of independent integrals.
+    tanh_sinh_unit spells the same two expressions inline.
     """
     new_value = 0.5 * value + h * s
     return new_value, abs(new_value - value)
@@ -230,7 +232,8 @@ def _stop_rule(err, value, tol: float):
     tanh-sinh level roughly doubles the correct digits, so the level after
     the first that meets tol would only re-confirm a value already far
     inside it.  An err of exactly 0 stops the pass at once, and an integral
-    of 0 converges only there.  Works on floats and, elementwise, on arrays.
+    of 0 converges only there.  Works on floats and, elementwise, on arrays;
+    tanh_sinh_unit spells the same comparison inline.
     """
     return err <= tol * abs(value)
 
@@ -265,20 +268,6 @@ def _not_converged(value: float, err: float):
         best_estimate=value,
         error_estimate=err,
     )
-
-
-def _level_sum(vals: np.ndarray, lam: np.ndarray, cut: slice) -> float:
-    """The sum of one level's weighted integrand values, vals[cut].
-
-    A non-finite value makes the sum non-finite, so the values are only
-    scanned when the sum is.
-    """
-    vals = vals[cut]
-    s = float(np.add.reduce(vals))
-    if not math.isfinite(s) and not np.isfinite(vals).all():
-        bad = lam[cut][~np.isfinite(vals)]
-        raise QuadratureError(f"integrand non-finite near lambda={float(bad[0])!r}")
-    return s
 
 
 def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig) -> list[float]:
@@ -319,16 +308,22 @@ def tanh_sinh_unit(x: float, qs: tuple, b: float, kernel, cfg: QuadratureConfig)
             if block not in shared:
                 shared[block] = kernel(x, lam), None if b == 0.0 else power(block, True, b)
             kern, log_b = shared[block]
-            f = power(block, False, q) * kern
-            vals = (f if log_b is None else f * log_b) * weight
-            for level, cut in levels:
-                h = _H0 / 2**level
-                s = _level_sum(vals, lam, cut)
+            vals = np.multiply(power(block, False, q), kern)
+            if log_b is not None:
+                vals *= log_b
+            vals *= weight
+            for level, cut, h in levels:
+                # a non-finite value makes s non-finite: only then are the values scanned
+                s = float(np.add.reduce(vals[cut]))
+                if not math.isfinite(s) and not np.isfinite(vals[cut]).all():
+                    bad = lam[cut][~np.isfinite(vals[cut])]
+                    raise QuadratureError(f"integrand non-finite near lambda={float(bad[0])!r}")
                 if level == 0:
                     value = h * s
                     continue
-                value, err = _refine(value, h, s)
-                if _stop_rule(err, value, tol):
+                new = 0.5 * value + h * s
+                value, err = new, abs(new - value)
+                if err <= tol * abs(value):
                     return value
         raise _not_converged(value, err)
 
@@ -397,7 +392,7 @@ def _batch_level_sums(x, qs, b, kernel, level, rows, live):
             vals *= log_b
         vals *= weight
         s[:, cut] = np.add.reduce(vals, axis=2)
-        if not np.isfinite(s[:, cut]).all():  # as _level_sum, per exponent and row
+        if not np.isfinite(s[:, cut]).all():  # as a point pass, per exponent and row
             bad = ~np.isfinite(vals).all(axis=2) & live[:, cut]
             if bad.any():
                 k, row = np.argwhere(bad)[0]
@@ -440,16 +435,15 @@ def power_log_integrals(x, qs, b: float, kernel, cfg: QuadratureConfig = DEFAULT
         if x.ndim:
             return _tanh_sinh_batch(x, qs, b, kernel, cfg)
     x = float(x)
-    keys = [(kernel, x, q, b, cfg) for q in qs]
     with _points_lock:
-        found = [_points.get(key) for key in keys]
+        found = [_points.get((kernel, x, q, b, cfg)) for q in qs]
     if None not in found:
         return found
-    missing = {key[2]: key for key, value in zip(keys, found) if value is None}
-    new = dict(zip(missing.values(), tanh_sinh_unit(x, tuple(missing), b, kernel, cfg)))
+    missing = tuple(q for q, value in zip(qs, found) if value is None)
+    new = dict(zip(missing, tanh_sinh_unit(x, missing, b, kernel, cfg)))
     with _points_lock:
-        _points.update(new)
+        _points.update(((kernel, x, q, b, cfg), value) for q, value in new.items())
         while len(_points) > _POINTS_KEPT:
             del _points[next(iter(_points))]
-    return [new[key] if value is None else value for key, value in zip(keys, found)]
+    return [new[q] if value is None else value for q, value in zip(qs, found)]
 
