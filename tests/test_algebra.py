@@ -3,9 +3,12 @@
 phi and g are undefined functions of w, and p and n are symbols, so each
 identity holds for every shrinkage function and every (p, n), not only at
 sample points.  ``D`` transcribes core's D_phi; one test pins it, and the
-closed forms of c_pn, d_n and beta_star, to what ``core`` evaluates.  Two
-more checks derive the SURE statistic from its two lemmas and expand the
-rate of the critical tail, as ROADMAP item 3 states them.
+closed forms of c_pn, d_n and beta_star, to what ``core`` evaluates.  Four
+more checks, as ROADMAP item 3 states them, derive the SURE statistic from
+its two lemmas, expand the rate of the critical tail, and reduce the two
+identities behind the dominators (item 7) and the integral test of the
+verdicts (item 6), each with u an undefined function and its defining
+differential equation substituted.
 """
 
 import collections
@@ -26,7 +29,12 @@ def D(f):
     return (f - 2 * C_PN) * f / w - D_N * sympy.diff(f, w) * (1 + f)
 
 
-DELTA = D(phi) - D(phi + g)
+def Delta(f, h):
+    """Delta(w; f, h) = D_f(w) - D_{f+h}(w), the risk gain of f + h over f."""
+    return D(f) - D(f + h)
+
+
+DELTA = Delta(phi, g)
 DELTA1 = 2 * (C_PN - phi) / w + D_N * sympy.diff(phi, w)
 
 
@@ -86,3 +94,33 @@ def test_critical_tail_rate():
     series = sympy.series(rate, x, 0, 2)
     assert series.getO() == sympy.O(x**2)
     assert sympy.simplify(series.removeO() - (b + b**2 * D_N * x / 2)) == 0
+
+
+u = sympy.Function("u")(w)
+
+
+def test_dominator_identity():
+    # ROADMAP item 3: "Take u with `w u' = alpha u - beta`, where
+    # `alpha = w Delta1/(d_n (1+phi))` and `beta = 1/(d_n (1+phi))`. Then
+    # `Delta(phi, eps/u) - [eps (1-eps) g*^2/w + eps^2 d_n g* g*'] = 0`,
+    # with `g* = 1/u`."
+    eps = sympy.Symbol("epsilon", positive=True)
+    alpha = w * DELTA1 / (D_N * (1 + phi))
+    beta = 1 / (D_N * (1 + phi))
+    g_star = 1 / u
+    gap = Delta(phi, eps / u) - (eps * (1 - eps) * g_star**2 / w
+                                 + eps**2 * D_N * g_star * sympy.diff(g_star, w))
+    assert sympy.simplify(gap.subs(sympy.Derivative(u, w), (alpha * u - beta) / w)) == 0
+
+
+def test_integral_test_identity():
+    # ROADMAP item 3: "Take `F = exp(-G)/(1+phi)` with
+    # `G' = 2 (c_pn - phi)/(d_n w (1+phi))`. Then `u^2 Delta(phi, 1/u) =
+    # -(d_n (1+phi)/F) [(uF)' + F/(d_n w (1+phi))] - d_n u'/u`."
+    G = sympy.Function("G")(w)
+    F = sympy.exp(-G) / (1 + phi)
+    rhs = (-(D_N * (1 + phi) / F) * (sympy.diff(u * F, w) + F / (D_N * w * (1 + phi)))
+           - D_N * sympy.diff(u, w) / u)
+    gap = u**2 * Delta(phi, 1 / u) - rhs
+    G_prime = 2 * (C_PN - phi) / (D_N * w * (1 + phi))
+    assert sympy.simplify(gap.subs(sympy.Derivative(G, w), G_prime)) == 0

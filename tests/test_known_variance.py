@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import marginal_m_closed_one
-from sure_boundary.core import EvaluationError, InputError
+from sure_boundary.core import EvaluationError, InputError, ProblemDims
+from sure_boundary.families import phi_gb_unknown, phi_gb_unknown_deriv
 from sure_boundary.known_variance import (
     AdmissClass,
     LogPow,
@@ -203,6 +204,39 @@ class TestPsi:
             psi_tail_fit(1.0, 300)
         assert "for (p, b) = (300, 1.0)" in str(err.value)
         assert type(err.value.w) is float and 1e4 < err.value.w < 1e5
+
+
+def _richardson(route, ns):
+    """Two Richardson steps of route(n) = L + C/n + E/n**2 + ... over ns =
+    (n, 2n, 4n): the estimate of L."""
+    f1, f2, f4 = map(route, ns)
+    r1, r2 = 2.0 * f2 - f1, 2.0 * f4 - f2
+    return (4.0 * r2 - r1) / 3.0
+
+
+class TestBridge:
+    """ROADMAP item 10: n phi_{-2,b}(v/n; p, n) -> psi_known(b, v, p) and
+    phi'_{-2,b}(v/n) -> psi'(v) as n -> inf, the unknown-scale engine
+    reproducing the known-variance one."""
+
+    NS = (5000, 10000, 20000)
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("p, b", [(5, 1.5), (5, 0.0), (12, 2.0), (3, 0.5), (20, 1.0)])
+    def test_unknown_scale_tends_to_known_variance(self, p, b, v):
+        def phi_row(n):
+            return n * phi_gb_unknown(-2.0, b, v / n, ProblemDims(p, n))
+
+        def deriv_row(n):
+            return phi_gb_unknown_deriv(-2.0, b, v / n, ProblemDims(p, n))
+
+        psi = psi_known(b, v, p)
+        assert _richardson(phi_row, self.NS) == pytest.approx(psi, rel=1e-9, abs=0.0)
+        # the code has no route for psi', so its reference is a central
+        # difference, at h = 1e-4 v, to within 1e-8 of psi/v
+        h = 1e-4 * v
+        psi_prime = (psi_known(b, v + h, p) - psi_known(b, v - h, p)) / (2.0 * h)
+        assert abs(_richardson(deriv_row, self.NS) - psi_prime) <= 1e-8 * psi / v
 
 
 class TestBrownNumeric:

@@ -589,6 +589,31 @@ class TestPointMemo:
         assert len(report.decade_increments) == 6
         assert len(calls) == 1
 
+    def test_counted_work_of_an_exact_routes_cell(self, monkeypatch):
+        # one operation of the benchmark's exact_routes workload, with its
+        # three grids restated: a faster point path keeps these counts
+        points = _counted(monkeypatch, "tanh_sinh_unit")
+        grids = _counted(monkeypatch, "_tanh_sinh_batch")
+        p, b, dims = 5, 1.3, ProblemDims(5, 6)
+        one, logpow = kv.PriorSpec(a=-2.0, L=kv.One()), kv.PriorSpec(a=-2.0, L=kv.LogPow(b))
+        for w in np.geomspace(1.0, 1e8, 64):
+            families.phi_gb_unknown(-2.0, b, w, dims)
+        for w in np.geomspace(1.0, 1e8, 64):
+            families.phi_gb_identity_saigo4(b, w, dims)
+        for w in np.geomspace(1.0, 1e8, 64):
+            families.phi_gb_unknown_deriv(-2.0, b, w, dims)
+        for route in (kv.psi_known, kv.psi_known_via_identity):
+            for v in np.geomspace(0.5, 1e4, 32):
+                route(b, v, p)
+        for prior in (one, logpow):
+            for z in np.geomspace(0.5, 1e3, 12):
+                kv.marginal_m(z, prior, p)
+        kv.tauberian_check(logpow, p)
+        kv.gradient_bound_check(logpow, p)
+        kv.psi_tail_fit(b, p)
+        kv.brown_integral_numeric(kv.PriorSpec(a=-2.0, L=kv.LogPow(0.5)), 5)
+        assert (len(points), len(grids), len(_points)) == (280, 4, 440)
+
     @settings(max_examples=60, deadline=None)
     @given(
         kernel=st.sampled_from(sorted(KERNELS)),
